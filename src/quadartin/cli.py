@@ -42,9 +42,8 @@ from .experiments import (
     mult_indep_norm_one,
     mult_indep_rational,
     order_scan,
-    remark12_verify,
 )
-from .quadfield import m_ratio, norm, square_guard
+from .quadfield import m_ratio, square_guard
 from .sieve import SieveConfig, count_Ad, sieving_limit
 
 EXIT_OK = 0
@@ -141,7 +140,7 @@ def _scan_primes(cfg: Dict, family: AlphaFamily) -> tuple:
     if lo > hi:
         raise BadConfig(f"prime_min {lo} exceeds prime_max {hi}")
     if cfg.get("use_congruence", False):
-        a = int(cfg.get("a", int(norm(family.members[0]))))
+        a = int(cfg.get("a", family.norms[0]))
         seed = find_p0(a, family.ctx.delta, int(cfg.get("p0_bound", 10**4)))
         cong = build_congruence(seed)
         return congruence_primes(cong.u, cong.v, lo, hi), cong
@@ -154,7 +153,8 @@ def cmd_scan(cfg: Dict, out: Path, workers: int) -> int:
     family = AlphaFamily.from_coords(delta, members)
     plist, cong = _scan_primes(cfg, family)
 
-    remark12_verify(family, plist)
+    # The order chain is checked inside the scan pass: a violation raises
+    # RemarkViolation, which exits 3.
     records, summary = order_scan(family, plist, workers=workers)
 
     with open(out / "scan.csv", "w", newline="", encoding="utf-8") as fh:
@@ -165,8 +165,7 @@ def cmd_scan(cfg: Dict, out: Path, workers: int) -> int:
                 [rec.p, label, rec.ord_alpha, rec.ord_n, rec.ord_m, int(rec.attained)]
             )
 
-    norms = [Fraction(int(norm(a))) for a in family.members]
-    indep = mult_indep_rational(norms)
+    indep = mult_indep_rational([Fraction(n) for n in family.norms])
     summary_json = {
         "delta": family.ctx.delta,
         "labels": list(family.labels),

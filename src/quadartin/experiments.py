@@ -13,7 +13,8 @@ from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .arith import (
     primes_up_to,
     smallest_factor_table,
 )
-from .fp2 import Fp2Context, OrderRecord, order_record
+from .fp2 import Fp2Context, OrderChainError, OrderRecord, order_record
 from .quadfield import FieldContext, QuadElem, norm
 from .sieve import sieving_limit
 
@@ -37,7 +38,13 @@ class RemarkViolation(AssertionError):
     def __init__(self, p: int, label: str, detail: str):
         self.p = p
         self.label = label
+        self.detail = detail
         super().__init__(f"order chain broken at p = {p}, member {label}: {detail}")
+
+    def __reduce__(self):
+        # args holds only the message; rebuild from the three fields so a
+        # violation raised in a pool worker reaches the parent intact.
+        return type(self), (self.p, self.label, self.detail)
 
 
 class DependentGenerators(ValueError):
@@ -79,6 +86,11 @@ class AlphaFamily:
     def from_coords(cls, delta: int, coords: Sequence[Sequence[int]]) -> "AlphaFamily":
         ctx = FieldContext(delta)
         return cls(ctx, tuple(ctx.integer(x, y) for x, y in coords))
+
+    @cached_property
+    def norms(self) -> Tuple[int, ...]:
+        """Integer norms of the members, in member order."""
+        return tuple(int(norm(a)) for a in self.members)
 
 
 def inert_primes(ctx: FieldContext, lo: int, hi: int) -> List[int]:
@@ -125,29 +137,48 @@ class ScanSummary:
         return self.attained_family / self.prime_count if self.prime_count else 0.0
 
 
-def _scan_block(args) -> List[Tuple[int, int, int, int, int, bool]]:
-    delta, coords, primes = args
-    ctx = FieldContext(delta)
-    members = [ctx.integer(x, y) for x, y in coords]
-    rows = []
+def _order_pass(
+    family: AlphaFamily, primes: Iterable[int]
+) -> Iterator[Tuple[int, Optional[Fp2Context], List[OrderRecord]]]:
+    """The one per-prime pass behind every scan.
+
+    Yields (p, context, records) with one order record per member, each
+    checked against the order chain as it is computed, or (p, None, [])
+    for a prime that is 2 or ramified, splits, or divides a member's norm.
+    A broken chain raises RemarkViolation naming the prime and member.
+    """
+    field = family.ctx
+    delta = field.delta
     for p in primes:
-        try:
-            fctx = Fp2Context.for_prime(p, ctx)
-        except ValueError:
-            rows.append((p, -1, 0, 0, 0, False))
-            continue
-        usable = True
-        recs = []
-        for i, a in enumerate(members):
-            if int(norm(a)) % p == 0:
-                usable = False
-                break
-            r = order_record(a, fctx)
-            recs.append((p, i, r.ord_alpha, r.ord_n, r.ord_m, r.attained))
-        if usable:
-            rows.extend(recs)
+        if p == 2 or delta % p == 0:
+            why = "p = 2 or ramified"
+        elif jacobi(delta, p) != -1:
+            why = "split"
+        elif any(n % p == 0 for n in family.norms):
+            why = "divides a member norm"
         else:
-            rows.append((p, -1, 0, 0, 0, False))
+            why = None
+        if why is not None:
+            log.debug("skipping p = %d (%s)", p, why)
+            yield p, None, []
+            continue
+        fctx = Fp2Context.for_prime(p, field)
+        recs = []
+        for label, a in zip(family.labels, family.members):
+            try:
+                recs.append(order_record(a, fctx))
+            except OrderChainError as e:
+                raise RemarkViolation(p, label, str(e)) from e
+        yield p, fctx, recs
+
+
+def _scan_block(args) -> List[Tuple[int, int, Optional[OrderRecord]]]:
+    family, primes = args
+    rows: List[Tuple[int, int, Optional[OrderRecord]]] = []
+    for p, fctx, recs in _order_pass(family, primes):
+        if fctx is None:
+            rows.append((p, -1, None))
+        rows.extend((p, i, r) for i, r in enumerate(recs))
     return rows
 
 
@@ -163,17 +194,15 @@ def order_scan(
     (p, member position) regardless of worker count.
     """
     plist = sorted(set(int(p) for p in primes))
-    coords = [(int(a.x), int(a.y)) for a in family.members]
-    delta = family.ctx.delta
     if workers > 1 and len(plist) > 64:
         chunks = [plist[i::workers] for i in range(workers)]
-        args = [(delta, coords, c) for c in chunks if c]
-        rows: List[Tuple[int, int, int, int, int, bool]] = []
+        args = [(family, c) for c in chunks if c]
+        rows: List[Tuple[int, int, Optional[OrderRecord]]] = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_scan_block, args):
                 rows.extend(part)
     else:
-        rows = _scan_block((delta, coords, plist))
+        rows = _scan_block((family, plist))
     rows.sort(key=lambda r: (r[0], r[1]))
 
     records: List[Tuple[str, OrderRecord]] = []
@@ -183,18 +212,16 @@ def order_scan(
     skipped = 0
     seen_primes = set()
     attained_primes = set()
-    for p, i, oa, on, om, att in rows:
-        if i < 0:
+    for p, i, rec in rows:
+        if rec is None:
             skipped += 1
-            log.debug("skipping p = %d (not inert or divides a norm)", p)
             continue
         seen_primes.add(p)
-        rec = OrderRecord(p, oa, on, om, att)
         records.append((family.labels[i], rec))
-        if att:
+        if rec.attained:
             per_member[i] += 1
             attained_primes.add(p)
-        idx = (p * p - 1) // oa
+        idx = (p * p - 1) // rec.ord_alpha
         histogram[idx] = histogram.get(idx, 0) + 1
     summary = ScanSummary(
         len(seen_primes),
@@ -211,37 +238,12 @@ def remark12_verify(family: AlphaFamily, primes: Iterable[int]) -> Dict[str, int
     """Check the order-chain identities at every usable (p, member) pair:
     the norm's order divides p - 1, the conjugate ratio's order divides
     p + 1, both divide the element's order, and their product divides twice
-    the element's order.  Any failure raises RemarkViolation.
+    the element's order.  These checks run inside the scan pass itself, so
+    this is that pass with its counts returned.  Any failure raises
+    RemarkViolation.
     """
-    ctx = family.ctx
-    checked = 0
-    skipped = 0
-    for p in sorted(set(int(q) for q in primes)):
-        try:
-            fctx = Fp2Context.for_prime(p, ctx)
-        except ValueError:
-            skipped += 1
-            continue
-        if any(int(norm(a)) % p == 0 for a in family.members):
-            skipped += 1
-            continue
-        for label, a in zip(family.labels, family.members):
-            r = order_record(a, fctx)
-            n2 = p * p - 1
-            if (p - 1) % r.ord_n:
-                raise RemarkViolation(p, label, f"ord_n = {r.ord_n} does not divide p - 1")
-            if (p + 1) % r.ord_m:
-                raise RemarkViolation(p, label, f"ord_m = {r.ord_m} does not divide p + 1")
-            if n2 % r.ord_alpha:
-                raise RemarkViolation(p, label, "ord_alpha does not divide p^2 - 1")
-            if r.ord_alpha % r.ord_n or r.ord_alpha % r.ord_m:
-                raise RemarkViolation(p, label, "component order does not divide ord_alpha")
-            if (2 * r.ord_alpha) % (r.ord_n * r.ord_m):
-                raise RemarkViolation(
-                    p, label, f"{r.ord_n} * {r.ord_m} does not divide 2 * {r.ord_alpha}"
-                )
-            checked += 1
-    return {"checked": checked, "skipped": skipped, "violations": 0}
+    records, summary = order_scan(family, primes)
+    return {"checked": len(records), "skipped": summary.skipped, "violations": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +264,7 @@ def _exponent_matrix(values: Sequence[Fraction]) -> Tuple[List[List[int]], List[
     primes: List[int] = []
     rows = []
     for val in values:
-        num = factorize(val.numerator)
+        num = factorize(abs(val.numerator))
         den = factorize(val.denominator)
         exps: Dict[int, int] = {p: e for p, e in num.factors}
         for p, e in den.factors:
@@ -339,7 +341,8 @@ def mult_indep_rational(values: Sequence[Fraction]) -> IndependenceVerdict:
     prod = Fraction(1)
     for v, e in zip(vals, rel):
         prod *= v**e
-    assert prod in (1, -1), f"relation {rel} does not verify"
+    if prod not in (1, -1):
+        raise AssertionError(f"relation {rel} does not verify")
     return IndependenceVerdict(False, rel)
 
 
@@ -532,7 +535,6 @@ def pigeonhole_report(
     if x is None:
         x = max(plist) if plist else 2
     threshold = sieving_limit(x, delta1)
-    ctx = family.ctx
     rows: List[PigeonholeRow] = []
     k = len(family.members)
     minus_att = [0] * k
@@ -540,12 +542,8 @@ def pigeonhole_report(
     full_att = [0] * k
     max_m = 0
     small = [q for q in primes_up_to(threshold) if v_excluded % q != 0]
-    for p in plist:
-        try:
-            fctx = Fp2Context.for_prime(p, ctx)
-        except ValueError:
-            continue
-        if any(int(norm(a)) % p == 0 for a in family.members):
+    for p, fctx, recs in _order_pass(family, plist):
+        if fctx is None:
             continue
         if p % 3 == 1:
             d_minus, d_plus = 12, 2
@@ -579,8 +577,7 @@ def pigeonhole_report(
                 (p + 1) % d_plus == 0,
             )
         )
-        for i, a in enumerate(family.members):
-            r = order_record(a, fctx)
+        for i, r in enumerate(recs):
             if r.ord_n * d_minus >= p - 1:
                 minus_att[i] += 1
             if r.ord_m * d_plus >= p + 1:

@@ -4,16 +4,31 @@ inert prime p.
 Elements are pairs (c0, c1) meaning c0 + c1*s where s^2 = delta mod p.  The
 group of units is cyclic of order p^2 - 1; orders are computed exactly from
 the factorizations of p - 1 and p + 1 held by the context.
+
+order_record derives ord(alpha) from the order chain instead of descending
+from p^2 - 1.  Frobenius is the p-power map, so alpha^(p+1) = N(alpha) lies
+in F_p^* and alpha^(p-1) = conj(alpha)/alpha = M has norm 1.  ord N is found
+over the primes of p - 1 with native pow, ord M over the primes of p + 1.
+Every odd prime divides at most one of p - 1 and p + 1, and 2 divides one of
+them exactly once, so with L = lcm(ord N, ord M) the order of alpha is L or
+2L; one power alpha^L decides which.  If alpha^(2L) is not 1 either, the
+chain is broken and OrderChainError is raised.  mult_order keeps the full
+p^2 - 1 descent as the reference the derived order is tested against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Tuple
 
 from .arith import Factorization, factorize, jacobi
 from .quadfield import FieldContext, QuadElem
+
+
+class OrderChainError(ValueError):
+    """Orders computed at one prime violate the order chain."""
 
 
 # ---- raw kernels on plain ints (hot path; no dataclass overhead) ----------
@@ -171,9 +186,13 @@ class OrderRecord:
     def __post_init__(self):
         n = self.p * self.p - 1
         if n % self.ord_alpha or (self.p - 1) % self.ord_n or (self.p + 1) % self.ord_m:
-            raise ValueError(f"inconsistent orders at p = {self.p}")
+            raise OrderChainError(f"inconsistent orders at p = {self.p}")
+        if self.ord_alpha % self.ord_n or self.ord_alpha % self.ord_m:
+            raise OrderChainError(
+                f"ord_n or ord_m does not divide ord_alpha at p = {self.p}"
+            )
         if (2 * self.ord_alpha) % (self.ord_m * self.ord_n):
-            raise ValueError(
+            raise OrderChainError(
                 f"ord_m * ord_n does not divide 2 * ord_alpha at p = {self.p}"
             )
         if self.attained != (24 * self.ord_alpha >= n):
@@ -184,6 +203,8 @@ def order_record(a: QuadElem, ctx: Fp2Context) -> OrderRecord:
     """Full order profile of an integral element mod the inert prime p.
 
     Requires the reduction to be invertible: p must not divide the norm.
+    ord_alpha is derived from ord_n and ord_m as the module docstring
+    describes; a broken chain raises OrderChainError.
     """
     if not a.is_integral:
         raise ValueError(f"cannot reduce non-integral element {a}")
@@ -195,12 +216,21 @@ def order_record(a: QuadElem, ctx: Fp2Context) -> OrderRecord:
     if nrm == 0:
         raise ValueError(f"p = {p} divides the norm of {a}")
 
-    ord_alpha = _order_raw(c0, c1, p * p - 1, ctx.group_primes, p, d)
     ord_n = _order_mod_p(nrm, p - 1, ctx.fact_pm1.primes, p)
     # conjugate ratio: (c0 - c1 s) / (c0 + c1 s) = (c0 - c1 s)^2 / norm
     s0, s1 = _mul_raw(c0, -c1 % p, c0, -c1 % p, p, d)
     ninv = pow(nrm, -1, p)
     m0, m1 = s0 * ninv % p, s1 * ninv % p
     ord_m = _order_raw(m0, m1, p + 1, ctx.fact_pp1.primes, p, d)
+    lcm = math.lcm(ord_n, ord_m)
+    t0, t1 = _pow_raw(c0, c1, lcm, p, d)
+    if (t0, t1) == (1, 0):
+        ord_alpha = lcm
+    elif _mul_raw(t0, t1, t0, t1, p, d) == (1, 0):
+        ord_alpha = 2 * lcm
+    else:
+        raise OrderChainError(
+            f"alpha^(2L) != 1 for L = lcm(ord_n, ord_m) = {lcm} at p = {p}"
+        )
     attained = 24 * ord_alpha >= p * p - 1
     return OrderRecord(p, ord_alpha, ord_n, ord_m, attained)

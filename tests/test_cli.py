@@ -2,11 +2,13 @@
 
 import json
 import math
+import multiprocessing
 import subprocess
 import sys
 
 import pytest
 
+from quadartin import fp2
 from quadartin.arith import factorize, primes_up_to
 from quadartin.cli import main
 
@@ -138,6 +140,37 @@ def test_scan_with_congruence_class(tmp_path):
     rows = (out / "scan.csv").read_text().splitlines()[1:]
     for row in rows:
         assert int(row.split(",")[0]) % 720 == 547
+
+
+def test_scan_negative_norms(tmp_path):
+    # norms -11 and -41: negative and no unit among them
+    cfg = dict(SCAN_CFG, members=[[3, 2], [2, 3]])
+    code, out = run(tmp_path, "scan", cfg)
+    assert code == 0
+    summary = json.loads((out / "scan_summary.json").read_text())
+    assert summary["norms_independent"] is True
+
+
+@pytest.mark.parametrize(
+    "workers",
+    [
+        "1",
+        pytest.param(
+            "2",
+            marks=pytest.mark.skipif(
+                multiprocessing.get_start_method() != "fork",
+                reason="the patched kernel reaches pool workers only through fork",
+            ),
+        ),
+    ],
+)
+def test_scan_broken_chain_exits_3(tmp_path, monkeypatch, capsys, workers):
+    # an understated ord_N leaves alpha^(2L) != 1, which the scan pass must
+    # report as a chain violation, also from a pool worker
+    monkeypatch.setattr(fp2, "_order_mod_p", lambda a, n, qs, p: 1)
+    code, _ = run(tmp_path, "scan", SCAN_CFG, extra=("--workers", workers))
+    assert code == 3
+    assert "order chain broken" in capsys.readouterr().err
 
 
 def test_scan_bad_configs(tmp_path):

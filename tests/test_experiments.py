@@ -1,6 +1,7 @@
 """Family-level drivers: order scans, chain checks, independence, growth."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -163,11 +164,20 @@ def test_remark12_counts_skipped():
     assert out["checked"] == 2
 
 
+def test_remark_violation_pickles():
+    # a violation raised in a scan worker crosses the process pool by pickle
+    e = pickle.loads(pickle.dumps(RemarkViolation(7, "a", "x")))
+    assert (e.p, e.label, e.detail) == (7, "a", "x")
+    assert str(e) == str(RemarkViolation(7, "a", "x"))
+
+
 # ---------------------------------------------------------------------------
 # multiplicative independence, rational case
 
 def test_indep_distinct_primes():
     assert mult_indep_rational([Fraction(2), Fraction(3)]).independent
+    # signs are ignored, so negative values factor by their absolute value
+    assert mult_indep_rational([Fraction(-19), Fraction(4)]).independent
 
 
 def test_indep_power_relation():
@@ -175,6 +185,7 @@ def test_indep_power_relation():
     assert not v.independent
     assert v.relation == (2, -1)
     assert Fraction(2) ** 2 * Fraction(4) ** -1 == 1
+    assert mult_indep_rational([Fraction(-2), Fraction(4)]).relation == (2, -1)
 
 
 def test_indep_6_10_15():

@@ -1,13 +1,18 @@
 """F_p^2 arithmetic for inert primes: Frobenius, exact orders, order records."""
 
+import math
 import random
+from collections import Counter
 
 import pytest
 
-from quadartin.arith import factorize, is_prime, primes_up_to
+from quadartin import fp2
+from quadartin.arith import factorize, is_prime, jacobi, primes_up_to
+from quadartin.experiments import AlphaFamily, order_scan
 from quadartin.fp2 import (
     Fp2Context,
     Fp2Elem,
+    OrderChainError,
     OrderRecord,
     frobenius,
     mult_order,
@@ -298,3 +303,65 @@ def test_order_record_invariant_cases():
     # attained flag must match the threshold comparison
     with pytest.raises(ValueError):
         OrderRecord(7, 48, 6, 8, False)
+
+
+# ---------------------------------------------------------------------------
+# derived order against the full p^2 - 1 descent
+
+def derived_branch(field, ctx, c0, c1):
+    """Check order_record's derived ord_alpha against mult_order and return
+    ord_alpha / lcm(ord_n, ord_m), which must be 1 or 2."""
+    rec = order_record(field.integer(c0, c1), ctx)
+    assert rec.ord_alpha == mult_order(Fp2Elem(c0, c1, ctx)), (field.delta, ctx.p, c0, c1)
+    return rec.ord_alpha // math.lcm(rec.ord_n, rec.ord_m)
+
+
+def test_derived_order_exhaustive_small_primes():
+    branches = Counter()
+    for delta in (2, 3, 5, 13):
+        field = FieldContext(delta)
+        for p in inert_primes_under(delta, 60):
+            ctx = Fp2Context.for_prime(p, field)
+            for c0 in range(p):
+                for c1 in range(p):
+                    if c0 or c1:
+                        branches[derived_branch(field, ctx, c0, c1)] += 1
+    assert sum(branches.values()) == 39400  # every unit of every such F_p^2
+    assert set(branches) == {1, 2}  # both ord = L and ord = 2L occur
+
+
+def test_derived_order_sampled_larger_primes():
+    rng = random.Random(2005)
+    branches = Counter()
+    for delta in (2, 3, 5, 13):
+        field = FieldContext(delta)
+        primes = []
+        while len(primes) < 12:
+            p = rng.randrange(10**3, 10**12) | 1
+            while not is_prime(p) or jacobi(delta, p) != -1:
+                p += 2
+            primes.append(p)
+        for p in primes:
+            ctx = Fp2Context.for_prime(p, field)
+            for _ in range(15):
+                c0, c1 = rng.randrange(p), rng.randrange(1, p)
+                branches[derived_branch(field, ctx, c0, c1)] += 1
+    assert set(branches) == {1, 2}
+
+
+def test_order_record_broken_chain_raises(monkeypatch):
+    # an understated ord_n makes L too small: alpha^(2L) != 1
+    monkeypatch.setattr(fp2, "_order_mod_p", lambda a, n, qs, p: 1)
+    with pytest.raises(OrderChainError):
+        order_record(FieldContext(5).integer(3, 2), Fp2Context.for_prime(7, FieldContext(5)))
+
+
+@pytest.mark.parametrize("target", ["factorize", "_order_mod_p"])
+def test_kernel_value_error_is_not_a_skipped_prime(monkeypatch, target):
+    # a fault while building the context or computing an order propagates
+    def boom(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(fp2, target, boom)
+    with pytest.raises(ValueError, match="boom"):
+        order_scan(AlphaFamily.from_coords(5, [(2, 1)]), [7, 13])
