@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -73,29 +72,51 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # prime sieves
 
-_prime_cache: List[int] = []
-_prime_cache_limit = -1
+_primes = np.zeros(0, dtype=np.int64)
+_primes_limit = -1
+SPF_LIMIT = 2**31  # smallest_factor_table stores int32
 
 
-def primes_up_to(n: int) -> List[int]:
-    """All primes <= n, ascending.  Backed by a growing cached sieve."""
-    global _prime_cache, _prime_cache_limit
-    if n > _prime_cache_limit:
-        limit = max(n, 2 * max(_prime_cache_limit, 0), 1000)
+def prime_array(n: int) -> np.ndarray:
+    """All primes <= n, ascending: a read-only int64 view of one cached sieve."""
+    global _primes, _primes_limit
+    if n > _primes_limit:
+        limit = max(n, 2 * max(_primes_limit, 0), 1000)
         sieve = np.ones(limit + 1, dtype=bool)
         sieve[:2] = False
         for p in range(2, math.isqrt(limit) + 1):
             if sieve[p]:
                 sieve[p * p :: p] = False
-        _prime_cache = np.flatnonzero(sieve).tolist()
-        _prime_cache_limit = limit
-    return _prime_cache[: bisect_right(_prime_cache, n)]
+        _primes = np.flatnonzero(sieve).astype(np.int64, copy=False)
+        _primes.flags.writeable = False
+        _primes_limit = limit
+    return _primes[: np.searchsorted(_primes, n, side="right")]
+
+
+def primes_up_to(n: int) -> List[int]:
+    """All primes <= n, ascending, as Python ints."""
+    return prime_array(n).tolist()
+
+
+def primes_in_class(u: int, v: int, lo: int, hi: int) -> np.ndarray:
+    """Primes p = u (mod v) in [lo, hi], ascending, as a new int64 array.
+
+    Exact for every modulus v >= 1: when v > hi each p <= hi is its own
+    residue, so reducing by min(v, hi + 1) changes no comparison and keeps
+    the arithmetic inside int64.
+    """
+    ps = prime_array(hi)
+    ps = ps[np.searchsorted(ps, lo) :]
+    m = min(v, hi + 1)
+    return ps[ps % m == min(u % v, m)]
 
 
 def smallest_factor_table(n: int) -> np.ndarray:
     """Array t of length n+1 with t[k] = smallest prime factor of k (t[k] = k
-    for k prime, 0 and 1 map to themselves).  Meant for bulk factorization."""
-    spf = np.zeros(n + 1, dtype=np.int64)
+    for k prime, 0 and 1 map to themselves), as int32: n < SPF_LIMIT."""
+    if n >= SPF_LIMIT:
+        raise ValueError(f"smallest_factor_table needs n < 2**31, got {n}")
+    spf = np.zeros(n + 1, dtype=np.int32)
     for p in range(2, math.isqrt(n) + 1):
         if spf[p] == 0:
             block = spf[p * p :: p]
@@ -167,17 +188,7 @@ class Factorization:
         return t
 
 
-def _trial_primes(cap: int) -> Iterator[int]:
-    limit = 1000
-    i = 0
-    while True:
-        ps = primes_up_to(min(limit, cap))
-        while i < len(ps):
-            yield ps[i]
-            i += 1
-        if limit >= cap:
-            return
-        limit *= 10
+_TRIAL_PRIMES = tuple(primes_up_to(1000))
 
 
 def _pollard_brent(n: int, rng: random.Random) -> int:
@@ -223,7 +234,7 @@ def factorize(n: int) -> Factorization:
         raise ValueError(f"factorize needs n >= 1, got {n}")
     counts: dict = {}
     m = n
-    for p in _trial_primes(1000):
+    for p in _TRIAL_PRIMES:
         if p * p > m:
             break
         while m % p == 0:
@@ -381,10 +392,7 @@ def count_progression(y: int, m: int, s: int) -> ProgressionCount:
     s_red = s % m
     if math.gcd(s_red, m) != 1:
         raise ValueError(f"residue {s} not coprime to modulus {m}")
-    count = 0
-    for p in primes_up_to(y):
-        if p % m == s_red:
-            count += 1
+    count = primes_in_class(s_red, m, 0, y).size
     err = count - li(float(y)) / totient(m)
     return ProgressionCount(y, m, s_red, count, err)
 
@@ -397,9 +405,7 @@ def max_error(x: int, m: int) -> float:
     """
     if x < 2 or m < 1:
         raise ValueError(f"need x >= 2 and m >= 1, got x={x} m={m}")
-    counts = [0] * m
-    for p in primes_up_to(x):
-        counts[p % m] += 1
+    counts = np.bincount(prime_array(x) % m, minlength=m).tolist()
     expected = li(float(x)) / totient(m)
     worst = 0.0
     for s in range(m):

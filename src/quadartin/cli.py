@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -44,7 +43,7 @@ from .experiments import (
     order_scan,
 )
 from .quadfield import m_ratio, square_guard
-from .sieve import SieveConfig, count_Ad, sieving_limit
+from .sieve import SieveConfig, sieving_limit
 
 EXIT_OK = 0
 EXIT_NOT_FOUND = 2
@@ -219,12 +218,7 @@ def cmd_sieve(cfg_raw: Dict, out: Path, workers: int) -> int:
         raise BadConfig(str(e))
 
     d_max = int(cfg_raw.get("d_max", 100))
-    rows = []
-    for d in range(1, d_max + 1):
-        f = arith.factorize(d)
-        if not f.is_squarefree or math.gcd(d, v) != 1:
-            continue
-        rows.append(count_Ad(cfg, d))
+    rows = sieve.ledger(cfg, d_max)
     with open(out / "sieve.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["d", "rho", "Ad", "main", "Rd"])
@@ -268,6 +262,8 @@ def cmd_sieve(cfg_raw: Dict, out: Path, workers: int) -> int:
 def cmd_lemma42(cfg: Dict, out: Path, workers: int) -> int:
     gens = [int(g) for g in _need(cfg, "gens")]
     x = int(_need(cfg, "prime_max"))
+    if x >= arith.SPF_LIMIT:
+        raise BadConfig(f"lemma42 needs prime_max < 2**31, got {x}")
     grid = cfg.get("y_grid")
     fit = lemma42_scan(gens, x, grid, workers=workers)
     _write_json(

@@ -22,6 +22,7 @@ from .arith import (
     is_square,
     jacobi,
     padic_valuation,
+    primes_in_class,
     primes_up_to,
 )
 
@@ -136,7 +137,8 @@ def residue_for_16_and_9(p0: Union[SeedPrime, int]) -> Tuple[int, int]:
         u3 = p % 9
     else:
         u3 = next(r for r in _U3_CLASSES if r % 3 == p % 3)
-    assert (u2 * u2 - 1) % 16 == 8 and (u3 * u3 - 1) % 9 in (3, 6)
+    if (u2 * u2 - 1) % 16 != 8 or (u3 * u3 - 1) % 9 not in (3, 6):
+        raise InvariantError(f"residues ({u2}, {u3}) miss the 2- or 3-adic target")
     return u2, u3
 
 
@@ -144,8 +146,8 @@ def residue_for_odd_prime(l: int, p0: Union[SeedPrime, int]) -> int:
     """Residue u_l mod l with l never dividing p^2 - 1 on the class.
 
     Takes p0 itself when l does not divide p0^2 - 1, else 9*p0.  One of the
-    two always works for a legitimate seed; the closing assertion catches
-    illegitimate inputs (e.g. l dividing 80*p0^2).
+    two always works for a legitimate seed; the closing check raises
+    ValueError for illegitimate inputs (e.g. l dividing 80*p0^2).
     """
     p = _seed_value(p0)
     if l <= 3 or not is_prime(l):
@@ -156,7 +158,8 @@ def residue_for_odd_prime(l: int, p0: Union[SeedPrime, int]) -> int:
         u_l = p % l
     else:
         u_l = 9 * p % l
-    assert (u_l * u_l - 1) % l != 0, f"both residue choices fail at l = {l}"
+    if (u_l * u_l - 1) % l == 0:
+        raise ValueError(f"both residue choices fail at l = {l}")
     return u_l
 
 
@@ -238,9 +241,7 @@ def verify_congruence(c: Congruence, bound: int) -> CongruenceReport:
     v2p: Dict[int, int] = {}
     checked = 0
     a, delta = c.seed.a, c.seed.delta
-    for p in primes_up_to(bound):
-        if p % c.v != c.u:
-            continue
+    for p in primes_in_class(c.u, c.v, 0, bound).tolist():
         checked += 1
         n = p * p - 1
         if jacobi(delta, p) != -1:

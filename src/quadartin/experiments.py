@@ -22,10 +22,12 @@ from .arith import (
     factor_with_table,
     factorize,
     jacobi,
+    prime_array,
+    primes_in_class,
     primes_up_to,
     smallest_factor_table,
 )
-from .fp2 import Fp2Context, OrderChainError, OrderRecord, order_record
+from .fp2 import Fp2Context, OrderChainError, OrderRecord, _order_mod_p, order_record
 from .quadfield import FieldContext, QuadElem, norm
 from .sieve import sieving_limit
 
@@ -94,19 +96,16 @@ class AlphaFamily:
 
 
 def inert_primes(ctx: FieldContext, lo: int, hi: int) -> List[int]:
-    """Odd inert primes in [lo, hi] for the field (ramified primes skipped)."""
-    out = []
-    for p in primes_up_to(hi):
-        if p < lo or p == 2 or ctx.delta % p == 0:
-            continue
-        if jacobi(ctx.delta, p) == -1:
-            out.append(p)
-    return out
+    """Odd inert primes in [lo, hi] for the field.  Ramified primes have
+    (delta|p) = 0 and are left out with the split ones."""
+    ps = prime_array(hi)
+    odd = ps[np.searchsorted(ps, max(lo, 3)) :].tolist()
+    return [p for p in odd if jacobi(ctx.delta, p) == -1]
 
 
 def congruence_primes(u: int, v: int, lo: int, hi: int) -> List[int]:
     """Primes p = u (mod v) in [lo, hi]."""
-    return [p for p in primes_up_to(hi) if p >= lo and p % v == u % v]
+    return primes_in_class(u, v, lo, hi).tolist()
 
 
 @dataclass(frozen=True)
@@ -390,16 +389,12 @@ def mult_indep_norm_one(
 def subgroup_size(p: int, gens: Sequence[int]) -> int:
     """Order of the subgroup of (Z/p)^* generated by gens: the lcm of the
     generators' orders (the group is cyclic)."""
-    f = factorize(p - 1)
+    qs = factorize(p - 1).primes
     out = 1
     for g in gens:
         if g % p == 0:
             raise ValueError(f"generator {g} vanishes mod {p}")
-        n = p - 1
-        for q in f.primes:
-            while n % q == 0 and pow(g, n // q, p) == 1:
-                n //= q
-        out = math.lcm(out, n)
+        out = math.lcm(out, _order_mod_p(g, p - 1, qs, p))
     return out
 
 
@@ -432,7 +427,9 @@ def lemma42_scan(
         y_grid = [float(t) for t in np.geomspace(10.0, 1e4, 13)]
     y_grid = sorted(float(y) for y in y_grid)
 
-    plist = [p for p in primes_up_to(x) if all(g % p != 0 for g in gens)]
+    ps = prime_array(x)
+    bad = [q for g in gens for q in factorize(abs(g)).primes]
+    plist = ps[~np.isin(ps, bad)].tolist()
     if workers > 1 and len(plist) > 1000:
         chunks = [plist[i::workers] for i in range(workers)]
         sizes: List[int] = []
@@ -461,14 +458,10 @@ def _subgroup_block(args) -> List[int]:
     spf = smallest_factor_table(x)
     out = []
     for p in plist:
-        fact = factor_with_table(p - 1, spf)
+        qs = factor_with_table(p - 1, spf)
         size = 1
         for g in gens:
-            n = p - 1
-            for q in fact:
-                while n % q == 0 and pow(g, n // q, p) == 1:
-                    n //= q
-            size = math.lcm(size, n)
+            size = math.lcm(size, _order_mod_p(g, p - 1, qs, p))
         out.append(size)
     return out
 

@@ -160,7 +160,8 @@ def m_ratio(a: QuadElem) -> QuadElem:
     if a.is_zero():
         raise ZeroDivisionError("m_ratio of zero")
     out = conjugate(a) / a
-    assert norm(out) == 1
+    if norm(out) != 1:
+        raise ArithmeticError(f"conjugate ratio {out} has norm {norm(out)}, not 1")
     return out
 
 

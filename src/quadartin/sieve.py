@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .arith import crt, factorize, li, primes_up_to, totient
+from .arith import crt, factorize, li, primes_in_class, primes_up_to, totient
 from .construction import Congruence
 
 T0_THRESHOLD = 4.42
@@ -56,6 +57,11 @@ class SieveConfig:
     def big_x(self) -> float:
         """Expected size li(x)/phi(v) of the progression."""
         return li(float(self.x)) / totient(self.v)
+
+    @cached_property
+    def class_primes(self) -> np.ndarray:
+        """The primes p <= x with p = u (mod v), built once per config."""
+        return primes_in_class(self.u, self.v, 0, self.x)
 
 
 def sieving_limit(x: int, delta1: float = 0.01) -> int:
@@ -119,11 +125,6 @@ class SieveRow:
     remainder: float
 
 
-def _progression_primes(cfg: SieveConfig) -> np.ndarray:
-    ps = np.array(primes_up_to(cfg.x), dtype=np.int64)
-    return ps[ps % cfg.v == cfg.u % cfg.v]
-
-
 def count_Ad(cfg: SieveConfig, d: int) -> SieveRow:
     """Exact |A_d| = #{p <= x, p = u (mod v), d | p^2 - 1} by enumeration."""
     f = factorize(d)
@@ -131,7 +132,7 @@ def count_Ad(cfg: SieveConfig, d: int) -> SieveRow:
         raise ValueError(f"need squarefree d, got {d}")
     if math.gcd(d, cfg.v) != 1:
         raise ValueError(f"d = {d} shares a factor with v = {cfg.v}")
-    ps = _progression_primes(cfg)
+    ps = cfg.class_primes
     cnt = int(np.count_nonzero((ps * ps - 1) % d == 0))
     main = float(Fraction(2**f.nu, f.totient())) * cfg.big_x
     return SieveRow(d, rho(d), cnt, main, cnt - main)
@@ -144,11 +145,19 @@ def count_Ad_by_classes(cfg: SieveConfig, d: int) -> int:
     if math.gcd(d, cfg.v) != 1:
         raise ValueError(f"d = {d} shares a factor with v = {cfg.v}")
     total = 0
-    ps = np.array(primes_up_to(cfg.x), dtype=np.int64)
     for m in unit_square_roots(d):
         l_m, mod = crt([(cfg.u, cfg.v), (m, d)])
-        total += int(np.count_nonzero(ps % mod == l_m))
+        total += primes_in_class(l_m, mod, 0, cfg.x).size
     return total
+
+
+def ledger(cfg: SieveConfig, d_hi: int) -> List[SieveRow]:
+    """count_Ad rows for every squarefree d <= d_hi coprime to v, ascending."""
+    return [
+        count_Ad(cfg, d)
+        for d in range(1, d_hi + 1)
+        if factorize(d).is_squarefree and math.gcd(d, cfg.v) == 1
+    ]
 
 
 def mertens_check(w: int, z: int, v: int = 1) -> float:
@@ -217,17 +226,12 @@ def remainder_sum(cfg: SieveConfig) -> RemainderSum:
     big_x = cfg.big_x
     bound = math.sqrt(big_x) / math.log(cfg.x) ** cfg.c2
     d_bound = int(math.ceil(bound)) - 1  # strict d < bound
+    rows = ledger(cfg, d_bound)
     total = 0.0
-    terms = 0
-    for d in range(1, d_bound + 1):
-        f = factorize(d)
-        if not f.is_squarefree or math.gcd(d, cfg.v) != 1:
-            continue
-        row = count_Ad(cfg, d)
-        total += 3**f.nu * abs(row.remainder)
-        terms += 1
+    for row in rows:
+        total += 3 ** factorize(row.d).nu * abs(row.remainder)
     ceiling = cfg.c3 * big_x / math.log(big_x) ** cfg.a_exp
-    return RemainderSum(total, ceiling, d_bound, terms)
+    return RemainderSum(total, ceiling, d_bound, len(rows))
 
 
 def survivor_count(cfg: SieveConfig) -> int:
@@ -235,7 +239,7 @@ def survivor_count(cfg: SieveConfig) -> int:
     factor q < z with q not dividing v (trial division, short-circuit)."""
     small = [q for q in primes_up_to(cfg.z - 1) if cfg.v % q != 0]
     n = 0
-    for p in _progression_primes(cfg).tolist():
+    for p in cfg.class_primes.tolist():
         t = p * p - 1
         for q in small:
             if t % q == 0:
@@ -265,13 +269,8 @@ class SieveBoundReport:
 def sieve_bound_report(cfg: SieveConfig) -> SieveBoundReport:
     surv = survivor_count(cfg)
     big_x = cfg.big_x
-    logs = [
-        math.log1p(-2.0 / (q - 1))
-        for q in primes_up_to(cfg.z - 1)
-        if cfg.v % q != 0 and q > 3
-    ]
     excluded = [q for q in primes_up_to(min(3, cfg.z - 1)) if cfg.v % q != 0]
-    main = big_x * math.exp(math.fsum(logs))
+    main = big_x * product_lower(cfg.z, cfg.v).product
     for q in excluded:
         main *= 1.0 - 2.0 / (q - 1)
     t = math.log(big_x) / (2.0 * math.log(cfg.z))

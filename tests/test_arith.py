@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from scipy.integrate import quad
@@ -21,6 +22,8 @@ from quadartin.arith import (
     li,
     max_error,
     padic_valuation,
+    prime_array,
+    primes_in_class,
     primes_up_to,
     set_rho_seed,
     smallest_factor_table,
@@ -82,13 +85,46 @@ def test_primes_up_to_counts():
     assert len(primes_up_to(10**6)) == 78498
     # cache must not leak primes beyond the requested bound
     assert primes_up_to(10)[-1] == 7
+    # plain ints, so pow and exact arithmetic never see a fixed-width type
+    assert all(type(p) is int for p in primes_up_to(1000))
+
+
+def test_prime_array_is_read_only_view():
+    ps = prime_array(100)
+    assert ps.dtype == np.int64 and ps.tolist() == primes_up_to(100)
+    with pytest.raises(ValueError):
+        ps[0] = 4
+    assert prime_array(100)[0] == 2
+
+
+def test_primes_in_class_matches_loop():
+    rng = random.Random(3)
+    plist = primes_up_to(20000)
+    cases = [(547, 720, 3, 10**4), (7, 10**6, 0, 100), (7, 2**64 + 3, 0, 100),
+             (2**70 + 11, 2**70, 0, 100), (-1, 4, 0, 100), (5, 1, 0, 30)]
+    for _ in range(200):
+        hi = rng.randrange(0, 20000)
+        v = rng.choice([rng.randrange(1, 500), rng.randrange(hi + 1, hi + 10**4),
+                        rng.randrange(2**63, 2**80)])
+        cases.append((rng.randrange(-10**6, 10**6), v, rng.randrange(-5, hi + 5), hi))
+    for u, v, lo, hi in cases:
+        want = [p for p in plist if lo <= p <= hi and p % v == u % v]
+        got = primes_in_class(u, v, lo, hi)
+        assert got.tolist() == want, (u, v, lo, hi)
 
 
 def test_smallest_factor_table_matches_factorize():
     spf = smallest_factor_table(5000)
+    assert spf.dtype == np.int32
     for n in range(2, 5001):
         want = dict(factorize(n).factors)
         assert factor_with_table(n, spf) == want, n
+
+
+def test_smallest_factor_table_rejects_int32_overflow():
+    # checked before anything is allocated
+    with pytest.raises(ValueError):
+        smallest_factor_table(2**31)
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,32 @@ def test_sieve_requires_a_and_delta(tmp_path):
     assert code == 4
 
 
+# Fourteen odd primes in a put v = 144 * 5 * 7 * ... * 53 near 7.8e20, past
+# int64; the class filter must stay exact there.
+BIG_V_A = math.prod([5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53])
+BIG_V_RUNS = {
+    "construct": ({"verify_bound": 10**4}, "construction.json", ("v",)),
+    "scan": (
+        {"members": [[2, 1], [1, 1]], "prime_min": 3, "prime_max": 10**4,
+         "use_congruence": True},
+        "scan_summary.json",
+        ("congruence", "v"),
+    ),
+    "sieve": ({"prime_max": 10**4}, "sieve_report.json", ("v",)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(BIG_V_RUNS))
+def test_modulus_past_int64(tmp_path, command):
+    extra, artifact, path = BIG_V_RUNS[command]
+    code, out = run(tmp_path, command, dict(extra, a=BIG_V_A, delta=5))
+    assert code == 0
+    doc = json.loads((out / artifact).read_text())
+    for key in path:
+        doc = doc[key]
+    assert doc == 144 * BIG_V_A > 2**63
+
+
 # ---------------------------------------------------------------------------
 # lemma42
 
@@ -256,6 +282,12 @@ def test_lemma42_growth_artifact(tmp_path):
     assert doc["slope"] <= 1.8
     ys = [y for y, _ in doc["samples"]]
     assert ys == sorted(ys)
+
+
+def test_lemma42_rejects_prime_max_past_int32(tmp_path, capsys):
+    code, _ = run(tmp_path, "lemma42", {"gens": [2, 3], "prime_max": 2**31})
+    assert code == 4
+    assert "2**31" in capsys.readouterr().err
 
 
 def test_lemma42_unsorted_grid_sorted_in_output(tmp_path):
