@@ -1,4 +1,5 @@
-"""Exact integer utilities: primality, factorization, Jacobi symbols, CRT,
+"""Exact integer utilities: primality, factorization (scalar, and array-wise
+from a smallest-factor table), array modular powers, Jacobi symbols, CRT,
 the logarithmic integral, and prime counts in arithmetic progressions.
 
 Everything here is deterministic.  The only randomized internals (Pollard rho
@@ -126,18 +127,81 @@ def smallest_factor_table(n: int) -> np.ndarray:
     return spf
 
 
-def factor_with_table(n: int, spf: np.ndarray) -> dict:
-    """Exponent dict of n using a smallest_factor_table (n within the table)."""
-    out: dict = {}
-    n = int(n)
-    while n > 1:
-        p = int(spf[n])
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out[p] = e
-    return out
+def factor_rows(n: np.ndarray, spf: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Prime-power rows (i, q, e) with q**e exactly dividing n[i], for every
+    n[i] > 1, from the int64 array n (entries within the smallest_factor_table
+    spf).  Rows come round by round: round r holds the r-th smallest prime
+    factor of every n[i] that has one."""
+    idx = np.flatnonzero(n > 1)
+    m = n[idx]
+    rows_i, rows_q, rows_e = [], [], []
+    while idx.size:
+        q = spf[m].astype(np.int64)
+        m = m // q
+        e = np.ones(idx.size, dtype=np.int64)
+        j = np.flatnonzero(m % q == 0)
+        while j.size:
+            m[j] //= q[j]
+            e[j] += 1
+            j = j[m[j] % q[j] == 0]
+        rows_i.append(idx)
+        rows_q.append(q)
+        rows_e.append(e)
+        left = m > 1
+        idx, m = idx[left], m[left]
+    if not rows_i:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
+    return np.concatenate(rows_i), np.concatenate(rows_q), np.concatenate(rows_e)
+
+
+def powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """Elementwise base**exp % mod (broadcast) in int64, by left-to-right
+    square-and-multiply over 2-bit windows of the exponent.  Every modulus
+    must lie in [1, 2**31), so each product of two residues stays below
+    2**62; exponents must be nonnegative."""
+    base, exp, mod = np.broadcast_arrays(
+        np.asarray(base, dtype=np.int64),
+        np.asarray(exp, dtype=np.int64),
+        np.asarray(mod, dtype=np.int64),
+    )
+    shape = mod.shape
+    base, exp, mod = base.ravel(), exp.ravel(), mod.ravel()
+    if mod.size and (mod.min() < 1 or mod.max() >= SPF_LIMIT):
+        raise ValueError("powmod needs every modulus in [1, 2**31)")
+    if exp.size and exp.min() < 0:
+        raise ValueError("powmod needs nonnegative exponents")
+    # row t of the table holds base**0 .. base**3 mod t's modulus
+    table = np.empty((mod.size, 4), dtype=np.int64)
+    table[:, 0] = 1
+    table[:, 1] = base % mod
+    table[:, 2] = table[:, 1] * table[:, 1] % mod
+    table[:, 3] = table[:, 2] * table[:, 1] % mod
+    flat = table.ravel()
+    row = 4 * np.arange(mod.size)
+    out = np.ones(mod.size, dtype=np.int64) % mod
+    top = int(exp.max()).bit_length() - 1 if exp.size else -1
+    for s in range(top - top % 2, -1, -2):
+        out *= out
+        out %= mod
+        out *= out
+        out %= mod
+        out *= flat[row + ((exp >> s) & 3)]
+        out %= mod
+    return out.reshape(shape)
+
+
+def residues(g: int, mod: np.ndarray) -> np.ndarray:
+    """g % m for each int64 modulus m in [1, 2**31), exact for any Python
+    int g: |g| is folded in 30-bit limbs, so no intermediate passes 2**62."""
+    mod = np.asarray(mod, dtype=np.int64)
+    if mod.size and (mod.min() < 1 or mod.max() >= SPF_LIMIT):
+        raise ValueError("residues needs every modulus in [1, 2**31)")
+    a = abs(g)
+    r = np.zeros(mod.shape, dtype=np.int64)
+    for shift in range(30 * (max(a.bit_length() - 1, 0) // 30), -1, -30):
+        r = ((r << 30) + ((a >> shift) & (2**30 - 1))) % mod
+    return (mod - r) % mod if g < 0 else r
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -248,7 +249,7 @@ def cmd_sieve(cfg_raw: Dict, out: Path, workers: int) -> int:
         "remainder_within": rem.within,
         "remainder_d_bound": rem.d_bound,
         "rows": len(rows),
-        "notes": list(bound.notes),
+        "notes": list(bound.notes) + list(rem.notes),
     }
     _write_json(out / "sieve_report.json", report)
     print(
@@ -259,12 +260,28 @@ def cmd_sieve(cfg_raw: Dict, out: Path, workers: int) -> int:
     return EXIT_OK
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_positive_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < math.inf
+
+
 def cmd_lemma42(cfg: Dict, out: Path, workers: int) -> int:
-    gens = [int(g) for g in _need(cfg, "gens")]
-    x = int(_need(cfg, "prime_max"))
+    gens = _need(cfg, "gens")
+    if not (isinstance(gens, list) and gens and all(_is_int(g) and g for g in gens)):
+        raise BadConfig("lemma42 needs 'gens' to be a non-empty list of nonzero integers")
+    x = _need(cfg, "prime_max")
+    if not _is_int(x) or x < 2:
+        raise BadConfig("lemma42 needs 'prime_max' to be an integer >= 2")
     if x >= arith.SPF_LIMIT:
         raise BadConfig(f"lemma42 needs prime_max < 2**31, got {x}")
     grid = cfg.get("y_grid")
+    if grid is not None and not (
+        isinstance(grid, list) and grid and all(map(_is_positive_number, grid))
+    ):
+        raise BadConfig("lemma42 needs 'y_grid' to be a non-empty list of positive finite numbers")
     fit = lemma42_scan(gens, x, grid, workers=workers)
     _write_json(
         out / "growth.json",

@@ -9,7 +9,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,12 +18,14 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .arith import (
-    factor_with_table,
+    factor_rows,
     factorize,
     jacobi,
+    powmod,
     prime_array,
     primes_in_class,
     primes_up_to,
+    residues,
     smallest_factor_table,
 )
 from .fp2 import Fp2Context, OrderChainError, OrderRecord, _order_mod_p, order_record
@@ -429,20 +430,17 @@ def lemma42_scan(
 
     ps = prime_array(x)
     bad = [q for g in gens for q in factorize(abs(g)).primes]
-    plist = ps[~np.isin(ps, bad)].tolist()
-    if workers > 1 and len(plist) > 1000:
-        chunks = [plist[i::workers] for i in range(workers)]
-        sizes: List[int] = []
+    keep = ps[~np.isin(ps, bad)]
+    if workers > 1 and keep.size > 1000:
+        chunks = [(tuple(gens), x, keep[i::workers]) for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(
-                _subgroup_block, [(tuple(gens), x, c) for c in chunks]
-            ):
-                sizes.extend(part)
+            sizes = np.concatenate(list(pool.map(_subgroup_block, chunks)))
     else:
-        sizes = _subgroup_block((tuple(gens), x, plist))
+        sizes = _subgroup_block((tuple(gens), x, keep))
     sizes.sort()
 
-    samples = tuple((y, bisect_left(sizes, y)) for y in y_grid)
+    counts = np.searchsorted(sizes, y_grid, side="left").tolist()
+    samples = tuple(zip(y_grid, counts))
     pts = [(math.log(y), math.log(n)) for y, n in samples if n > 0]
     if len(pts) >= 2:
         xs = np.array([t[0] for t in pts])
@@ -450,20 +448,72 @@ def lemma42_scan(
         slope = float(np.polyfit(xs, ys, 1)[0])
     else:
         slope = float("nan")
-    return GrowthFit(x, tuple(gens), samples, slope, len(plist))
+    return GrowthFit(x, tuple(gens), samples, slope, int(keep.size))
 
 
-def _subgroup_block(args) -> List[int]:
-    gens, x, plist = args
+# Primes per kernel block: bounds the (prime, q, e) row arrays, and with
+# them the kernel's memory, whatever prime_max is.
+SUBGROUP_BLOCK = 2**13
+
+
+def _subgroup_block(args) -> np.ndarray:
+    gens, x, ps = args
     spf = smallest_factor_table(x)
-    out = []
-    for p in plist:
-        qs = factor_with_table(p - 1, spf)
-        size = 1
-        for g in gens:
-            size = math.lcm(size, _order_mod_p(g, p - 1, qs, p))
-        out.append(size)
-    return out
+    sizes = np.empty(ps.size, dtype=np.int64)
+    for lo in range(0, ps.size, SUBGROUP_BLOCK):
+        block = ps[lo : lo + SUBGROUP_BLOCK]
+        sizes[lo : lo + block.size] = subgroup_sizes(block, gens, spf)
+    return sizes
+
+
+def subgroup_sizes(ps: np.ndarray, gens: Sequence[int], spf: np.ndarray) -> np.ndarray:
+    """|<gens> mod p| for every prime p in the int64 array ps (each p < 2**31
+    and inside the smallest-factor table spf), by the descent from the
+    factored group order p - 1 run on all primes at once.
+
+    For each prime-power row q**e || p - 1 the subgroup's q-part is q**e as
+    soon as one generator has g**((p-1)/q) != 1.  Otherwise each generator's
+    h = g**((p-1)/q**e) reaches 1 after k <= e - 1 q-th powers and the
+    q-part is q**max(k).  A descent that has not reached 1 after e steps
+    raises ArithmeticError rather than return a wrong size.
+    """
+    ps = np.asarray(ps, dtype=np.int64)
+    res = np.stack([residues(g, ps) for g in gens])
+    hit = np.flatnonzero((res == 0).any(axis=0))
+    if hit.size:
+        raise ValueError(f"a generator vanishes mod {int(ps[hit[0]])}")
+    i, q, e = factor_rows(ps - 1, spf)
+    p = ps[i]
+    full = np.zeros(i.size, dtype=bool)
+    for g_res in res:
+        # a later generator is powered only on the rows still open
+        r = np.flatnonzero(~full)
+        full[r] = powmod(g_res[i[r]], (p[r] - 1) // q[r], p[r]) != 1
+    k = np.where(full, e, 0)
+
+    # descent on the rows no generator fills
+    d = np.flatnonzero(~full)
+    pd, qd, ed = p[d], q[d], e[d]
+    for g_res in res[:, i[d]]:
+        h = powmod(g_res, (pd - 1) // qd**ed, pd)
+        steps = np.zeros(d.size, dtype=np.int64)
+        live = np.flatnonzero(h != 1)
+        while live.size:
+            over = live[steps[live] >= ed[live]]
+            if over.size:
+                r = over[0]
+                raise ArithmeticError(
+                    f"descent for q = {int(qd[r])} at p = {int(pd[r])} "
+                    f"exceeds e = {int(ed[r])} steps"
+                )
+            h[live] = powmod(h[live], qd[live], pd[live])
+            steps[live] += 1
+            live = live[h[live] != 1]
+        k[d] = np.maximum(k[d], steps)
+
+    sizes = np.ones(ps.size, dtype=np.int64)
+    np.multiply.at(sizes, i, q**k)
+    return sizes
 
 
 # ---------------------------------------------------------------------------

@@ -208,21 +208,25 @@ def product_lower(z: int, v: int = 1) -> ProductBound:
 
 @dataclass(frozen=True)
 class RemainderSum:
-    """3^nu(d)-weighted remainder total against its target ceiling."""
+    """3^nu(d)-weighted remainder total against its target ceiling (None
+    when X <= 1, where the ceiling is undefined; notes then say why)."""
 
     total: float
-    ceiling: float
+    ceiling: Optional[float]
     d_bound: int
     terms: int
+    notes: Tuple[str, ...] = ()
 
     @property
     def within(self) -> bool:
-        return self.total <= self.ceiling
+        return self.ceiling is not None and self.total <= self.ceiling
 
 
 def remainder_sum(cfg: SieveConfig) -> RemainderSum:
     """Sum of 3^nu(d) * |R_d| over squarefree d coprime to v with
-    d < sqrt(X) / (log x)^c2, compared against c3 * X / (log X)^a_exp."""
+    d < sqrt(X) / (log x)^c2, compared against c3 * X / (log X)^a_exp.
+    For X <= 1, log X <= 0 leaves that ceiling undefined (negative, complex
+    or a division by zero), so none is reported."""
     big_x = cfg.big_x
     bound = math.sqrt(big_x) / math.log(cfg.x) ** cfg.c2
     d_bound = int(math.ceil(bound)) - 1  # strict d < bound
@@ -230,6 +234,9 @@ def remainder_sum(cfg: SieveConfig) -> RemainderSum:
     total = 0.0
     for row in rows:
         total += 3 ** factorize(row.d).nu * abs(row.remainder)
+    if big_x <= 1.0:
+        note = "X = li(x)/phi(v) <= 1: the remainder ceiling c3*X/log(X)^A is undefined"
+        return RemainderSum(total, None, d_bound, len(rows), (note,))
     ceiling = cfg.c3 * big_x / math.log(big_x) ** cfg.a_exp
     return RemainderSum(total, ceiling, d_bound, len(rows))
 

@@ -7,6 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from quadartin.arith import (
@@ -14,7 +16,7 @@ from quadartin.arith import (
     NonCoprimeModuliError,
     count_progression,
     crt,
-    factor_with_table,
+    factor_rows,
     factorize,
     is_prime,
     is_square,
@@ -22,9 +24,11 @@ from quadartin.arith import (
     li,
     max_error,
     padic_valuation,
+    powmod,
     prime_array,
     primes_in_class,
     primes_up_to,
+    residues,
     set_rho_seed,
     smallest_factor_table,
     totient,
@@ -116,9 +120,48 @@ def test_primes_in_class_matches_loop():
 def test_smallest_factor_table_matches_factorize():
     spf = smallest_factor_table(5000)
     assert spf.dtype == np.int32
+    assert spf[0] == 0 and spf[1] == 1
     for n in range(2, 5001):
-        want = dict(factorize(n).factors)
-        assert factor_with_table(n, spf) == want, n
+        assert spf[n] == factorize(n).primes[0], n
+
+
+def test_factor_rows_match_factorize():
+    spf = smallest_factor_table(5000)
+    n = np.arange(0, 5001, dtype=np.int64)
+    i, q, e = factor_rows(n, spf)
+    got = {}
+    for k, p, t in zip(i.tolist(), q.tolist(), e.tolist()):
+        got.setdefault(k, []).append((p, t))
+    assert got.keys() == set(range(2, 5001))
+    for k in range(2, 5001):
+        assert tuple(got[k]) == factorize(k).factors, k
+
+
+def test_residues_exact_for_any_integer():
+    mods = np.array([1, 2, 3, 7, 65537, 2**31 - 1], dtype=np.int64)
+    for g in (0, 5, -5, 2**62, -(2**63), 2**64 + 13, -(2**64 + 13), 3**200, -(7**150)):
+        assert residues(g, mods).tolist() == [g % m for m in mods.tolist()], g
+    with pytest.raises(ValueError):
+        residues(3, np.array([2**31], dtype=np.int64))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.integers(-(2**63), 2**63 - 1),
+    st.integers(0, 2**63 - 1),
+    st.integers(1, 2**31 - 1),
+)
+def test_powmod_matches_builtin_pow(b, e, m):
+    assert int(powmod(b, e, m)) == pow(b, e, m)
+    bases = np.array([b, b // 3, -b // 7], dtype=np.int64)
+    assert powmod(bases, e, m).tolist() == [pow(t, e, m) for t in bases.tolist()]
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.integers(2**31, 2**63 - 1), st.integers(0, 2**63 - 1))
+def test_powmod_rejects_modulus_past_int32(m, e):
+    with pytest.raises(ValueError):
+        powmod(np.array([3, 5]), e, np.array([7, m]))
 
 
 def test_smallest_factor_table_rejects_int32_overflow():

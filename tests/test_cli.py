@@ -264,6 +264,20 @@ def test_modulus_past_int64(tmp_path, command):
     assert doc == 144 * BIG_V_A > 2**63
 
 
+@pytest.mark.parametrize("a_exp", [1.5, 1.0])
+def test_sieve_remainder_ceiling_undefined_when_x_below_one(tmp_path, a_exp):
+    # X = li(1e5)/phi(v) is about 1e-16 here, so log X < 0 and the ceiling
+    # c3*X/log(X)^A would be negative (A = 1) or complex (A = 1.5).
+    cfg = {"a": BIG_V_A, "delta": 5, "prime_max": 10**5, "A": a_exp}
+    code, out = run(tmp_path, "sieve", cfg)
+    assert code == 0
+    doc = json.loads((out / "sieve_report.json").read_text())
+    assert doc["big_x"] <= 1
+    assert doc["remainder_ceiling"] is None
+    assert doc["remainder_within"] is False
+    assert any("ceiling" in n and "undefined" in n for n in doc["notes"])
+
+
 # ---------------------------------------------------------------------------
 # lemma42
 
@@ -288,6 +302,24 @@ def test_lemma42_rejects_prime_max_past_int32(tmp_path, capsys):
     code, _ = run(tmp_path, "lemma42", {"gens": [2, 3], "prime_max": 2**31})
     assert code == 4
     assert "2**31" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"gens": []},
+        {"gens": [0, 3]},
+        {"gens": ["x"]},
+        {"gens": [2, 3], "y_grid": ["a"]},
+        {"gens": [2.5, 3]},
+    ],
+    ids=["empty", "zero", "string", "grid-string", "float"],
+)
+def test_lemma42_malformed_config_exits_4(tmp_path, capsys, cfg):
+    code, _ = run(tmp_path, "lemma42", dict(cfg, prime_max=1000))
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: lemma42 needs") and err.count("\n") == 1
 
 
 def test_lemma42_unsorted_grid_sorted_in_output(tmp_path):

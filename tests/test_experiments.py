@@ -4,9 +4,17 @@ import math
 import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from quadartin.arith import is_prime, jacobi, primes_up_to
+from quadartin import experiments
+from quadartin.arith import (
+    is_prime,
+    jacobi,
+    prime_array,
+    primes_up_to,
+    smallest_factor_table,
+)
 from quadartin.experiments import (
     AlphaFamily,
     DependentGenerators,
@@ -22,6 +30,7 @@ from quadartin.experiments import (
     pigeonhole_report,
     remark12_verify,
     subgroup_size,
+    subgroup_sizes,
 )
 from quadartin.quadfield import FieldContext, conjugate, m_ratio, norm
 
@@ -357,6 +366,47 @@ def test_lemma42_counts_monotone_in_y():
     g = lemma42_scan([2, 3], 5000)
     counts = [n for _, n in g.samples]
     assert counts == sorted(counts)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [(2, 3), (-3, 7), (3, 5), (5, 6), (2, 3, 5), (2**64 + 13, 3)],
+    ids=["2,3", "-3,7", "3,5", "5,6", "2,3,5", "2^64+13,3"],
+)
+def test_subgroup_kernel_matches_scalar_oracle(monkeypatch, gens):
+    # 1000-prime blocks: the 2262 primes below 2e4 span three blocks, the
+    # last one partial.  (3, 5) keeps p = 2, where p - 1 = 1 and the size is 1.
+    monkeypatch.setattr(experiments, "SUBGROUP_BLOCK", 1000)
+    x = 2 * 10**4
+    ps = prime_array(x)
+    ps = ps[[all(g % p for g in gens) for p in ps.tolist()]]
+    assert ps.size > 2 * experiments.SUBGROUP_BLOCK
+    sizes = experiments._subgroup_block((gens, x, ps))
+    assert sizes.dtype == np.int64
+    assert sizes.tolist() == [subgroup_size(p, gens) for p in ps.tolist()]
+    if 2 in ps.tolist():
+        assert sizes[0] == 1
+
+
+def test_subgroup_kernel_rejects_vanishing_generator():
+    spf = smallest_factor_table(100)
+    with pytest.raises(ValueError):
+        subgroup_sizes(np.array([5, 7, 11]), [2, 14], spf)
+
+
+def test_subgroup_kernel_descent_overrun_raises(monkeypatch):
+    # A power routine that claims every g^((p-1)/q) is 1 and then never lets
+    # the descent reach 1: the kernel must raise, not return a size.
+    calls = []
+
+    def broken(base, exp, mod):
+        calls.append(1)
+        fill = 1 if len(calls) <= 2 else 2
+        return np.full(np.broadcast(base, exp, mod).shape, fill, dtype=np.int64)
+
+    monkeypatch.setattr(experiments, "powmod", broken)
+    with pytest.raises(ArithmeticError):
+        subgroup_sizes(np.array([7, 13]), [2, 3], smallest_factor_table(13))
 
 
 def test_lemma42_workers_identical():
