@@ -18,10 +18,12 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from . import arith, sieve
 from .construction import (
@@ -29,6 +31,7 @@ from .construction import (
     InvariantError,
     SeedNotFoundError,
     build_congruence,
+    check_class_symbols,
     find_p0,
     verify_congruence,
 )
@@ -43,7 +46,7 @@ from .experiments import (
     mult_indep_rational,
     order_scan,
 )
-from .quadfield import m_ratio, square_guard
+from .quadfield import FieldContext, m_ratio, square_guard
 from .sieve import SieveConfig, sieving_limit
 
 EXIT_OK = 0
@@ -52,52 +55,145 @@ EXIT_INVARIANT = 3
 EXIT_BAD_CONFIG = 4
 EXIT_DEPENDENT = 5
 
-# Every key a config file may carry.  Presence requirements differ per
-# subcommand; anything outside this set is rejected outright.
-_CONFIG_KEYS = {
-    "delta",
-    "members",
-    "prime_min",
-    "prime_max",
-    "use_congruence",
-    "delta1",
-    "B",
-    "a",
-    "z",
-    "c2",
-    "c3",
-    "A",
-    "d_max",
-    "gens",
-    "y_grid",
-    "values",
-    "p0_bound",
-    "verify_bound",
-}
-
 
 class BadConfig(Exception):
     pass
 
 
-def _load_config(path: str) -> Dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise BadConfig(f"cannot read config {path}: {e}")
-    if not isinstance(cfg, dict):
+def _ok(value, cond):
+    if not cond:
+        raise ValueError(value)
+    return value
+
+
+def _int(v, lo=-math.inf, hi=math.inf) -> int:
+    """A JSON integer in [lo, hi), or an integral float such as 1e6; no bool."""
+    if type(v) is float and v.is_integer():
+        v = int(v)
+    return _ok(v, type(v) is int and lo <= v < hi)
+
+
+def _nonzero(v) -> int:
+    return _ok(_int(v), v != 0)
+
+
+def _number(v, lo=-math.inf, hi=math.inf) -> float:
+    """A JSON number strictly between lo and hi (so finite), as a float."""
+    return _ok(float(_ok(v, type(v) in (int, float))), lo < v < hi)
+
+
+def _each(item: Callable) -> Callable:
+    """A converter for a non-empty JSON list, each entry converted by item."""
+    return lambda v: [item(t) for t in _ok(v, type(v) is list and v)]
+
+
+def _pair(v, both: bool = False):
+    """An [x, y] integer pair, not both 0: x + y*sqrt(delta) has norm
+    x^2 - delta*y^2, which for a non-square delta vanishes only at 0.  With
+    both, neither is 0: else conj(alpha)/alpha = +-1 has finite order."""
+    x, y = map(_int, _ok(v, type(v) is list and len(v) == 2))
+    return _ok((x, y), (x and y) if both else (x or y))
+
+
+def _rational(v) -> Fraction:
+    q = Fraction(str(_ok(v, type(v) in (int, float, str))))
+    return _ok(q, q != 0)
+
+
+def _delta(v) -> int:
+    """The squarefree kernel; FieldContext rejects squares and values < 2."""
+    return FieldContext(_int(v)).delta
+
+
+_REQUIRED = object()
+
+
+class _Key(NamedTuple):
+    what: str  # completes the error "<command> needs '<key>' to be <what>"
+    convert: Callable  # JSON value -> typed value; ValueError outside the domain
+    default: Any = _REQUIRED
+
+
+_NONZERO = "a nonzero integer"
+_DELTA = "an integer > 1 that is not a square"
+_BOUND = "an integer >= 2"
+_P0_BOUND = _Key(_BOUND, partial(_int, lo=2), 10**4)
+_REAL = "a finite number"
+
+# Every key each subcommand reads.  main converts a config through its
+# command's table before dispatch, so each cmd_* gets typed values only.
+CONFIG_SCHEMA: Dict[str, Dict[str, _Key]] = {
+    "construct": {
+        "a": _Key(_NONZERO, _nonzero),
+        "delta": _Key(_DELTA, _delta),
+        "p0_bound": _P0_BOUND,
+        "verify_bound": _Key(_BOUND, partial(_int, lo=2), 10**5),
+    },
+    "scan": {
+        "delta": _Key(_DELTA, _delta),
+        "members": _Key("a non-empty list of [x, y] integer pairs, not both 0", _each(_pair)),
+        "prime_min": _Key("an integer >= 0", partial(_int, lo=0)),
+        "prime_max": _Key(_BOUND, partial(_int, lo=2)),
+        "use_congruence": _Key("true or false", lambda v: _ok(v, type(v) is bool), False),
+        "a": _Key(_NONZERO, _nonzero, None),
+        "p0_bound": _P0_BOUND,
+    },
+    "sieve": {
+        "a": _Key(_NONZERO, _nonzero),
+        "delta": _Key(_DELTA, _delta),
+        "prime_max": _Key(_BOUND, partial(_int, lo=2)),
+        "p0_bound": _P0_BOUND,
+        "d_max": _Key("an integer >= 1", partial(_int, lo=1), 100),
+        "z": _Key(_BOUND, partial(_int, lo=2), None),
+        "delta1": _Key("a number in (0, 0.125)", partial(_number, lo=0, hi=0.125), 0.01),
+        "c2": _Key(_REAL, _number, 1.0),
+        "c3": _Key(_REAL, _number, 1.0),
+        "A": _Key(_REAL, _number, 1.0),
+    },
+    "lemma42": {
+        "gens": _Key("a non-empty list of nonzero integers", _each(_nonzero)),
+        "prime_max": _Key("an integer in [2, 2**31)", partial(_int, lo=2, hi=arith.SPF_LIMIT)),
+        "y_grid": _Key("a non-empty list of positive finite numbers",
+                       _each(partial(_number, lo=0)), None),
+    },
+    "independence": {
+        "values": _Key("a non-empty list of nonzero rationals", _each(_rational), None),
+        "members": _Key("a non-empty list of [x, y] pairs of nonzero integers",
+                        _each(partial(_pair, both=True)), None),
+        "delta": _Key(_DELTA, _delta, None),
+        "B": _Key("an integer >= 1", partial(_int, lo=1), 10),
+    },
+}
+
+
+def validate_config(command: str, raw) -> Dict[str, Any]:
+    """The typed value of every key in the command's schema, defaults filled
+    in.  Raises BadConfig on an unknown key or, naming the first offending
+    key, on a missing required key or a value outside its key's domain."""
+    schema = CONFIG_SCHEMA[command]
+    if type(raw) is not dict:
         raise BadConfig("config must be a JSON object")
-    unknown = set(cfg) - _CONFIG_KEYS
+    unknown = sorted(set(raw) - set(schema))
     if unknown:
-        raise BadConfig(f"unknown config keys: {sorted(unknown)}")
+        raise BadConfig(f"{command} does not read config keys {unknown}")
+    cfg = {}
+    for key, (what, convert, default) in schema.items():
+        try:
+            if key in raw:
+                cfg[key] = convert(raw[key])
+            else:
+                cfg[key] = _ok(default, default is not _REQUIRED)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise BadConfig(f"{command} needs '{key}' to be {what}") from None
     return cfg
 
 
-def _need(cfg: Dict, key: str):
-    if key not in cfg:
-        raise BadConfig(f"config key '{key}' is required for this command")
-    return cfg[key]
+def _load_config(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as e:
+        raise BadConfig(f"cannot read config {path}: {e}")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -118,40 +214,38 @@ def _congruence_json(c: Congruence, report) -> Dict:
 
 
 def cmd_construct(cfg: Dict, out: Path, workers: int) -> int:
-    a = int(_need(cfg, "a"))
-    delta = int(_need(cfg, "delta"))
-    p0_bound = int(cfg.get("p0_bound", 10**4))
-    verify_bound = int(cfg.get("verify_bound", 10**5))
-    seed = find_p0(a, delta, p0_bound)
+    seed = find_p0(cfg["a"], cfg["delta"], cfg["p0_bound"])
     cong = build_congruence(seed)
-    report = verify_congruence(cong, verify_bound)
+    report = verify_congruence(cong, cfg["verify_bound"])
     _write_json(out / "construction.json", _congruence_json(cong, report))
     print(
         f"construct: u = {cong.u}, v = {cong.v}, p0 = {seed.p0}, "
-        f"{report.checked} primes verified to {verify_bound}, "
+        f"{report.checked} primes verified to {cfg['verify_bound']}, "
         f"{len(report.failures)} failures"
     )
     return EXIT_OK if report.ok else EXIT_INVARIANT
 
 
-def _scan_primes(cfg: Dict, family: AlphaFamily) -> tuple:
-    lo = int(_need(cfg, "prime_min"))
-    hi = int(_need(cfg, "prime_max"))
-    if lo > hi:
-        raise BadConfig(f"prime_min {lo} exceeds prime_max {hi}")
-    if cfg.get("use_congruence", False):
-        a = int(cfg.get("a", family.norms[0]))
-        seed = find_p0(a, family.ctx.delta, int(cfg.get("p0_bound", 10**4)))
-        cong = build_congruence(seed)
-        return congruence_primes(cong.u, cong.v, lo, hi), cong
-    return inert_primes(family.ctx, lo, hi), None
+def _checked_class(a: int, delta: int, p0_bound: int) -> Congruence:
+    """The class for (a, delta); a class on which a or delta is a square
+    raises InvariantError before it is scanned or sieved."""
+    cong = build_congruence(find_p0(a, delta, p0_bound))
+    check_class_symbols(cong)
+    return cong
 
 
 def cmd_scan(cfg: Dict, out: Path, workers: int) -> int:
-    delta = int(_need(cfg, "delta"))
-    members = _need(cfg, "members")
-    family = AlphaFamily.from_coords(delta, members)
-    plist, cong = _scan_primes(cfg, family)
+    lo, hi = cfg["prime_min"], cfg["prime_max"]
+    if lo > hi:
+        raise BadConfig(f"scan needs 'prime_min' to be at most prime_max, got {lo} > {hi}")
+    family = AlphaFamily.from_coords(cfg["delta"], cfg["members"])
+    cong = None
+    if cfg["use_congruence"]:
+        a = family.norms[0] if cfg["a"] is None else cfg["a"]
+        cong = _checked_class(a, family.ctx.delta, cfg["p0_bound"])
+        plist = congruence_primes(cong.u, cong.v, lo, hi)
+    else:
+        plist = inert_primes(family.ctx, lo, hi)
 
     # The order chain is checked inside the scan pass: a violation raises
     # RemarkViolation, which exits 3.
@@ -194,40 +288,34 @@ def cmd_scan(cfg: Dict, out: Path, workers: int) -> int:
     return EXIT_OK
 
 
-def cmd_sieve(cfg_raw: Dict, out: Path, workers: int) -> int:
-    x = int(_need(cfg_raw, "prime_max"))
-    delta1 = float(cfg_raw.get("delta1", 0.01))
-    a = int(_need(cfg_raw, "a"))
-    delta = int(_need(cfg_raw, "delta"))
-    seed = find_p0(a, delta, int(cfg_raw.get("p0_bound", 10**4)))
-    cong = build_congruence(seed)
+def cmd_sieve(cfg: Dict, out: Path, workers: int) -> int:
+    x, delta1, d_max = cfg["prime_max"], cfg["delta1"], cfg["d_max"]
+    z = max(2, sieving_limit(x, delta1)) if cfg["z"] is None else cfg["z"]
+    if z > x:
+        raise BadConfig(f"sieve needs 'z' to be at most prime_max, got {z} > {x}")
+    cong = _checked_class(cfg["a"], cfg["delta"], cfg["p0_bound"])
     u, v = cong.u, cong.v
-    z = int(cfg_raw.get("z", max(2, sieving_limit(x, delta1))))
-    try:
-        cfg = SieveConfig(
-            x=x,
-            u=u,
-            v=v,
-            z=z,
-            delta1=delta1,
-            c2=float(cfg_raw.get("c2", 1.0)),
-            c3=float(cfg_raw.get("c3", 1.0)),
-            a_exp=float(cfg_raw.get("A", 1.0)),
-            congruence=cong,
-        )
-    except ValueError as e:
-        raise BadConfig(str(e))
+    sieve_cfg = SieveConfig(
+        x=x,
+        u=u,
+        v=v,
+        z=z,
+        delta1=delta1,
+        c2=cfg["c2"],
+        c3=cfg["c3"],
+        a_exp=cfg["A"],
+        congruence=cong,
+    )
 
-    d_max = int(cfg_raw.get("d_max", 100))
-    rows = sieve.ledger(cfg, d_max)
+    rows = sieve.ledger(sieve_cfg, d_max)
     with open(out / "sieve.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["d", "rho", "Ad", "main", "Rd"])
         for r in rows:
             w.writerow([r.d, r.rho_d, r.count, repr(r.main), repr(r.remainder)])
 
-    rem = sieve.remainder_sum(cfg)
-    bound = sieve.sieve_bound_report(cfg)
+    rem = sieve.remainder_sum(sieve_cfg)
+    bound = sieve.sieve_bound_report(sieve_cfg)
     prod = sieve.product_lower(z, v)
     report = {
         "x": x,
@@ -235,7 +323,7 @@ def cmd_sieve(cfg_raw: Dict, out: Path, workers: int) -> int:
         "v": v,
         "z": z,
         "delta1": delta1,
-        "big_x": cfg.big_x,
+        "big_x": sieve_cfg.big_x,
         "survivors": bound.survivors,
         "main_term": bound.main_term,
         "threshold": bound.threshold,
@@ -260,29 +348,8 @@ def cmd_sieve(cfg_raw: Dict, out: Path, workers: int) -> int:
     return EXIT_OK
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_positive_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < math.inf
-
-
 def cmd_lemma42(cfg: Dict, out: Path, workers: int) -> int:
-    gens = _need(cfg, "gens")
-    if not (isinstance(gens, list) and gens and all(_is_int(g) and g for g in gens)):
-        raise BadConfig("lemma42 needs 'gens' to be a non-empty list of nonzero integers")
-    x = _need(cfg, "prime_max")
-    if not _is_int(x) or x < 2:
-        raise BadConfig("lemma42 needs 'prime_max' to be an integer >= 2")
-    if x >= arith.SPF_LIMIT:
-        raise BadConfig(f"lemma42 needs prime_max < 2**31, got {x}")
-    grid = cfg.get("y_grid")
-    if grid is not None and not (
-        isinstance(grid, list) and grid and all(map(_is_positive_number, grid))
-    ):
-        raise BadConfig("lemma42 needs 'y_grid' to be a non-empty list of positive finite numbers")
-    fit = lemma42_scan(gens, x, grid, workers=workers)
+    fit = lemma42_scan(cfg["gens"], cfg["prime_max"], cfg["y_grid"], workers=workers)
     _write_json(
         out / "growth.json",
         {
@@ -298,23 +365,24 @@ def cmd_lemma42(cfg: Dict, out: Path, workers: int) -> int:
 
 
 def cmd_independence(cfg: Dict, out: Path, workers: int) -> int:
+    if cfg["values"] is None and cfg["members"] is None:
+        raise BadConfig("independence needs 'values' or 'members'")
+    if cfg["members"] is not None and cfg["delta"] is None:
+        raise BadConfig("independence needs 'delta' when 'members' is given")
     result: Dict = {}
     dependent = False
-    if "values" in cfg:
-        vals = [Fraction(str(t)) for t in cfg["values"]]
-        verdict = mult_indep_rational(vals)
+    if cfg["values"] is not None:
+        verdict = mult_indep_rational(cfg["values"])
         result["rational"] = {
-            "values": [str(v) for v in vals],
+            "values": [str(v) for v in cfg["values"]],
             "independent": verdict.independent,
             "relation": None if verdict.relation is None else list(verdict.relation),
         }
         dependent = dependent or not verdict.independent
-    if "members" in cfg:
-        delta = int(_need(cfg, "delta"))
-        family = AlphaFamily.from_coords(delta, cfg["members"])
+    if cfg["members"] is not None:
+        family = AlphaFamily.from_coords(cfg["delta"], cfg["members"])
         ratios = [m_ratio(a) for a in family.members]
-        bound = int(cfg.get("B", 10))
-        verdict = mult_indep_norm_one(ratios, bound)
+        verdict = mult_indep_norm_one(ratios, cfg["B"])
         result["norm_one"] = {
             "labels": list(family.labels),
             "independent": verdict.independent,
@@ -322,8 +390,6 @@ def cmd_independence(cfg: Dict, out: Path, workers: int) -> int:
             "search_bound": verdict.search_bound,
         }
         dependent = dependent or not verdict.independent
-    if not result:
-        raise BadConfig("independence needs 'values' or 'members'")
     _write_json(out / "independence.json", result)
     for kind, r in sorted(result.items()):
         status = "independent" if r["independent"] else f"relation {r['relation']}"
@@ -356,7 +422,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        cfg = _load_config(args.config)
+        cpus = os.cpu_count() or 1
+        if not 1 <= args.workers <= cpus:
+            raise BadConfig(f"{args.command} needs '--workers' to be an integer in [1, {cpus}]")
+        cfg = validate_config(args.command, _load_config(args.config))
         return _COMMANDS[args.command](cfg, out, args.workers)
     except BadConfig as e:
         print(f"error: {e}", file=sys.stderr)

@@ -213,6 +213,20 @@ def build_congruence(p0: SeedPrime) -> Congruence:
     return Congruence(u, v, residues, p0)
 
 
+def check_class_symbols(c: Congruence) -> None:
+    """Raise InvariantError unless (a|p) = (delta|p) = -1 for every prime p
+    of the class.  Both symbols are periodic in p with a period dividing v,
+    so their values at u decide the whole class exactly.  The seed does not:
+    u may differ from p0 mod 8, and (2|p) depends on p mod 8."""
+    for label, val in (("a", c.seed.a), ("delta", c.seed.delta)):
+        s = jacobi(val, c.u)
+        if s != -1:
+            raise InvariantError(
+                f"({label}|p) = {s:+d} for every prime p = {c.u} mod {c.v} "
+                f"({label} = {val})"
+            )
+
+
 @dataclass(frozen=True)
 class CongruenceReport:
     """Outcome of checking every prime of the class up to a bound."""

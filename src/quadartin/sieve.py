@@ -132,8 +132,8 @@ def count_Ad(cfg: SieveConfig, d: int) -> SieveRow:
         raise ValueError(f"need squarefree d, got {d}")
     if math.gcd(d, cfg.v) != 1:
         raise ValueError(f"d = {d} shares a factor with v = {cfg.v}")
-    ps = cfg.class_primes
-    cnt = int(np.count_nonzero((ps * ps - 1) % d == 0))
+    r = cfg.class_primes % d  # reduce first: p * p wraps int64 past 3.04e9
+    cnt = int(np.count_nonzero(r * r % d == 1 % d))
     main = float(Fraction(2**f.nu, f.totient())) * cfg.big_x
     return SieveRow(d, rho(d), cnt, main, cnt - main)
 

@@ -3,14 +3,17 @@
 import json
 import math
 import multiprocessing
+import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quadartin import fp2
+from quadartin import experiments, fp2
 from quadartin.arith import factorize, primes_up_to
-from quadartin.cli import main
+from quadartin.cli import CONFIG_SCHEMA, BadConfig, main, validate_config
 
 
 def run(tmp_path, command, cfg, outdir="out", extra=()):
@@ -233,6 +236,35 @@ def test_sieve_bad_z_is_config_error(tmp_path):
     assert code == 4
 
 
+# These a give the class 547 or 563 mod 720 with delta = 5, on which a is a
+# square mod every prime; the eight a the benchmark draws keep (a|p) = -1.
+BROKEN_CLASS_A = [-2, 6, -6, 10]
+SIEVE_A_POOL = [-4, 2, -3, -1, -10, 3, -12, 8]
+
+
+@pytest.mark.parametrize("a", BROKEN_CLASS_A)
+def test_broken_class_exits_3(tmp_path, capsys, a):
+    for command, cfg in (
+        ("sieve", dict(SIEVE_CFG, a=a)),
+        ("scan", dict(SCAN_CFG, a=a, use_congruence=True)),
+    ):
+        code, out = run(tmp_path, command, cfg)
+        assert code == 3, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: (a|p) = +1") and err.count("\n") == 1, err
+        assert not (out / "sieve.csv").exists() and not (out / "scan.csv").exists()
+    # construct still writes its verification and exits 3 on the same class
+    code, out = run(tmp_path, "construct", {"a": a, "delta": 5, "verify_bound": 10**4})
+    assert code == 3
+    assert json.loads((out / "construction.json").read_text())["failures"]
+
+
+@pytest.mark.parametrize("a", SIEVE_A_POOL)
+def test_sieve_class_with_intact_symbols_runs(tmp_path, a):
+    code, _ = run(tmp_path, "sieve", dict(SIEVE_CFG, a=a))
+    assert code == 0
+
+
 def test_sieve_requires_a_and_delta(tmp_path):
     code, _ = run(tmp_path, "sieve", {"prime_max": 1000})
     assert code == 4
@@ -369,6 +401,115 @@ def test_independence_norm_one_singleton(tmp_path):
 def test_independence_needs_input(tmp_path):
     code, _ = run(tmp_path, "independence", {})
     assert code == 4
+
+
+# ---------------------------------------------------------------------------
+# config schema
+
+# Each of these used to exit 1 with a traceback, or to run with a meaning
+# other than the one written: a truncated float, a negative bound read as
+# "none", a string read as a list or as true.
+MALFORMED = {
+    "scan-member-zero": ("scan", dict(SCAN_CFG, members=[[0, 0]])),
+    "scan-member-float": ("scan", dict(SCAN_CFG, members=[[1.5, 1]])),
+    "scan-members-string": ("scan", dict(SCAN_CFG, members="ab")),
+    "scan-member-triple": ("scan", dict(SCAN_CFG, members=[[2, 1, 3]])),
+    "scan-delta-square": ("scan", dict(SCAN_CFG, delta=4)),
+    "scan-prime-min-string": ("scan", dict(SCAN_CFG, prime_min="x")),
+    "scan-prime-max-fraction": ("scan", dict(SCAN_CFG, prime_max=100.9)),
+    "scan-congruence-string": ("scan", dict(SCAN_CFG, use_congruence="no")),
+    "construct-a-zero": ("construct", {"a": 0, "delta": 5}),
+    "construct-delta-zero": ("construct", {"a": -4, "delta": 0}),
+    "construct-verify-negative": ("construct", {"a": -4, "delta": 5, "verify_bound": -3}),
+    "sieve-prime-max-fraction": ("sieve", dict(SIEVE_CFG, prime_max=10000.7)),
+    "sieve-d-max-negative": ("sieve", dict(SIEVE_CFG, d_max=-5)),
+    "independence-divide-by-zero": ("independence", {"values": ["1/0"]}),
+    "independence-value-zero": ("independence", {"values": [0]}),
+    "independence-values-string": ("independence", {"values": "12"}),
+    "independence-member-rational": ("independence", {"delta": 5, "members": [[2, 0]]}),
+    "independence-member-zero": ("independence", {"delta": 5, "members": [[0, 0]]}),
+    "independence-bound-negative": ("independence", {"delta": 5, "members": [[2, 1]], "B": -1}),
+}
+CASES = [pytest.param(c, cfg, (), id=i) for i, (c, cfg) in MALFORMED.items()]
+CASES.append(pytest.param("scan", SCAN_CFG, ("--workers", "0"), id="workers-zero"))
+
+
+@pytest.mark.parametrize("command, cfg, extra", CASES)
+def test_malformed_config_exits_4(tmp_path, capsys, command, cfg, extra):
+    code, _ = run(tmp_path, command, cfg, extra=extra)
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("workers", [0, -1, (os.cpu_count() or 1) + 1])
+def test_workers_outside_cpu_range_exits_4(tmp_path, capsys, monkeypatch, workers):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+    cfg = {"gens": [2, 3], "prime_max": 10**4}
+    code, _ = run(tmp_path, "lemma42", cfg, extra=("--workers", str(workers)))
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: lemma42 needs '--workers'") and err.count("\n") == 1
+
+
+def test_unreadable_config_exits_4(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(b'{"values": ["\xff"]}')
+    code = main(["independence", "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert code == 4
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["scan", "lemma42"])
+def test_float_prime_max_accepted(tmp_path, command):
+    # JSON 1e4 is a float; an integral float is the integer it names
+    cfg = dict(SCAN_CFG) if command == "scan" else {"gens": [2, 3]}
+    _, as_int = run(tmp_path, command, dict(cfg, prime_max=10**4), outdir="int")
+    code, as_float = run(tmp_path, command, dict(cfg, prime_max=1e4), outdir="float")
+    assert code == 0
+    for f in sorted(p.name for p in as_int.iterdir()):
+        assert (as_float / f).read_bytes() == (as_int / f).read_bytes(), f
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**64), 2**64)
+    | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+# One value each key accepts, so that whole configs often pass as well.
+GOOD = {
+    "a": -4, "delta": 5, "members": [[2, 1], [1, 1]], "prime_min": 3, "prime_max": 1e4,
+    "use_congruence": True, "p0_bound": 10**4, "verify_bound": 1e3, "d_max": 30, "z": 2,
+    "delta1": 0.01, "c2": 1, "c3": 1.5, "A": 1.0, "gens": [2, 3], "y_grid": [10, 100.5],
+    "values": ["1/2", 3], "B": 5, "unknown_key": 0,
+}
+
+
+@pytest.mark.filterwarnings("ignore::quadartin.quadfield.SquarefreeReductionWarning")
+@pytest.mark.parametrize("command", sorted(CONFIG_SCHEMA))
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_validator_returns_typed_values_or_bad_config(command, data):
+    # each key is left out, set to its good value or set to arbitrary JSON
+    raw = {}
+    for key in sorted(CONFIG_SCHEMA[command]) + ["unknown_key"]:
+        pick = data.draw(st.integers(0, 5))
+        if pick > (4 if key == "unknown_key" else 0):
+            raw[key] = GOOD[key] if pick < 4 else data.draw(JSON)
+    try:
+        cfg = validate_config(command, raw)
+    except BadConfig as e:
+        assert "\n" not in str(e)
+        return
+    assert "unknown_key" not in raw and set(cfg) == set(CONFIG_SCHEMA[command])
+    # an integral float such as 1e4 comes back as an int, except for real keys
+    reals = {"delta1", "c2", "c3", "A"}
+    assert all(type(v) is not float for k, v in cfg.items() if k not in reals)
 
 
 # ---------------------------------------------------------------------------

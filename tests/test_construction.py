@@ -12,6 +12,7 @@ from quadartin.construction import (
     SeedPrime,
     SquareHypothesisWarning,
     build_congruence,
+    check_class_symbols,
     find_p0,
     residue_for_16_and_9,
     residue_for_odd_prime,
@@ -251,3 +252,27 @@ def test_verify_congruence_flags_wrong_class():
     s = find_p0(-4, 5, 1000)
     with pytest.raises(InvariantError):
         Congruence(289, 720, {16: 1, 9: 1, 5: 4}, s)
+
+
+@pytest.mark.filterwarnings("ignore::quadartin.construction.SquareHypothesisWarning")
+def test_class_symbols_decide_the_whole_class():
+    # (a|u) and (delta|u) flag exactly the classes on which verification finds
+    # a symbol failure; a = -2, 6, -6, 10 with delta = 5 are among them.
+    flagged = set()
+    for delta in (2, 3, 5, 6, 7):
+        for a in [t for t in range(-12, 13) if t]:
+            try:
+                c = build_congruence(find_p0(a, delta))
+            except SeedNotFoundError:
+                continue
+            report = verify_congruence(c, 10**6)
+            assert report.checked > 0
+            broken = any("square" in why for _, why in report.failures)
+            try:
+                check_class_symbols(c)
+            except InvariantError:
+                flagged.add((a, delta))
+                assert broken, (a, delta)
+            else:
+                assert not broken, (a, delta)
+    assert {(-2, 5), (6, 5), (-6, 5), (10, 5)} <= flagged

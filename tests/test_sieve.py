@@ -154,6 +154,16 @@ def test_count_Ad_cross_check_small():
         assert count_Ad(cfg, d).count == count_Ad_by_classes(cfg, d), d
 
 
+def test_count_Ad_exact_past_int64_square():
+    # p * p - 1 wraps int64 for p > 3.04e9; inject such class primes through
+    # the cached property and count with Python ints instead.
+    cfg = SieveConfig(10**4, 1, 4, 6)
+    ps = [p for p in range(4 * 10**9 + 1, 4 * 10**9 + 2 * 10**4, 4) if is_prime(p)]
+    cfg.__dict__["class_primes"] = np.array(ps, dtype=np.int64)
+    for d in (1, 3, 5, 7, 15, 105, 1155, 15015):
+        assert count_Ad(cfg, d).count == sum((p * p - 1) % d == 0 for p in ps), d
+
+
 def test_count_Ad_main_uses_rho_over_phi():
     cfg = SieveConfig(10**4, 1, 4, 6)
     row = count_Ad(cfg, 15)
