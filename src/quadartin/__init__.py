@@ -8,14 +8,11 @@ construction (construction), sieve bookkeeping (sieve), experiment drivers
 
 from .arith import (
     Factorization,
-    ProgressionCount,
-    count_progression,
     crt,
     factorize,
     is_prime,
     jacobi,
     li,
-    max_error,
     primes_up_to,
 )
 from .construction import (
@@ -37,15 +34,12 @@ from .experiments import (
     mult_indep_rational,
     order_scan,
     pigeonhole_report,
-    remark12_verify,
-    subgroup_size,
 )
-from .fp2 import Fp2Context, Fp2Elem, OrderRecord, frobenius, mult_order, order_record, reduce_elem
+from .fp2 import Fp2Context, OrderRecord, order_record
 from .quadfield import (
     FieldContext,
     QuadElem,
     conjugate,
-    is_inert,
     m_ratio,
     norm,
     square_guard,
@@ -54,7 +48,6 @@ from .sieve import (
     SieveConfig,
     SieveRow,
     count_Ad,
-    count_Ad_by_classes,
     mertens_check,
     omega,
     product_lower,

@@ -1,6 +1,6 @@
 """Exact integer utilities: primality, factorization (scalar, and array-wise
 from a smallest-factor table), array modular powers, Jacobi symbols, CRT,
-the logarithmic integral, and prime counts in arithmetic progressions.
+and the logarithmic integral.
 
 Everything here is deterministic.  The only randomized internals (Pollard rho
 restarts) draw from a fixed seed that can be overridden with set_rho_seed.
@@ -238,13 +238,6 @@ class Factorization:
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.factors)
 
-    @property
-    def mu(self) -> int:
-        """Mobius function of value."""
-        if not self.is_squarefree:
-            return 0
-        return -1 if self.nu % 2 else 1
-
     def totient(self) -> int:
         t = 1
         for p, e in self.factors:
@@ -388,7 +381,7 @@ def crt(pairs: Iterable[Tuple[int, int]]) -> Tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# logarithmic integral and progression counts
+# logarithmic integral
 
 def _simpson(fa: float, fm: float, fb: float, a: float, b: float) -> float:
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
@@ -433,46 +426,3 @@ def li(y: float) -> float:
     fm = 1.0 / math.log(m)
     whole = _simpson(fa, fm, fb, a, b)
     return _adaptive(a, b, fa, fm, fb, whole, eps, 60)
-
-
-@dataclass(frozen=True)
-class ProgressionCount:
-    """Exact prime count in a residue class, with its deviation from the
-    expected density li(y)/phi(m)."""
-
-    y: int
-    m: int
-    s: int
-    count: int
-    error: float
-
-
-def count_progression(y: int, m: int, s: int) -> ProgressionCount:
-    """Count primes p <= y with p = s (mod m); gcd(s, m) must be 1."""
-    if y < 2:
-        raise ValueError(f"need y >= 2, got {y}")
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    s_red = s % m
-    if math.gcd(s_red, m) != 1:
-        raise ValueError(f"residue {s} not coprime to modulus {m}")
-    count = primes_in_class(s_red, m, 0, y).size
-    err = count - li(float(y)) / totient(m)
-    return ProgressionCount(y, m, s_red, count, err)
-
-
-def max_error(x: int, m: int) -> float:
-    """max over residues s coprime to m of |count - li(x)/phi(m)| at y = x.
-
-    Only the endpoint y = x is examined; no running maximum over y <= x is
-    taken.
-    """
-    if x < 2 or m < 1:
-        raise ValueError(f"need x >= 2 and m >= 1, got x={x} m={m}")
-    counts = np.bincount(prime_array(x) % m, minlength=m).tolist()
-    expected = li(float(x)) / totient(m)
-    worst = 0.0
-    for s in range(m):
-        if math.gcd(s, m) == 1:
-            worst = max(worst, abs(counts[s] - expected))
-    return worst

@@ -146,7 +146,8 @@ CONFIG_SCHEMA: Dict[str, Dict[str, _Key]] = {
         "d_max": _Key("an integer >= 1", partial(_int, lo=1), 100),
         "z": _Key(_BOUND, partial(_int, lo=2), None),
         "delta1": _Key("a number in (0, 0.125)", partial(_number, lo=0, hi=0.125), 0.01),
-        "c2": _Key(_REAL, _number, 1.0),
+        # c2 < 0 would put the remainder window above sqrt(X)
+        "c2": _Key("a finite number >= 0", lambda v: _ok(_number(v), v >= 0), 1.0),
         "c3": _Key(_REAL, _number, 1.0),
         "A": _Key(_REAL, _number, 1.0),
     },

@@ -24,13 +24,13 @@ from .arith import (
     powmod,
     prime_array,
     primes_in_class,
-    primes_up_to,
     residues,
     smallest_factor_table,
 )
-from .fp2 import Fp2Context, OrderChainError, OrderRecord, _order_mod_p, order_record
+from .construction import InvariantError
+from .fp2 import Fp2Context, OrderChainError, OrderRecord, order_record
 from .quadfield import FieldContext, QuadElem, norm
-from .sieve import sieving_limit
+from .sieve import sieving_limit, survivor_mask
 
 log = logging.getLogger(__name__)
 
@@ -234,18 +234,6 @@ def order_scan(
     return records, summary
 
 
-def remark12_verify(family: AlphaFamily, primes: Iterable[int]) -> Dict[str, int]:
-    """Check the order-chain identities at every usable (p, member) pair:
-    the norm's order divides p - 1, the conjugate ratio's order divides
-    p + 1, both divide the element's order, and their product divides twice
-    the element's order.  These checks run inside the scan pass itself, so
-    this is that pass with its counts returned.  Any failure raises
-    RemarkViolation.
-    """
-    records, summary = order_scan(family, primes)
-    return {"checked": len(records), "skipped": summary.skipped, "violations": 0}
-
-
 # ---------------------------------------------------------------------------
 # multiplicative independence
 
@@ -342,7 +330,7 @@ def mult_indep_rational(values: Sequence[Fraction]) -> IndependenceVerdict:
     for v, e in zip(vals, rel):
         prod *= v**e
     if prod not in (1, -1):
-        raise AssertionError(f"relation {rel} does not verify")
+        raise InvariantError(f"relation {rel} does not verify")
     return IndependenceVerdict(False, rel)
 
 
@@ -386,18 +374,6 @@ def mult_indep_norm_one(
 
 # ---------------------------------------------------------------------------
 # subgroup growth
-
-def subgroup_size(p: int, gens: Sequence[int]) -> int:
-    """Order of the subgroup of (Z/p)^* generated by gens: the lcm of the
-    generators' orders (the group is cyclic)."""
-    qs = factorize(p - 1).primes
-    out = 1
-    for g in gens:
-        if g % p == 0:
-            raise ValueError(f"generator {g} vanishes mod {p}")
-        out = math.lcm(out, _order_mod_p(g, p - 1, qs, p))
-    return out
-
 
 @dataclass(frozen=True)
 class GrowthFit:
@@ -570,9 +546,9 @@ def pigeonhole_report(
     the trial threshold on each side, and which members attain the
     component and full thresholds.
 
-    Survivors (p^2 - 1 free of small primes outside v_excluded) must have
-    at most 7 large factors per side; that bound is asserted, everything
-    else is only measured.
+    Survivors (p^2 - 1 free of primes up to the threshold outside
+    v_excluded) must have at most 7 large factors per side, else
+    InvariantError; everything else is only measured.
     """
     plist = sorted(set(int(p) for p in primes))
     if x is None:
@@ -584,7 +560,8 @@ def pigeonhole_report(
     plus_att = [0] * k
     full_att = [0] * k
     max_m = 0
-    small = [q for q in primes_up_to(threshold) if v_excluded % q != 0]
+    survivors = survivor_mask(np.array(plist, dtype=np.int64), threshold + 1, v_excluded)
+    is_survivor = dict(zip(plist, survivors.tolist()))
     for p, fctx, recs in _order_pass(family, plist):
         if fctx is None:
             continue
@@ -596,15 +573,10 @@ def pigeonhole_report(
             e for q, e in fctx.fact_pm1.factors if q > threshold
         )
         m_plus = sum(e for q, e in fctx.fact_pp1.factors if q > threshold)
-        t = p * p - 1
-        survivor = True
-        for q in small:
-            if t % q == 0:
-                survivor = False
-                break
+        survivor = is_survivor[p]
         if survivor:
             if m_minus > 7 or m_plus > 7:
-                raise AssertionError(
+                raise InvariantError(
                     f"survivor p = {p} has {max(m_minus, m_plus)} large factors on one side"
                 )
             max_m = max(max_m, m_minus, m_plus)

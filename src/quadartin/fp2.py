@@ -12,15 +12,14 @@ over the primes of p - 1 with native pow, ord M over the primes of p + 1.
 Every odd prime divides at most one of p - 1 and p + 1, and 2 divides one of
 them exactly once, so with L = lcm(ord N, ord M) the order of alpha is L or
 2L; one power alpha^L decides which.  If alpha^(2L) is not 1 either, the
-chain is broken and OrderChainError is raised.  mult_order keeps the full
-p^2 - 1 descent as the reference the derived order is tested against.
+chain is broken and OrderChainError is raised.  The tests keep the full
+p^2 - 1 descent as the reference the derived order is checked against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Tuple
 
 from .arith import Factorization, factorize, jacobi
@@ -94,81 +93,6 @@ class Fp2Context:
             raise ValueError("factorizations do not match p")
         if jacobi(self.delta_mod_p, self.p) != -1:
             raise ValueError(f"delta = {self.delta_mod_p} is a square mod {self.p}")
-
-    @cached_property
-    def group_primes(self) -> Tuple[int, ...]:
-        """Distinct primes dividing p^2 - 1."""
-        return tuple(sorted(set(self.fact_pm1.primes) | set(self.fact_pp1.primes)))
-
-
-@dataclass(frozen=True)
-class Fp2Elem:
-    c0: int
-    c1: int
-    ctx: Fp2Context
-
-    def __post_init__(self):
-        p = self.ctx.p
-        if not (0 <= self.c0 < p and 0 <= self.c1 < p):
-            raise ValueError(f"coordinates out of range mod {p}")
-
-    def is_zero(self) -> bool:
-        return self.c0 == 0 and self.c1 == 0
-
-    def is_one(self) -> bool:
-        return self.c0 == 1 and self.c1 == 0
-
-    def __mul__(self, other: "Fp2Elem") -> "Fp2Elem":
-        if other.ctx is not self.ctx and other.ctx.p != self.ctx.p:
-            raise ValueError("mixed contexts")
-        r0, r1 = _mul_raw(
-            self.c0, self.c1, other.c0, other.c1, self.ctx.p, self.ctx.delta_mod_p
-        )
-        return Fp2Elem(r0, r1, self.ctx)
-
-    def __pow__(self, e: int) -> "Fp2Elem":
-        if e < 0:
-            return self.inverse() ** (-e)
-        r0, r1 = _pow_raw(self.c0, self.c1, e, self.ctx.p, self.ctx.delta_mod_p)
-        return Fp2Elem(r0, r1, self.ctx)
-
-    def norm(self) -> int:
-        """c0^2 - delta*c1^2 mod p, the norm to the prime subfield."""
-        p = self.ctx.p
-        return (self.c0 * self.c0 - self.ctx.delta_mod_p * self.c1 * self.c1) % p
-
-    def inverse(self) -> "Fp2Elem":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero")
-        ninv = pow(n, -1, self.ctx.p)
-        return Fp2Elem(self.c0 * ninv % self.ctx.p, -self.c1 * ninv % self.ctx.p, self.ctx)
-
-
-def reduce_elem(a: QuadElem, ctx: Fp2Context) -> Fp2Elem:
-    """Reduce an integral field element coordinate-wise mod p."""
-    if not a.is_integral:
-        raise ValueError(f"cannot reduce non-integral element {a}")
-    p = ctx.p
-    return Fp2Elem(int(a.x) % p, int(a.y) % p, ctx)
-
-
-def frobenius(a: Fp2Elem) -> Fp2Elem:
-    """The p-power map, which on c0 + c1*s is c0 - c1*s."""
-    return Fp2Elem(a.c0, (-a.c1) % a.ctx.p, a.ctx)
-
-
-def mult_order(a: Fp2Elem) -> int:
-    """Exact multiplicative order of a nonzero element.
-
-    Starts at n = p^2 - 1 and divides out each prime of n while the power
-    a^(n/q) stays 1.
-    """
-    if a.is_zero():
-        raise ValueError("order of zero")
-    ctx = a.ctx
-    n = ctx.p * ctx.p - 1
-    return _order_raw(a.c0, a.c1, n, ctx.group_primes, ctx.p, ctx.delta_mod_p)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .arith import factorize, is_square, jacobi
+from .arith import factorize, is_square
 
 Coord = Union[int, Fraction]
 
@@ -96,9 +96,6 @@ class QuadElem:
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
 
-    def is_rational(self) -> bool:
-        return self.y == 0
-
     def __add__(self, other: "QuadElem") -> "QuadElem":
         self._check(other)
         return QuadElem(self.x + other.x, self.y + other.y, self.ctx)
@@ -163,21 +160,6 @@ def m_ratio(a: QuadElem) -> QuadElem:
     if norm(out) != 1:
         raise ArithmeticError(f"conjugate ratio {out} has norm {norm(out)}, not 1")
     return out
-
-
-def is_inert(p: int, ctx: FieldContext) -> bool:
-    """Whether the odd prime p stays prime in the field: (delta|p) = -1.
-
-    Primes dividing delta (ramified) and p = 2 are rejected outright; the
-    caller supplies primality.
-    """
-    if p == 2:
-        raise ValueError("p = 2 is never inert here")
-    if p < 3 or p % 2 == 0:
-        raise ValueError(f"need an odd prime, got {p}")
-    if ctx.delta % p == 0:
-        raise ValueError(f"{p} divides delta {ctx.delta} (ramified)")
-    return jacobi(ctx.delta, p) == -1
 
 
 def square_guard(a: QuadElem) -> bool:

@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .arith import crt, factorize, li, primes_in_class, primes_up_to, totient
+from .arith import factorize, li, prime_array, primes_in_class, primes_up_to, totient
 from .construction import Congruence
 
 T0_THRESHOLD = 4.42
@@ -48,6 +48,8 @@ class SieveConfig:
             raise ValueError(f"gcd(u, v) = gcd({self.u}, {self.v}) != 1")
         if not 0 < self.delta1 < 0.125:
             raise ValueError(f"need 0 < delta1 < 1/8, got {self.delta1}")
+        if not self.c2 >= 0:
+            raise ValueError(f"need c2 >= 0, got {self.c2}")
         if self.congruence is not None and (
             self.congruence.u != self.u or self.congruence.v != self.v
         ):
@@ -96,15 +98,6 @@ def rho(d: int) -> int:
     return out
 
 
-def unit_square_roots(d: int) -> List[int]:
-    """The m counted by rho(d), ascending (enumeration; d <= 10**6)."""
-    if not 1 <= d <= 10**6:
-        raise ValueError(f"need 1 <= d <= 10**6, got {d}")
-    m = np.arange(1, d + 1, dtype=np.int64)
-    ok = ((m * m - 1) % d == 0) & (np.gcd(m, d) == 1)
-    return [int(t) for t in m[ok]]
-
-
 def omega(d: int) -> Fraction:
     """The local weight 2^nu(d) * d / phi(d) for squarefree d, exact."""
     f = factorize(d)
@@ -127,28 +120,13 @@ class SieveRow:
 
 def count_Ad(cfg: SieveConfig, d: int) -> SieveRow:
     """Exact |A_d| = #{p <= x, p = u (mod v), d | p^2 - 1} by enumeration."""
-    f = factorize(d)
-    if not f.is_squarefree:
-        raise ValueError(f"need squarefree d, got {d}")
+    w = omega(d)  # raises for d that is not squarefree
     if math.gcd(d, cfg.v) != 1:
         raise ValueError(f"d = {d} shares a factor with v = {cfg.v}")
     r = cfg.class_primes % d  # reduce first: p * p wraps int64 past 3.04e9
     cnt = int(np.count_nonzero(r * r % d == 1 % d))
-    main = float(Fraction(2**f.nu, f.totient())) * cfg.big_x
+    main = float(w / d) * cfg.big_x
     return SieveRow(d, rho(d), cnt, main, cnt - main)
-
-
-def count_Ad_by_classes(cfg: SieveConfig, d: int) -> int:
-    """|A_d| again, but as a sum of progression counts over the rho(d)
-    residue classes m (mod d) with m^2 = 1, glued to u (mod v) by CRT.
-    Independent route used to cross-check count_Ad."""
-    if math.gcd(d, cfg.v) != 1:
-        raise ValueError(f"d = {d} shares a factor with v = {cfg.v}")
-    total = 0
-    for m in unit_square_roots(d):
-        l_m, mod = crt([(cfg.u, cfg.v), (m, d)])
-        total += primes_in_class(l_m, mod, 0, cfg.x).size
-    return total
 
 
 def ledger(cfg: SieveConfig, d_hi: int) -> List[SieveRow]:
@@ -228,8 +206,12 @@ def remainder_sum(cfg: SieveConfig) -> RemainderSum:
     For X <= 1, log X <= 0 leaves that ceiling undefined (negative, complex
     or a division by zero), so none is reported."""
     big_x = cfg.big_x
-    bound = math.sqrt(big_x) / math.log(cfg.x) ** cfg.c2
-    d_bound = int(math.ceil(bound)) - 1  # strict d < bound
+    # log D = log(X)/2 - c2 * log(log x): a large c2 underflows D to 0, an
+    # empty window, where (log x)^c2 itself would overflow
+    log_d = -math.inf
+    if big_x > 0:
+        log_d = 0.5 * math.log(big_x) - cfg.c2 * math.log(math.log(cfg.x))
+    d_bound = math.ceil(math.exp(log_d)) - 1  # strict d < D
     rows = ledger(cfg, d_bound)
     total = 0.0
     for row in rows:
@@ -241,19 +223,34 @@ def remainder_sum(cfg: SieveConfig) -> RemainderSum:
     return RemainderSum(total, ceiling, d_bound, len(rows))
 
 
+# Cells of the (prime, q) residue table survivor_mask tests at once: bounds
+# its memory whatever x and z are.
+SURVIVOR_CELLS = 2**16
+
+
+def survivor_mask(ps: np.ndarray, z: int, v: int) -> np.ndarray:
+    """For each prime p of the int64 array ps, whether p^2 - 1 has no prime
+    factor q < z with q not dividing v.  A prime q divides p^2 - 1 exactly
+    when p = +-1 (mod q), so each block of q is one residue table over the
+    primes not yet struck out."""
+    qs = prime_array(z - 1)
+    qs = qs[np.fromiter((v % q != 0 for q in qs.tolist()), bool, qs.size)]
+    alive = np.arange(ps.size)
+    lo = 0
+    while lo < qs.size and alive.size:
+        q = qs[lo : lo + max(1, SURVIVOR_CELLS // alive.size)]
+        r = ps[alive, None] % q
+        alive = alive[~((r == 1) | (r == q - 1)).any(axis=1)]
+        lo += q.size
+    mask = np.zeros(ps.size, dtype=bool)
+    mask[alive] = True
+    return mask
+
+
 def survivor_count(cfg: SieveConfig) -> int:
     """Number of primes p <= x in the class whose p^2 - 1 has no prime
-    factor q < z with q not dividing v (trial division, short-circuit)."""
-    small = [q for q in primes_up_to(cfg.z - 1) if cfg.v % q != 0]
-    n = 0
-    for p in cfg.class_primes.tolist():
-        t = p * p - 1
-        for q in small:
-            if t % q == 0:
-                break
-        else:
-            n += 1
-    return n
+    factor q < z with q not dividing v."""
+    return int(np.count_nonzero(survivor_mask(cfg.class_primes, cfg.z, cfg.v)))
 
 
 @dataclass(frozen=True)

@@ -21,16 +21,17 @@ from quadartin.experiments import (
     lemma42_scan,
     order_scan,
 )
-from quadartin.fp2 import Fp2Context, order_record, reduce_elem
+from quadartin.fp2 import Fp2Context, order_record
 from quadartin.quadfield import FieldContext, conjugate, norm
 from quadartin.sieve import (
     SieveConfig,
     count_Ad,
-    count_Ad_by_classes,
     mertens_check,
     product_lower,
     rho,
 )
+
+from oracles import count_Ad_by_classes, reduce_elem
 
 DELTAS = (2, 3, 5, 13)
 INSTANCES = ((-4, 5), (-1, 5), (-11, 5), (11, 5), (-12, 13), (-1, 2))

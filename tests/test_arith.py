@@ -14,7 +14,6 @@ from scipy.integrate import quad
 from quadartin.arith import (
     Factorization,
     NonCoprimeModuliError,
-    count_progression,
     crt,
     factor_rows,
     factorize,
@@ -22,7 +21,6 @@ from quadartin.arith import (
     is_square,
     jacobi,
     li,
-    max_error,
     padic_valuation,
     powmod,
     prime_array,
@@ -33,6 +31,8 @@ from quadartin.arith import (
     smallest_factor_table,
     totient,
 )
+
+from oracles import count_progression, max_error, mu
 
 
 def trial_is_prime(n):
@@ -242,13 +242,13 @@ def test_factorization_properties():
     assert f.primes == (2, 3, 5)
     assert f.nu == 3
     assert not f.is_squarefree
-    assert f.mu == 0
+    assert mu(f) == 0
     assert f.totient() == 192
     g = factorize(30)
     assert g.is_squarefree
-    assert g.mu == -1
-    assert factorize(1).mu == 1
-    assert factorize(6).mu == 1
+    assert mu(g) == -1
+    assert mu(factorize(1)) == 1
+    assert mu(factorize(6)) == 1
 
 
 def test_totient_vs_brute_force():

@@ -236,6 +236,15 @@ def test_sieve_bad_z_is_config_error(tmp_path):
     assert code == 4
 
 
+def test_sieve_large_c2_gives_empty_window(tmp_path):
+    # (log x)^c2 overflows a float here; the level D underflows to 0 instead
+    code, out = run(tmp_path, "sieve", dict(SIEVE_CFG, c2=1000))
+    assert code == 0
+    report = json.loads((out / "sieve_report.json").read_text())
+    assert report["remainder_d_bound"] == -1
+    assert report["remainder_total"] == 0
+
+
 # These a give the class 547 or 563 mod 720 with delta = 5, on which a is a
 # square mod every prime; the eight a the benchmark draws keep (a|p) = -1.
 BROKEN_CLASS_A = [-2, 6, -6, 10]
@@ -408,7 +417,8 @@ def test_independence_needs_input(tmp_path):
 
 # Each of these used to exit 1 with a traceback, or to run with a meaning
 # other than the one written: a truncated float, a negative bound read as
-# "none", a string read as a list or as true.
+# "none", a string read as a list or as true, a negative c2 that put the
+# remainder window above sqrt(X).
 MALFORMED = {
     "scan-member-zero": ("scan", dict(SCAN_CFG, members=[[0, 0]])),
     "scan-member-float": ("scan", dict(SCAN_CFG, members=[[1.5, 1]])),
@@ -423,6 +433,7 @@ MALFORMED = {
     "construct-verify-negative": ("construct", {"a": -4, "delta": 5, "verify_bound": -3}),
     "sieve-prime-max-fraction": ("sieve", dict(SIEVE_CFG, prime_max=10000.7)),
     "sieve-d-max-negative": ("sieve", dict(SIEVE_CFG, d_max=-5)),
+    "sieve-c2-negative": ("sieve", dict(SIEVE_CFG, c2=-1)),
     "independence-divide-by-zero": ("independence", {"values": ["1/0"]}),
     "independence-value-zero": ("independence", {"values": [0]}),
     "independence-values-string": ("independence", {"values": "12"}),

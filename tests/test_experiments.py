@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from quadartin import experiments
+from quadartin.construction import InvariantError
 from quadartin.arith import (
     is_prime,
     jacobi,
@@ -28,11 +29,11 @@ from quadartin.experiments import (
     mult_indep_rational,
     order_scan,
     pigeonhole_report,
-    remark12_verify,
-    subgroup_size,
     subgroup_sizes,
 )
 from quadartin.quadfield import FieldContext, conjugate, m_ratio, norm
+
+from oracles import remark12_verify, subgroup_size
 
 
 @pytest.fixture
@@ -239,6 +240,13 @@ def test_indep_relation_verifies_exactly():
         for t, e in zip(vals, v.relation):
             prod *= t**e
         assert prod in (1, -1)
+
+
+def test_indep_unverified_relation_raises(monkeypatch):
+    # a kernel vector whose product is not +-1 is an invariant failure
+    monkeypatch.setattr(experiments, "_kernel_vector", lambda mat: (1, 1))
+    with pytest.raises(InvariantError):
+        mult_indep_rational([Fraction(2), Fraction(3)])
 
 
 # ---------------------------------------------------------------------------
@@ -456,3 +464,11 @@ def test_pigeonhole_counts_bounded_by_rows(fam3):
     n = len(rep.rows)
     for c in rep.minus_attained + rep.plus_attained + rep.full_attained:
         assert 0 <= c <= n
+
+
+def test_pigeonhole_too_many_large_factors_raises():
+    # at x = 2 the threshold is 1, so 257 survives, and 257 - 1 = 2^8 has
+    # 8 factors above it on one side
+    fam = AlphaFamily.from_coords(5, [(2, 1), (3, 2)])
+    with pytest.raises(InvariantError, match="257"):
+        pigeonhole_report(fam, [257], x=2)

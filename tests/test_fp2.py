@@ -5,21 +5,16 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadartin import fp2
 from quadartin.arith import factorize, is_prime, jacobi, primes_up_to
 from quadartin.experiments import AlphaFamily, order_scan
-from quadartin.fp2 import (
-    Fp2Context,
-    Fp2Elem,
-    OrderChainError,
-    OrderRecord,
-    frobenius,
-    mult_order,
-    order_record,
-    reduce_elem,
-)
-from quadartin.quadfield import FieldContext, conjugate, is_inert, norm
+from quadartin.fp2 import Fp2Context, OrderChainError, OrderRecord, order_record
+from quadartin.quadfield import FieldContext, conjugate, norm
+
+from oracles import Fp2Elem, frobenius, group_primes, is_inert, mult_order, reduce_elem
 
 
 def inert_primes_under(delta, bound):
@@ -52,7 +47,7 @@ def test_for_prime_accepts_inert(c7):
     assert c7.delta_mod_p == 5
     assert c7.fact_pm1.value == 6
     assert c7.fact_pp1.value == 8
-    assert c7.group_primes == (2, 3)
+    assert group_primes(c7) == (2, 3)
 
 
 def test_for_prime_rejects_split_ramified_and_two():
@@ -354,6 +349,20 @@ def test_order_record_broken_chain_raises(monkeypatch):
     monkeypatch.setattr(fp2, "_order_mod_p", lambda a, n, qs, p: 1)
     with pytest.raises(OrderChainError):
         order_record(FieldContext(5).integer(3, 2), Fp2Context.for_prime(7, FieldContext(5)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_pow_raw_is_repeated_mul_raw(data):
+    delta = data.draw(st.sampled_from([2, 3, 5, 13]))
+    p = data.draw(st.sampled_from(inert_primes_under(delta, 10**4)))
+    c0, c1 = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
+    e = data.draw(st.integers(0, 300))
+    d = delta % p
+    acc = (1, 0)
+    for _ in range(e):
+        acc = fp2._mul_raw(*acc, c0, c1, p, d)
+    assert fp2._pow_raw(c0, c1, e, p, d) == acc
 
 
 @pytest.mark.parametrize("target", ["factorize", "_order_mod_p"])

@@ -12,7 +12,6 @@ from quadartin.sieve import (
     T0_THRESHOLD,
     SieveConfig,
     count_Ad,
-    count_Ad_by_classes,
     mertens_check,
     omega,
     product_lower,
@@ -21,8 +20,10 @@ from quadartin.sieve import (
     sieve_bound_report,
     sieving_limit,
     survivor_count,
-    unit_square_roots,
+    survivor_mask,
 )
+
+from oracles import count_Ad_by_classes, survivors_by_trial_division, unit_square_roots
 
 
 def brute_rho(d):
@@ -105,6 +106,8 @@ def test_config_validation():
         SieveConfig(1000, 2, 4, 6)  # shared factor
     with pytest.raises(ValueError):
         SieveConfig(1000, 1, 4, 6, delta1=0.2)
+    with pytest.raises(ValueError):
+        SieveConfig(1000, 1, 4, 6, c2=-1)  # window above sqrt(X)
 
 
 def test_big_x():
@@ -276,6 +279,17 @@ def test_survivors_respect_v_exclusion():
     # divides v, so sieving below 7 removes nothing
     cfg = SieveConfig(10**5, 547, 720, 6)
     assert survivor_count(cfg) == count_Ad(cfg, 1).count
+
+
+@pytest.mark.parametrize("x, u, v", [(10**4, 1, 4), (10**5, 547, 720), (10**5, 3, 8), (2 * 10**4, 1, 1)])
+def test_survivor_mask_matches_trial_division(x, u, v):
+    cfg = SieveConfig(x, u, v, 2)
+    ps = cfg.class_primes
+    # z = 2 sieves nothing; then the default z, a middle z and z near x
+    for z in (2, max(2, sieving_limit(x)), 1000, x - 1):
+        got = survivor_mask(ps, z, v)
+        assert got.tolist() == survivors_by_trial_division(ps.tolist(), z, v), (z, v)
+        assert survivor_count(SieveConfig(x, u, v, z)) == int(got.sum())
 
 
 def test_report_threshold_classification():
