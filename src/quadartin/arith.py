@@ -1,6 +1,6 @@
 """Exact integer utilities: primality, factorization (scalar, and array-wise
-from a smallest-factor table), array modular powers, Jacobi symbols, CRT,
-and the logarithmic integral.
+from a smallest-factor table or by trial division), array modular powers,
+Jacobi symbols, CRT, and the logarithmic integral.
 
 Everything here is deterministic.  The only randomized internals (Pollard rho
 restarts) draw from a fixed seed that can be overridden with set_rho_seed.
@@ -153,6 +153,26 @@ def factor_rows(n: np.ndarray, spf: np.ndarray) -> Tuple[np.ndarray, np.ndarray,
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty
     return np.concatenate(rows_i), np.concatenate(rows_q), np.concatenate(rows_e)
+
+
+def trial_rows(n: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The prime-power rows (i, q, e) of factor_rows for the int64 array n,
+    by trial division by every prime up to isqrt(max(n)): no table up to
+    max(n) is built.  Whatever is left of n[i] after them is 1 or prime.
+    Rows come by ascending q, then the prime cofactors."""
+    idx = np.flatnonzero(n > 1)
+    m = n[idx]
+    rows = []
+    for q in prime_array(math.isqrt(int(m.max()) if m.size else 1)).tolist():
+        j = np.flatnonzero(m % q == 0)
+        e = np.zeros(j.size, dtype=np.int64)
+        while (k := np.flatnonzero(m[j] % q == 0)).size:
+            m[j[k]] //= q
+            e[k] += 1
+        rows.append((idx[j], np.full(j.size, q, dtype=np.int64), e))
+    big = np.flatnonzero(m > 1)
+    rows.append((idx[big], m[big], np.ones(big.size, dtype=np.int64)))
+    return tuple(np.concatenate(t) for t in zip(*rows))
 
 
 def powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:

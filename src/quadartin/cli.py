@@ -119,6 +119,8 @@ _DELTA = "an integer > 1 that is not a square"
 _BOUND = "an integer >= 2"
 _P0_BOUND = _Key(_BOUND, partial(_int, lo=2), 10**4)
 _REAL = "a finite number"
+# prime arrays are int64
+_PRIME_MAX = _Key("an integer in [2, 2**63)", partial(_int, lo=2, hi=2**63))
 
 # Every key each subcommand reads.  main converts a config through its
 # command's table before dispatch, so each cmd_* gets typed values only.
@@ -133,7 +135,7 @@ CONFIG_SCHEMA: Dict[str, Dict[str, _Key]] = {
         "delta": _Key(_DELTA, _delta),
         "members": _Key("a non-empty list of [x, y] integer pairs, not both 0", _each(_pair)),
         "prime_min": _Key("an integer >= 0", partial(_int, lo=0)),
-        "prime_max": _Key(_BOUND, partial(_int, lo=2)),
+        "prime_max": _PRIME_MAX,
         "use_congruence": _Key("true or false", lambda v: _ok(v, type(v) is bool), False),
         "a": _Key(_NONZERO, _nonzero, None),
         "p0_bound": _P0_BOUND,
@@ -141,7 +143,7 @@ CONFIG_SCHEMA: Dict[str, Dict[str, _Key]] = {
     "sieve": {
         "a": _Key(_NONZERO, _nonzero),
         "delta": _Key(_DELTA, _delta),
-        "prime_max": _Key(_BOUND, partial(_int, lo=2)),
+        "prime_max": _PRIME_MAX,
         "p0_bound": _P0_BOUND,
         "d_max": _Key("an integer >= 1", partial(_int, lo=1), 100),
         "z": _Key(_BOUND, partial(_int, lo=2), None),

@@ -6,18 +6,21 @@ pigeonhole bookkeeping that splits p^2 - 1 into its p - 1 and p + 1 sides.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import logging
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .arith import (
+    SPF_LIMIT,
     factor_rows,
     factorize,
     jacobi,
@@ -26,9 +29,18 @@ from .arith import (
     primes_in_class,
     residues,
     smallest_factor_table,
+    trial_rows,
 )
 from .construction import InvariantError
-from .fp2 import Fp2Context, OrderChainError, OrderRecord, order_record
+from .fp2 import (
+    Fp2Context,
+    OrderChainError,
+    OrderRecord,
+    Rows,
+    descend,
+    order_arrays,
+    order_record,
+)
 from .quadfield import FieldContext, QuadElem, norm
 from .sieve import sieving_limit, survivor_mask
 
@@ -96,12 +108,30 @@ class AlphaFamily:
         return tuple(int(norm(a)) for a in self.members)
 
 
+# Primes per kernel block, in the scan and lemma42 alike: bounds the
+# (prime, q, e) row arrays, and with them the kernels' memory, whatever
+# prime_max is.
+PRIME_BLOCK = 2**13
+
+
+def _ramified_split(delta: int, ps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Masks of the int64 primes ps < 2**31 that are 2 or ramify, and of the
+    others that split: delta is a square mod p, by Euler's criterion."""
+    dm = residues(delta, ps)
+    ramified = (ps == 2) | (dm == 0)
+    split = ~ramified & (powmod(dm, (ps - 1) // 2, ps) != ps - 1)
+    return ramified, split
+
+
 def inert_primes(ctx: FieldContext, lo: int, hi: int) -> List[int]:
     """Odd inert primes in [lo, hi] for the field.  Ramified primes have
     (delta|p) = 0 and are left out with the split ones."""
     ps = prime_array(hi)
-    odd = ps[np.searchsorted(ps, max(lo, 3)) :].tolist()
-    return [p for p in odd if jacobi(ctx.delta, p) == -1]
+    ps = ps[np.searchsorted(ps, max(lo, 3)) :]
+    small = ps[ps < SPF_LIMIT]
+    ramified, split = _ramified_split(ctx.delta, small)
+    big = ps[small.size :].tolist()
+    return small[~(ramified | split)].tolist() + [p for p in big if jacobi(ctx.delta, p) == -1]
 
 
 def congruence_primes(u: int, v: int, lo: int, hi: int) -> List[int]:
@@ -137,49 +167,85 @@ class ScanSummary:
         return self.attained_family / self.prime_count if self.prime_count else 0.0
 
 
-def _order_pass(
-    family: AlphaFamily, primes: Iterable[int]
-) -> Iterator[Tuple[int, Optional[Fp2Context], List[OrderRecord]]]:
-    """The one per-prime pass behind every scan.
+class OrderBlock(NamedTuple):
+    """Orders at the usable primes of one block of a scan.  p holds those
+    primes; ord_alpha, ord_n, ord_m and attained have one row per prime and
+    one column per member; skipped counts the block's other primes.  The
+    arrays are int64 below 2**31 and hold Python ints past it."""
 
-    Yields (p, context, records) with one order record per member, each
-    checked against the order chain as it is computed, or (p, None, [])
-    for a prime that is 2 or ramified, splits, or divides a member's norm.
-    A broken chain raises RemarkViolation naming the prime and member.
-    """
-    field = family.ctx
-    delta = field.delta
-    for p in primes:
-        if p == 2 or delta % p == 0:
-            why = "p = 2 or ramified"
-        elif jacobi(delta, p) != -1:
-            why = "split"
-        elif any(n % p == 0 for n in family.norms):
-            why = "divides a member norm"
-        else:
-            why = None
-        if why is not None:
-            log.debug("skipping p = %d (%s)", p, why)
-            yield p, None, []
-            continue
-        fctx = Fp2Context.for_prime(p, field)
-        recs = []
+    p: np.ndarray
+    ord_alpha: np.ndarray
+    ord_n: np.ndarray
+    ord_m: np.ndarray
+    attained: np.ndarray
+    skipped: int
+
+
+def _order_pass(family: AlphaFamily, plist: List[int]) -> Iterator[OrderBlock]:
+    """The one pass behind every scan, over the ascending primes plist in
+    blocks of PRIME_BLOCK: the array kernel below 2**31, order_record past
+    it.  A broken order chain raises RemarkViolation at the first failing
+    (p, member) in (p, member) order."""
+    cut = bisect.bisect_left(plist, SPF_LIMIT)
+    small = np.array(plist[:cut], dtype=np.int64)
+    for lo in range(0, cut, PRIME_BLOCK):
+        yield _kernel_block(family, small[lo : lo + PRIME_BLOCK])
+    for lo in range(cut, len(plist), PRIME_BLOCK):
+        yield _scalar_block(family, plist[lo : lo + PRIME_BLOCK])
+
+
+def _kernel_block(family: AlphaFamily, ps: np.ndarray) -> OrderBlock:
+    """One block of int64 primes below 2**31 through the array kernel."""
+    ramified, split = _ramified_split(family.ctx.delta, ps)
+    divides = ~(ramified | split) & np.any(
+        [residues(n, ps) == 0 for n in family.norms], axis=0
+    )
+    skip = ramified | split | divides
+    log.debug("skipping %d primes: %d p = 2 or ramified, %d split, %d divide a member norm",
+              skip.sum(), ramified.sum(), split.sum(), divides.sum())
+    p = ps[~skip]
+    # the outputs are allocated before the kernel's temporaries, so the
+    # heap those used can be given back once they are freed
+    shape = (p.size, len(family.members))
+    ord_alpha, ord_n, ord_m = (np.empty(shape, dtype=np.int64) for _ in range(3))
+    attained, chain_ok = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+    d = residues(family.ctx.delta, p)
+    minus, plus = trial_rows(p - 1), trial_rows(p + 1)
+    for m, a in enumerate(family.members):
+        c0, c1 = residues(int(a.x), p), residues(int(a.y), p)
+        (ord_alpha[:, m], ord_n[:, m], ord_m[:, m], attained[:, m],
+         chain_ok[:, m]) = order_arrays(c0, c1, p, d, minus, plus)
+    if not chain_ok.all():
+        j, m = np.argwhere(~chain_ok)[0]
+        raise RemarkViolation(
+            int(p[j]),
+            family.labels[m],
+            f"ord_N = {ord_n[j, m]}, ord_M = {ord_m[j, m]} and ord_alpha = "
+            f"{ord_alpha[j, m]} break the order chain at p = {p[j]}",
+        )
+    return OrderBlock(p, ord_alpha, ord_n, ord_m, attained, int(skip.sum()))
+
+
+def _scalar_block(family: AlphaFamily, ps: List[int]) -> OrderBlock:
+    """The same block from order_record, for primes past the kernel's bound."""
+    delta = family.ctx.delta
+    usable = [p for p in ps if p != 2 and delta % p and jacobi(delta, p) == -1
+              and all(n % p for n in family.norms)]
+    recs = []
+    for p in usable:
+        fctx = Fp2Context.for_prime(p, family.ctx)
         for label, a in zip(family.labels, family.members):
             try:
                 recs.append(order_record(a, fctx))
             except OrderChainError as e:
                 raise RemarkViolation(p, label, str(e)) from e
-        yield p, fctx, recs
+    cols = [np.array([getattr(r, f) for r in recs], dtype=bool if f == "attained" else object)
+            .reshape(-1, len(family.members)) for f in ("ord_alpha", "ord_n", "ord_m", "attained")]
+    return OrderBlock(np.array(usable, dtype=object), *cols, len(ps) - len(usable))
 
 
-def _scan_block(args) -> List[Tuple[int, int, Optional[OrderRecord]]]:
-    family, primes = args
-    rows: List[Tuple[int, int, Optional[OrderRecord]]] = []
-    for p, fctx, recs in _order_pass(family, primes):
-        if fctx is None:
-            rows.append((p, -1, None))
-        rows.extend((p, i, r) for i, r in enumerate(recs))
-    return rows
+def _scan_blocks(args) -> List[OrderBlock]:
+    return list(_order_pass(*args))
 
 
 def order_scan(
@@ -191,45 +257,45 @@ def order_scan(
 
     Primes that are not inert, ramify, or divide some member's norm are
     skipped (logged and counted), not fatal.  Records come back sorted by
-    (p, member position) regardless of worker count.
+    (p, member position).
     """
     plist = sorted(set(int(p) for p in primes))
-    if workers > 1 and len(plist) > 64:
-        chunks = [plist[i::workers] for i in range(workers)]
-        args = [(family, c) for c in chunks if c]
-        rows: List[Tuple[int, int, Optional[OrderRecord]]] = []
+    # Measured on dense scans: two workers lose on one block of primes (to
+    # 1e5) and win on several (to 1e6).
+    if workers > 1 and len(plist) > PRIME_BLOCK:
+        size = -(-len(plist) // workers)
+        args = [(family, plist[i : i + size]) for i in range(0, len(plist), size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_scan_block, args):
-                rows.extend(part)
+            blocks = [b for part in pool.map(_scan_blocks, args) for b in part]
     else:
-        rows = _scan_block((family, plist))
-    rows.sort(key=lambda r: (r[0], r[1]))
-
+        blocks = _order_pass(family, plist)
+    labels = family.labels
     records: List[Tuple[str, OrderRecord]] = []
-    per_member = [0] * len(family.members)
-    family_attained = 0
-    histogram: Dict[int, int] = {}
-    skipped = 0
-    seen_primes = set()
-    attained_primes = set()
-    for p, i, rec in rows:
-        if rec is None:
-            skipped += 1
-            continue
-        seen_primes.add(p)
-        records.append((family.labels[i], rec))
-        if rec.attained:
-            per_member[i] += 1
-            attained_primes.add(p)
-        idx = (p * p - 1) // rec.ord_alpha
-        histogram[idx] = histogram.get(idx, 0) + 1
+    per_member = np.zeros(len(labels), dtype=np.int64)
+    prime_count = skipped = family_attained = 0
+    histogram: Counter = Counter()
+    for b in blocks:
+        prime_count += b.p.size
+        skipped += b.skipped
+        per_member += b.attained.sum(axis=0)
+        family_attained += int(b.attained.any(axis=1).sum())
+        histogram.update(((b.p * b.p - 1)[:, None] // b.ord_alpha).ravel().tolist())
+        # records in runs of 512 primes, so the lists they are built from
+        # stay small next to the records themselves
+        for lo in range(0, b.p.size, 512):
+            run = slice(lo, lo + 512)
+            cols = zip(*(a[run].ravel().tolist()
+                         for a in (b.ord_alpha, b.ord_n, b.ord_m, b.attained)))
+            records += [
+                (lab, OrderRecord(p, *next(cols))) for p in b.p[run].tolist() for lab in labels
+            ]
     summary = ScanSummary(
-        len(seen_primes),
+        prime_count,
         skipped,
-        family.labels,
-        tuple(per_member),
-        len(attained_primes),
-        histogram,
+        labels,
+        tuple(per_member.tolist()),
+        family_attained,
+        dict(histogram),
     )
     return records, summary
 
@@ -427,17 +493,12 @@ def lemma42_scan(
     return GrowthFit(x, tuple(gens), samples, slope, int(keep.size))
 
 
-# Primes per kernel block: bounds the (prime, q, e) row arrays, and with
-# them the kernel's memory, whatever prime_max is.
-SUBGROUP_BLOCK = 2**13
-
-
 def _subgroup_block(args) -> np.ndarray:
     gens, x, ps = args
     spf = smallest_factor_table(x)
     sizes = np.empty(ps.size, dtype=np.int64)
-    for lo in range(0, ps.size, SUBGROUP_BLOCK):
-        block = ps[lo : lo + SUBGROUP_BLOCK]
+    for lo in range(0, ps.size, PRIME_BLOCK):
+        block = ps[lo : lo + PRIME_BLOCK]
         sizes[lo : lo + block.size] = subgroup_sizes(block, gens, spf)
     return sizes
 
@@ -472,19 +533,7 @@ def subgroup_sizes(ps: np.ndarray, gens: Sequence[int], spf: np.ndarray) -> np.n
     pd, qd, ed = p[d], q[d], e[d]
     for g_res in res[:, i[d]]:
         h = powmod(g_res, (pd - 1) // qd**ed, pd)
-        steps = np.zeros(d.size, dtype=np.int64)
-        live = np.flatnonzero(h != 1)
-        while live.size:
-            over = live[steps[live] >= ed[live]]
-            if over.size:
-                r = over[0]
-                raise ArithmeticError(
-                    f"descent for q = {int(qd[r])} at p = {int(pd[r])} "
-                    f"exceeds e = {int(ed[r])} steps"
-                )
-            h[live] = powmod(h[live], qd[live], pd[live])
-            steps[live] += 1
-            live = live[h[live] != 1]
+        steps = descend(h, pd, qd, ed, lambda h, r: powmod(h, qd[r], pd[r]), lambda h: h == 1)
         k[d] = np.maximum(k[d], steps)
 
     sizes = np.ones(ps.size, dtype=np.int64)
@@ -494,6 +543,15 @@ def subgroup_sizes(ps: np.ndarray, gens: Sequence[int], spf: np.ndarray) -> np.n
 
 # ---------------------------------------------------------------------------
 # pigeonhole bookkeeping
+
+def _rows_of(n: np.ndarray) -> Rows:
+    """The (i, q, e) rows of n: by trial division for int64 n, by factorize
+    for Python ints past the kernel's bound."""
+    if n.dtype != object:
+        return trial_rows(n)
+    flat = [(i, q, e) for i, x in enumerate(n.tolist()) for q, e in factorize(x).factors]
+    return tuple(np.array(flat, dtype=np.int64).reshape(-1, 3).T)
+
 
 @dataclass(frozen=True)
 class PigeonholeRow:
@@ -556,55 +614,39 @@ def pigeonhole_report(
     threshold = sieving_limit(x, delta1)
     rows: List[PigeonholeRow] = []
     k = len(family.members)
-    minus_att = [0] * k
-    plus_att = [0] * k
-    full_att = [0] * k
+    minus_att = np.zeros(k, dtype=np.int64)
+    plus_att = np.zeros(k, dtype=np.int64)
+    full_att = np.zeros(k, dtype=np.int64)
     max_m = 0
-    survivors = survivor_mask(np.array(plist, dtype=np.int64), threshold + 1, v_excluded)
-    is_survivor = dict(zip(plist, survivors.tolist()))
-    for p, fctx, recs in _order_pass(family, plist):
-        if fctx is None:
-            continue
-        if p % 3 == 1:
-            d_minus, d_plus = 12, 2
-        else:
-            d_minus, d_plus = 4, 6
-        m_minus = sum(
-            e for q, e in fctx.fact_pm1.factors if q > threshold
+    for b in _order_pass(family, plist):
+        p = b.p
+        # prime factors above the threshold, with multiplicity, per side
+        m_minus, m_plus = (
+            np.bincount(i, e * (q > threshold), minlength=p.size).astype(np.int64)
+            for i, q, e in (_rows_of(p - 1), _rows_of(p + 1))
         )
-        m_plus = sum(e for q, e in fctx.fact_pp1.factors if q > threshold)
-        survivor = is_survivor[p]
-        if survivor:
-            if m_minus > 7 or m_plus > 7:
-                raise InvariantError(
-                    f"survivor p = {p} has {max(m_minus, m_plus)} large factors on one side"
-                )
-            max_m = max(max_m, m_minus, m_plus)
-        rows.append(
-            PigeonholeRow(
-                p,
-                survivor,
-                d_minus,
-                d_plus,
-                m_minus,
-                m_plus,
-                (p - 1) % d_minus == 0,
-                (p + 1) % d_plus == 0,
-            )
-        )
-        for i, r in enumerate(recs):
-            if r.ord_n * d_minus >= p - 1:
-                minus_att[i] += 1
-            if r.ord_m * d_plus >= p + 1:
-                plus_att[i] += 1
-            if r.attained:
-                full_att[i] += 1
+        survivor = survivor_mask(p.astype(np.int64), threshold + 1, v_excluded)
+        worst = np.maximum(m_minus, m_plus)
+        over = np.flatnonzero(survivor & (worst > 7))
+        if over.size:
+            j = over[0]
+            raise InvariantError(f"survivor p = {p[j]} has {worst[j]} large factors on one side")
+        max_m = max(max_m, int(worst[survivor].max(initial=0)))
+        one_mod_3 = (p % 3 == 1).astype(bool)
+        d_minus = np.where(one_mod_3, 12, 4)
+        d_plus = np.where(one_mod_3, 2, 6)
+        cols = (p, survivor, d_minus, d_plus, m_minus, m_plus,
+                (p - 1) % d_minus == 0, (p + 1) % d_plus == 0)
+        rows += [PigeonholeRow(*r) for r in zip(*(c.tolist() for c in cols))]
+        minus_att += (b.ord_n * d_minus[:, None] >= (p - 1)[:, None]).astype(bool).sum(axis=0)
+        plus_att += (b.ord_m * d_plus[:, None] >= (p + 1)[:, None]).astype(bool).sum(axis=0)
+        full_att += b.attained.sum(axis=0)
     return PigeonholeReport(
         threshold,
         tuple(rows),
         family.labels,
-        tuple(minus_att),
-        tuple(plus_att),
-        tuple(full_att),
+        tuple(minus_att.tolist()),
+        tuple(plus_att.tolist()),
+        tuple(full_att.tolist()),
         max_m,
     )

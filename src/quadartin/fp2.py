@@ -2,27 +2,34 @@
 inert prime p.
 
 Elements are pairs (c0, c1) meaning c0 + c1*s where s^2 = delta mod p.  The
-group of units is cyclic of order p^2 - 1; orders are computed exactly from
-the factorizations of p - 1 and p + 1 held by the context.
+group of units is cyclic of order p^2 - 1.  Orders come from the order
+chain instead of a descent from p^2 - 1.  Frobenius is the p-power map, so
+alpha^(p+1) = N(alpha) lies in F_p^* and alpha^(p-1) = conj(alpha)/alpha =
+M has norm 1.  ord N is found over the primes of p - 1, ord M over the
+primes of p + 1, each by Cohen's descent from a factored group order (GTM
+138, Alg. 1.4.3).  Every odd prime divides at most one of p - 1 and p + 1,
+and 2 divides one of them exactly once, so with L = lcm(ord N, ord M) the
+order of alpha is L or 2L; one power alpha^L decides which.  If alpha^(2L)
+is not 1 either, the chain is broken.
 
-order_record derives ord(alpha) from the order chain instead of descending
-from p^2 - 1.  Frobenius is the p-power map, so alpha^(p+1) = N(alpha) lies
-in F_p^* and alpha^(p-1) = conj(alpha)/alpha = M has norm 1.  ord N is found
-over the primes of p - 1 with native pow, ord M over the primes of p + 1.
-Every odd prime divides at most one of p - 1 and p + 1, and 2 divides one of
-them exactly once, so with L = lcm(ord N, ord M) the order of alpha is L or
-2L; one power alpha^L decides which.  If alpha^(2L) is not 1 either, the
-chain is broken and OrderChainError is raised.  The tests keep the full
-p^2 - 1 descent as the reference the derived order is checked against.
+order_arrays runs this on int64 arrays for every prime below 2**31 at once:
+powmod in F_p and an F_p^2 ladder that reduces every product mod p, so no
+product passes p^2 < 2**62.  descend is the one descent routine, shared
+with the lemma42 subgroup sizes.  order_record is the scalar route on
+Python ints, for primes past that bound; it raises OrderChainError on a
+broken chain.  The tests keep the full p^2 - 1 descent as the reference
+both are checked against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Tuple
 
-from .arith import Factorization, factorize, jacobi
+import numpy as np
+
+from .arith import Factorization, factorize, jacobi, powmod
 from .quadfield import FieldContext, QuadElem
 
 
@@ -95,7 +102,7 @@ class Fp2Context:
             raise ValueError(f"delta = {self.delta_mod_p} is a square mod {self.p}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderRecord:
     """Orders attached to one reduced element: the element's own order, the
     order of its norm (in F_p^*), the order of its conjugate ratio, and
@@ -158,3 +165,109 @@ def order_record(a: QuadElem, ctx: Fp2Context) -> OrderRecord:
         )
     attained = 24 * ord_alpha >= p * p - 1
     return OrderRecord(p, ord_alpha, ord_n, ord_m, attained)
+
+
+# ---- array kernel: every prime below 2**31 at once ------------------------
+
+Rows = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def descend(h: np.ndarray, p, q, e, power: Callable, is_one: Callable) -> np.ndarray:
+    """Per row r, the least k with h[..., r] ** (q[r] ** k) = 1, where
+    h[..., r] = g ** (n / q[r] ** e[r]) for q[r] ** e[r] exactly dividing the
+    order n of the group mod p[r]; q ** k is then the q-part of ord g.
+    power(h, rows) returns h ** q[rows] on the given rows and is_one marks
+    the identity.  A row not at 1 after e[r] powers raises ArithmeticError
+    rather than return a wrong order."""
+    steps = np.zeros(q.size, dtype=np.int64)
+    live = np.flatnonzero(~is_one(h))
+    while live.size:
+        over = live[steps[live] >= e[live]]
+        if over.size:
+            r = over[0]
+            raise ArithmeticError(
+                f"descent for q = {int(q[r])} at p = {int(p[r])} "
+                f"exceeds e = {int(e[r])} steps"
+            )
+        h[..., live] = power(h[..., live], live)
+        steps[live] += 1
+        live = live[~is_one(h[..., live])]
+    return steps
+
+
+def _mul_array(a0, a1, b0, b1, p, d):
+    # each product of two residues is below p**2 < 2**62, each sum of two
+    # below 2**63
+    return (a0 * b0 + d * a1 % p * b1) % p, (a0 * b1 + a1 * b0) % p
+
+
+def _is_one_fp2(x: np.ndarray) -> np.ndarray:
+    return (x[0] == 1) & (x[1] == 0)
+
+
+def _pow_array(x: np.ndarray, k: np.ndarray, p: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """x ** k in F_p^2, elementwise: x has shape (2, n) with both coordinates
+    reduced mod p < 2**31, d = delta mod p, and 0 <= k < 2**63.  Left to
+    right square and multiply, the multiply only on the rows whose bit is
+    set, so no table of powers is held."""
+    c0, c1 = x
+    r0, r1 = np.ones(c0.size, dtype=np.int64), np.zeros(c0.size, dtype=np.int64)
+    for s in range(int(k.max()).bit_length() - 1 if k.size else -1, -1, -1):
+        r0, r1 = _mul_array(r0, r1, r0, r1, p, d)
+        j = np.flatnonzero((k >> s) & 1)
+        r0[j], r1[j] = _mul_array(r0[j], r1[j], c0[j], c1[j], p[j], d[j])
+    return np.stack([r0, r1])
+
+
+def _orders(g, p, n, rows: Rows, power, is_one) -> np.ndarray:
+    """ord g[..., j] in a cyclic group of order n[j] mod p[j], from the
+    prime-power rows (i, q, e) of n: each row's g ** (n / q**e) descends to
+    1 in k steps of q-th powers, and the order is the product of the q**k."""
+    i, q, e = rows
+    h = power(g[..., i], n[i] // q**e, i)
+    k = descend(h, p[i], q, e, lambda h, r: power(h, q[r], i[r]), is_one)
+    out = np.ones(n.size, dtype=np.int64)
+    np.multiply.at(out, i, q**k)
+    return out
+
+
+def _orders_mod_p(a: np.ndarray, p: np.ndarray, rows: Rows) -> np.ndarray:
+    """ord a mod p for each residue a[j] != 0 mod p[j], from the rows of p - 1."""
+    return _orders(a, p, p - 1, rows, lambda x, k, r: powmod(x, k, p[r]), lambda h: h == 1)
+
+
+def order_arrays(
+    c0: np.ndarray, c1: np.ndarray, p: np.ndarray, d: np.ndarray, minus: Rows, plus: Rows
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(ord_alpha, ord_n, ord_m, attained, chain_ok) for alpha = c0 + c1*s at
+    every inert prime p[j] < 2**31 at once: order_record's derivation on
+    int64 arrays.  c0, c1 and d = delta mod p are reduced mod p; minus and
+    plus are the (i, q, e) rows of p - 1 and p + 1.  chain_ok is False
+    where alpha^(2L) != 1 or any divisibility OrderRecord checks fails.
+    Raises ValueError where p divides the norm."""
+    nrm = (c0 * c0 - d * c1 % p * c1) % p
+    if not nrm.all():
+        raise ValueError(f"p = {int(p[np.argmin(nrm)])} divides the norm")
+    ord_n = _orders_mod_p(nrm, p, minus)
+    # conjugate ratio: (c0 - c1 s) / (c0 + c1 s) = (c0 - c1 s)^2 / norm
+    s0, s1 = _mul_array(c0, -c1 % p, c0, -c1 % p, p, d)
+    ninv = powmod(nrm, p - 2, p)
+    m = np.stack([s0 * ninv % p, s1 * ninv % p])
+    ord_m = _orders(m, p, p + 1, plus, lambda x, k, r: _pow_array(x, k, p[r], d[r]), _is_one_fp2)
+    lcm = np.lcm(ord_n, ord_m)
+    t0, t1 = _pow_array(np.stack([c0, c1]), lcm, p, d)
+    at_l = (t0 == 1) & (t1 == 0)
+    ord_alpha = np.where(at_l, lcm, 2 * lcm)
+    n = p * p - 1
+    chain_ok = (
+        (at_l | _is_one_fp2(_mul_array(t0, t1, t0, t1, p, d)))
+        & (n % ord_alpha == 0)
+        & ((p - 1) % ord_n == 0)
+        & ((p + 1) % ord_m == 0)
+        & (ord_alpha % ord_n == 0)
+        & (ord_alpha % ord_m == 0)
+        & (2 * ord_alpha % (ord_n * ord_m) == 0)
+    )
+    # ceil((p^2 - 1)/24) compared directly: 24 * ord_alpha could pass 2**63
+    attained = ord_alpha >= (n + 23) // 24
+    return ord_alpha, ord_n, ord_m, attained, chain_ok

@@ -3,8 +3,8 @@
 Each is a slow or object-level second route to an answer the package
 computes one way: prime counts by progression, the F_p^2 element API with
 the full p^2 - 1 order descent, the inertness test, the remark-12 chain
-counts, the scalar subgroup size, |A_d| split over CRT classes, and the
-trial-division survivor test.  Nothing in src/ calls them; the tests import
+counts, the scalar order scan, the scalar subgroup size, |A_d| split over
+CRT classes, and the trial-division survivor test.  Nothing in src/ calls them; the tests import
 them as `from oracles import ...` (pytest puts tests/ on sys.path).
 """
 
@@ -28,7 +28,15 @@ from quadartin.arith import (
     totient,
 )
 from quadartin.experiments import AlphaFamily, order_scan
-from quadartin.fp2 import Fp2Context, _mul_raw, _order_mod_p, _order_raw, _pow_raw
+from quadartin.fp2 import (
+    Fp2Context,
+    OrderRecord,
+    _mul_raw,
+    _order_mod_p,
+    _order_raw,
+    _pow_raw,
+    order_record,
+)
 from quadartin.quadfield import FieldContext, QuadElem
 from quadartin.sieve import SieveConfig
 
@@ -200,6 +208,25 @@ def remark12_verify(family: AlphaFamily, primes: Iterable[int]) -> Dict[str, int
     """
     records, summary = order_scan(family, primes)
     return {"checked": len(records), "skipped": summary.skipped, "violations": 0}
+
+
+def scalar_order_scan(
+    family: AlphaFamily, primes: Iterable[int]
+) -> Tuple[List[Tuple[str, OrderRecord]], int]:
+    """order_scan's records and skip count by the scalar route alone: the
+    skip rules tested prime by prime, then one Fp2Context and one
+    order_record per usable prime and member."""
+    delta = family.ctx.delta
+    records, skipped = [], 0
+    for p in sorted(set(primes)):
+        if p == 2 or delta % p == 0 or jacobi(delta, p) != -1 or any(
+            n % p == 0 for n in family.norms
+        ):
+            skipped += 1
+            continue
+        ctx = Fp2Context.for_prime(p, family.ctx)
+        records += [(lab, order_record(a, ctx)) for lab, a in zip(family.labels, family.members)]
+    return records, skipped
 
 
 def subgroup_size(p: int, gens: Sequence[int]) -> int:

@@ -30,6 +30,7 @@ from quadartin.arith import (
     set_rho_seed,
     smallest_factor_table,
     totient,
+    trial_rows,
 )
 
 from oracles import count_progression, max_error, mu
@@ -123,6 +124,20 @@ def test_smallest_factor_table_matches_factorize():
     assert spf[0] == 0 and spf[1] == 1
     for n in range(2, 5001):
         assert spf[n] == factorize(n).primes[0], n
+
+
+def test_trial_rows_match_factorize():
+    # 0 and 1 give no rows; up to 2**31 + 1 the cofactor left is 1 or prime,
+    # including squares and products of two primes near the trial bound
+    n = np.array(list(range(5001)) + [2**31 + 1, 2**31, 2**31 - 1, 46337**2,
+                                      46337 * 46327, 3**19, 2 * 46337 * 23167],
+                 dtype=np.int64)
+    i, q, e = trial_rows(n)
+    assert i.dtype == q.dtype == e.dtype == np.int64
+    got = sorted(zip(i.tolist(), q.tolist(), e.tolist()))
+    want = [(j, p, k) for j, v in enumerate(n.tolist()) if v > 0
+            for p, k in factorize(v).factors]
+    assert got == want
 
 
 def test_factor_rows_match_factorize():

@@ -1,5 +1,6 @@
 """CLI surface: configs, artifacts, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import multiprocessing
@@ -7,6 +8,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,11 +171,46 @@ def test_scan_negative_norms(tmp_path):
 )
 def test_scan_broken_chain_exits_3(tmp_path, monkeypatch, capsys, workers):
     # an understated ord_N leaves alpha^(2L) != 1, which the scan pass must
-    # report as a chain violation, also from a pool worker
-    monkeypatch.setattr(fp2, "_order_mod_p", lambda a, n, qs, p: 1)
+    # report as a chain violation, also from a pool worker (64-prime blocks
+    # put the 155 primes past the pool's one-block threshold)
+    monkeypatch.setattr(fp2, "_orders_mod_p", lambda a, p, rows: np.ones_like(a))
+    monkeypatch.setattr(experiments, "PRIME_BLOCK", 64)
     code, _ = run(tmp_path, "scan", SCAN_CFG, extra=("--workers", workers))
     assert code == 3
     assert "order chain broken" in capsys.readouterr().err
+
+
+# Digests of scan.csv and scan_summary.json written by the scalar per-prime
+# scan that the array kernel replaced: the kernel must reproduce it byte for
+# byte, skips and the congruence class included.
+PINNED_SCANS = {
+    "delta5": (
+        dict(SCAN_CFG, prime_max=20000),
+        "aa610e225427e511ff773a0f55bf372c3889da49fd797703497a4757ece81e14",
+        "59ff27e2fcc5d82d146a092474f6b80edb30f04e3766e9ef414c8f9de68c8c0d",
+    ),
+    "delta13-one-skipped": (
+        {"delta": 13, "members": [[3, 1], [4, 0], [0, 1], [7, 7]], "prime_min": 2,
+         "prime_max": 20000},
+        "9ef6829a07666527849dbe1727ad207313037b240cacf1c891a6fb0ea6e35526",
+        "36862585cc11a6e8fe5c641de5387bd2da93ec2fd4c5dfaaf8940a2f51d14511",
+    ),
+    "delta5-class-1e6": (
+        dict(SCAN_CFG, use_congruence=True, a=-4, prime_max=10**6),
+        "706faab915c4fa20aa018229ecc1f74b5558175c18e71c5cc38a2bde847bad20",
+        "c41131baeee1842ef69059c3f2bc4e67a805cdaf8fa63dcb08348a6300477249",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "cfg, csv_sha, summary_sha", PINNED_SCANS.values(), ids=list(PINNED_SCANS)
+)
+def test_scan_artifacts_pinned(tmp_path, cfg, csv_sha, summary_sha):
+    code, out = run(tmp_path, "scan", cfg)
+    assert code == 0
+    assert hashlib.sha256((out / "scan.csv").read_bytes()).hexdigest() == csv_sha
+    assert hashlib.sha256((out / "scan_summary.json").read_bytes()).hexdigest() == summary_sha
 
 
 def test_scan_bad_configs(tmp_path):
@@ -418,7 +455,7 @@ def test_independence_needs_input(tmp_path):
 # Each of these used to exit 1 with a traceback, or to run with a meaning
 # other than the one written: a truncated float, a negative bound read as
 # "none", a string read as a list or as true, a negative c2 that put the
-# remainder window above sqrt(X).
+# remainder window above sqrt(X), a prime_max past the int64 prime arrays.
 MALFORMED = {
     "scan-member-zero": ("scan", dict(SCAN_CFG, members=[[0, 0]])),
     "scan-member-float": ("scan", dict(SCAN_CFG, members=[[1.5, 1]])),
@@ -428,12 +465,14 @@ MALFORMED = {
     "scan-prime-min-string": ("scan", dict(SCAN_CFG, prime_min="x")),
     "scan-prime-max-fraction": ("scan", dict(SCAN_CFG, prime_max=100.9)),
     "scan-congruence-string": ("scan", dict(SCAN_CFG, use_congruence="no")),
+    "scan-prime-max-past-int64": ("scan", dict(SCAN_CFG, prime_max=1e300)),
     "construct-a-zero": ("construct", {"a": 0, "delta": 5}),
     "construct-delta-zero": ("construct", {"a": -4, "delta": 0}),
     "construct-verify-negative": ("construct", {"a": -4, "delta": 5, "verify_bound": -3}),
     "sieve-prime-max-fraction": ("sieve", dict(SIEVE_CFG, prime_max=10000.7)),
     "sieve-d-max-negative": ("sieve", dict(SIEVE_CFG, d_max=-5)),
     "sieve-c2-negative": ("sieve", dict(SIEVE_CFG, c2=-1)),
+    "sieve-prime-max-past-int64": ("sieve", dict(SIEVE_CFG, prime_max=1e300)),
     "independence-divide-by-zero": ("independence", {"values": ["1/0"]}),
     "independence-value-zero": ("independence", {"values": [0]}),
     "independence-values-string": ("independence", {"values": "12"}),

@@ -10,6 +10,7 @@ import pytest
 from quadartin import experiments
 from quadartin.construction import InvariantError
 from quadartin.arith import (
+    factorize,
     is_prime,
     jacobi,
     prime_array,
@@ -33,7 +34,7 @@ from quadartin.experiments import (
 )
 from quadartin.quadfield import FieldContext, conjugate, m_ratio, norm
 
-from oracles import remark12_verify, subgroup_size
+from oracles import remark12_verify, scalar_order_scan, subgroup_size
 
 
 @pytest.fixture
@@ -111,9 +112,11 @@ def test_order_scan_family_count_dominates_members(fam3):
     assert s.family_fraction >= max(s.fractions)
 
 
-def test_order_scan_workers_merge_identical(fam3):
+def test_order_scan_workers_merge_identical(fam3, monkeypatch):
+    # 64-prime blocks: the pool splits only a list longer than one block
+    monkeypatch.setattr(experiments, "PRIME_BLOCK", 64)
     ps = inert_primes(fam3.ctx, 3, 3000)
-    assert len(ps) > 64
+    assert len(ps) > 3 * experiments.PRIME_BLOCK
     r1, s1 = order_scan(fam3, ps)
     r2, s2 = order_scan(fam3, ps, workers=3)
     assert r1 == r2
@@ -136,6 +139,91 @@ def test_order_scan_index_histogram(fam3):
     for label, rec in records:
         idx = (rec.p**2 - 1) // rec.ord_alpha
         assert idx in s.index_histogram
+
+
+# ---------------------------------------------------------------------------
+# the array order kernel against the scalar route
+
+# A rational member, a pure sqrt(delta), a unit, and 7 + 7 sqrt(delta), whose
+# norm 49 (1 - delta) the inert prime 7 divides for delta = 3, 5 and 13.
+KERNEL_MEMBERS = {
+    2: [(4, 0), (0, 1), (1, 1), (7, 7), (3, 1)],
+    3: [(4, 0), (0, 1), (2, 1), (7, 7), (5, 2)],
+    5: [(4, 0), (0, 1), (2, 1), (7, 7), (3, 2)],
+    13: [(4, 0), (0, 1), (18, 5), (7, 7), (3, 1)],
+}
+
+
+@pytest.mark.parametrize("delta", sorted(KERNEL_MEMBERS))
+def test_order_kernel_matches_scalar_route(monkeypatch, delta):
+    # 500-prime blocks: the 2262 primes below 2e4 span five blocks.  Every
+    # prime there is passed, so 2, the ramified and the split primes go
+    # through the skip masks as well as the inert ones through the kernel.
+    monkeypatch.setattr(experiments, "PRIME_BLOCK", 500)
+    fam = AlphaFamily.from_coords(delta, KERNEL_MEMBERS[delta])
+    assert abs(norm(fam.members[2])) == 1
+    ps = primes_up_to(2 * 10**4)
+    records, summary = order_scan(fam, ps)
+    want, skipped = scalar_order_scan(fam, ps)
+    assert records == want
+    assert (summary.prime_count, summary.skipped) == (len(ps) - skipped, skipped)
+    seen = {r.p for _, r in records}
+    assert 7 not in seen and (delta == 2 or jacobi(delta, 7) == -1)
+    branches = {r.ord_alpha // math.lcm(r.ord_n, r.ord_m) for _, r in records}
+    assert branches == {1, 2}  # both ord = L and ord = 2L occur
+
+
+def test_order_kernel_skip_count():
+    # 2, the ramified 5 and the split 11, 19 and 29 are skipped
+    fam = AlphaFamily.from_coords(5, [(2, 1), (3, 2)])
+    records, s = order_scan(fam, [2, 5, 7, 11, 13, 19, 29])
+    assert (s.prime_count, s.skipped) == (2, 5)
+    assert [r.p for _, r in records] == [7, 7, 13, 13]
+
+
+def _primes_from(start, step, count, delta, symbol):
+    out, p = [], start
+    while len(out) < count:
+        if is_prime(p) and jacobi(delta, p) == symbol:
+            out.append(p)
+        p += step
+    return out
+
+
+def test_order_kernel_exact_below_2_31():
+    # 2^31 - 1 is inert for delta = 5 and the largest prime the kernel
+    # takes; there 3 + 2 sqrt 5 has index 8, where 24 * ord_alpha would
+    # wrap int64
+    fam = AlphaFamily.from_coords(5, [(3, 2), (2, 1), (4, 0), (0, 1), (7, 7)])
+    ps = _primes_from(2**31 - 1, -2, 6, 5, -1)
+    assert ps[0] == 2**31 - 1
+    records, _ = order_scan(fam, ps)
+    assert records == scalar_order_scan(fam, ps)[0]
+    label, top = records[-5]
+    assert (label, top.p) == ("3+2r5", 2**31 - 1)
+    assert (top.p**2 - 1) // top.ord_alpha == 8 and top.attained
+    assert 24 * top.ord_alpha > 2**63
+
+
+def test_order_scan_past_2_31_matches_scalar_route():
+    # primes from 2**31 on take the scalar route, the rest the kernel; the
+    # records and the pigeonhole rows come out as from the scalar route alone
+    fam = AlphaFamily.from_coords(5, [(3, 2), (2, 1), (7, 7)])
+    ps = primes_up_to(300) + _primes_from(2**31 + 1, 2, 3, 5, -1) + _primes_from(
+        2**31 + 1, 2, 1, 5, 1
+    )
+    records, s = order_scan(fam, ps)
+    want, skipped = scalar_order_scan(fam, ps)
+    assert records == want and s.skipped == skipped
+    assert records[-1][1].p > 2**31
+    rep = pigeonhole_report(fam, ps)
+    assert [r.p for r in rep.rows] == [r.p for _, r in records[::3]]
+    for row in rep.rows:
+        for m, n in ((row.m_minus, row.p - 1), (row.m_plus, row.p + 1)):
+            assert m == sum(e for q, e in factorize(n).factors if q > rep.threshold)
+    assert rep.full_attained == tuple(
+        sum(r.attained for _, r in records[i::3]) for i in range(3)
+    )
 
 
 def test_scan_summary_validates():
@@ -384,11 +472,11 @@ def test_lemma42_counts_monotone_in_y():
 def test_subgroup_kernel_matches_scalar_oracle(monkeypatch, gens):
     # 1000-prime blocks: the 2262 primes below 2e4 span three blocks, the
     # last one partial.  (3, 5) keeps p = 2, where p - 1 = 1 and the size is 1.
-    monkeypatch.setattr(experiments, "SUBGROUP_BLOCK", 1000)
+    monkeypatch.setattr(experiments, "PRIME_BLOCK", 1000)
     x = 2 * 10**4
     ps = prime_array(x)
     ps = ps[[all(g % p for g in gens) for p in ps.tolist()]]
-    assert ps.size > 2 * experiments.SUBGROUP_BLOCK
+    assert ps.size > 2 * experiments.PRIME_BLOCK
     sizes = experiments._subgroup_block((gens, x, ps))
     assert sizes.dtype == np.int64
     assert sizes.tolist() == [subgroup_size(p, gens) for p in ps.tolist()]

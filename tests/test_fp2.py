@@ -4,12 +4,13 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadartin import fp2
-from quadartin.arith import factorize, is_prime, jacobi, primes_up_to
+from quadartin import experiments, fp2
+from quadartin.arith import factorize, is_prime, jacobi, primes_up_to, trial_rows
 from quadartin.experiments import AlphaFamily, order_scan
 from quadartin.fp2 import Fp2Context, OrderChainError, OrderRecord, order_record
 from quadartin.quadfield import FieldContext, conjugate, norm
@@ -365,12 +366,66 @@ def test_pow_raw_is_repeated_mul_raw(data):
     assert fp2._pow_raw(c0, c1, e, p, d) == acc
 
 
-@pytest.mark.parametrize("target", ["factorize", "_order_mod_p"])
-def test_kernel_value_error_is_not_a_skipped_prime(monkeypatch, target):
-    # a fault while building the context or computing an order propagates
+# inert primes for delta = 5 past 2**31, where the scan takes the scalar route
+BIG_INERT = [2147483693, 2147483713]
+
+
+@pytest.mark.parametrize(
+    "module, target, primes",
+    [
+        pytest.param(experiments, "trial_rows", [7, 13], id="trial_rows"),
+        pytest.param(fp2, "_orders_mod_p", [7, 13], id="_orders_mod_p"),
+        pytest.param(fp2, "factorize", BIG_INERT, id="factorize"),
+        pytest.param(fp2, "_order_mod_p", BIG_INERT, id="_order_mod_p"),
+    ],
+)
+def test_kernel_value_error_is_not_a_skipped_prime(monkeypatch, module, target, primes):
+    # a fault while factoring p -+ 1 or computing an order propagates, on the
+    # array kernel and on the scalar route alike
     def boom(*args):
         raise ValueError("boom")
 
-    monkeypatch.setattr(fp2, target, boom)
+    monkeypatch.setattr(module, target, boom)
     with pytest.raises(ValueError, match="boom"):
-        order_scan(AlphaFamily.from_coords(5, [(2, 1)]), [7, 13])
+        order_scan(AlphaFamily.from_coords(5, [(2, 1)]), primes)
+
+
+# ---------------------------------------------------------------------------
+# array kernel
+
+def _primes_below(n: int, count: int):
+    out = []
+    while len(out) < count:
+        n -= 1
+        if is_prime(n):
+            out.append(n)
+    return out
+
+
+# the largest primes the kernel takes, and small ones
+LADDER_PRIMES = [3, 5, 7, 13] + _primes_below(2**31, 4)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_pow_array_is_pow_raw(data):
+    # the int64 F_p^2 ladder against the exact Python-int one, for p up to
+    # 2**31 - 1 and exponents up to 2**62, several rows at once
+    n = data.draw(st.integers(1, 4))
+    rows = []
+    for _ in range(n):
+        p = data.draw(st.sampled_from(LADDER_PRIMES) | st.integers(3, 2**31 - 1).map(
+            lambda t: next(q for q in range(t, 1, -1) if is_prime(q))))
+        c0, c1, d = (data.draw(st.integers(0, p - 1)) for _ in range(3))
+        rows.append((c0, c1, data.draw(st.integers(0, 2**62)), p, d))
+    c0, c1, e, p, d = (np.array(t, dtype=np.int64) for t in zip(*rows))
+    got = fp2._pow_array(np.stack([c0, c1]), e, p, d)
+    assert [tuple(t) for t in got.T.tolist()] == [fp2._pow_raw(*r) for r in rows]
+
+
+def test_order_arrays_rejects_norm_divisible_by_p():
+    # 7 + 7 sqrt(5) reduces to 0 mod 7, which has no order
+    p = np.array([13, 7])
+    c = 7 % p
+    with pytest.raises(ValueError, match="p = 7"):
+        fp2.order_arrays(c, c, p, 5 % p, trial_rows(p - 1), trial_rows(p + 1))
