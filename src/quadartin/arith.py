@@ -1,6 +1,7 @@
-"""Exact integer utilities: primality, factorization (scalar, and array-wise
-from a smallest-factor table or by trial division), array modular powers,
-Jacobi symbols, CRT, and the logarithmic integral.
+"""Exact integer utilities: a segmented prime sieve, primality,
+factorization (scalar, and array-wise by sieving a segment or by trial
+division), array modular powers, Jacobi symbols, CRT, and the logarithmic
+integral.
 
 Everything here is deterministic.  The only randomized internals (Pollard rho
 restarts) draw from a fixed seed that can be overridden with set_rho_seed.
@@ -12,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -73,22 +74,40 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # prime sieves
 
+# Integers per segment of the segmented sieve (Bays & Hudson, BIT 17 (1977)):
+# bounds the flags, primes and rows a segment holds, whatever the range is.
+SEGMENT = 2**17
+POWMOD_LIMIT = 2**31  # powmod and residues keep products of residues below 2**62
+
 _primes = np.zeros(0, dtype=np.int64)
-_primes_limit = -1
-SPF_LIMIT = 2**31  # smallest_factor_table stores int32
+_primes_limit = 1
+
+
+def _segments(lo: int, hi: int, first: int = 0, step: int = 1) -> Iterator[np.ndarray]:
+    """The primes in [lo, hi], ascending, as one int64 array per segment of
+    SEGMENT integers from max(lo, 2); each segment is sieved only by the
+    primes up to isqrt(hi).  With first and step, only segments first,
+    first + step, ... are sieved (one worker's share)."""
+    lo = max(lo, 2)
+    base = prime_array(math.isqrt(hi)).tolist() if hi >= lo else []
+    for a in range(lo + first * SEGMENT, hi + 1, step * SEGMENT):
+        b = min(a + SEGMENT, hi + 1)
+        flags = np.ones(b - a, dtype=bool)
+        for q in base:
+            if q * q >= b:
+                break
+            flags[max(q * q, -(-a // q) * q) - a :: q] = False
+        yield np.flatnonzero(flags) + a
 
 
 def prime_array(n: int) -> np.ndarray:
-    """All primes <= n, ascending: a read-only int64 view of one cached sieve."""
+    """All primes <= n, ascending: a read-only int64 view of one cached list,
+    grown by sieving only the range it does not cover yet."""
     global _primes, _primes_limit
     if n > _primes_limit:
-        limit = max(n, 2 * max(_primes_limit, 0), 1000)
-        sieve = np.ones(limit + 1, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, math.isqrt(limit) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = False
-        _primes = np.flatnonzero(sieve).astype(np.int64, copy=False)
+        limit = max(n, 2 * _primes_limit)
+        prime_array(math.isqrt(limit))  # the base primes, cached before the cache is read
+        _primes = np.concatenate([_primes, *_segments(_primes_limit + 1, limit)])
         _primes.flags.writeable = False
         _primes_limit = limit
     return _primes[: np.searchsorted(_primes, n, side="right")]
@@ -100,65 +119,70 @@ def primes_up_to(n: int) -> List[int]:
 
 
 def primes_in_class(u: int, v: int, lo: int, hi: int) -> np.ndarray:
-    """Primes p = u (mod v) in [lo, hi], ascending, as a new int64 array.
+    """Primes p = u (mod v) in [lo, hi], ascending, as a new int64 array,
+    filtered segment by segment.
 
     Exact for every modulus v >= 1: when v > hi each p <= hi is its own
     residue, so reducing by min(v, hi + 1) changes no comparison and keeps
     the arithmetic inside int64.
     """
-    ps = prime_array(hi)
-    ps = ps[np.searchsorted(ps, lo) :]
     m = min(v, hi + 1)
-    return ps[ps % m == min(u % v, m)]
+    r = min(u % v, m)
+    return np.concatenate([np.zeros(0, dtype=np.int64),
+                           *(ps[ps % m == r] for ps in _segments(lo, hi))])
 
 
-def smallest_factor_table(n: int) -> np.ndarray:
-    """Array t of length n+1 with t[k] = smallest prime factor of k (t[k] = k
-    for k prime, 0 and 1 map to themselves), as int32: n < SPF_LIMIT."""
-    if n >= SPF_LIMIT:
-        raise ValueError(f"smallest_factor_table needs n < 2**31, got {n}")
-    spf = np.zeros(n + 1, dtype=np.int32)
-    for p in range(2, math.isqrt(n) + 1):
-        if spf[p] == 0:
-            block = spf[p * p :: p]
-            block[block == 0] = p
-    rest = np.flatnonzero(spf == 0)
-    spf[rest] = rest
-    return spf
-
-
-def factor_rows(n: np.ndarray, spf: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Prime-power rows (i, q, e) with q**e exactly dividing n[i], for every
-    n[i] > 1, from the int64 array n (entries within the smallest_factor_table
-    spf).  Rows come round by round: round r holds the r-th smallest prime
-    factor of every n[i] that has one."""
+def sieve_rows(n: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows (i, q, e) of trial_rows, in the same order, for an ascending
+    int64 array n of distinct values: each prime q up to isqrt(max(n))
+    strikes its multiples in the span of n instead of dividing every entry.
+    Memory grows with that span, so callers pass one segment's worth."""
     idx = np.flatnonzero(n > 1)
-    m = n[idx]
-    rows_i, rows_q, rows_e = [], [], []
-    while idx.size:
-        q = spf[m].astype(np.int64)
-        m = m // q
-        e = np.ones(idx.size, dtype=np.int64)
-        j = np.flatnonzero(m % q == 0)
-        while j.size:
-            m[j] //= q[j]
-            e[j] += 1
-            j = j[m[j] % q[j] == 0]
-        rows_i.append(idx)
-        rows_q.append(q)
-        rows_e.append(e)
-        left = m > 1
-        idx, m = idx[left], m[left]
-    if not rows_i:
+    v = n[idx]
+    if not v.size:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty
-    return np.concatenate(rows_i), np.concatenate(rows_q), np.concatenate(rows_e)
+    n0 = int(v[0])
+    slot = np.full(int(v[-1]) - n0 + 1, -1, dtype=np.int32)
+    slot[v - n0] = np.arange(v.size)
+    # the 2-part from the lowest set bit
+    low = v & -v
+    two = np.flatnonzero(low > 1)
+    # odd q below 64 strike one stride at a time; the rest, with few
+    # multiples each, in one gathered batch
+    qs = prime_array(math.isqrt(int(v[-1])))[1:]
+    small, big = qs[qs < 64], qs[qs >= 64]
+    hits = [slot[(-n0) % t :: t] for t in small.tolist()]
+    hits = [j[j >= 0] for j in hits]
+    count = np.maximum(slot.size - (-n0) % big + big - 1, 0) // big
+    q = np.repeat(big, count)
+    # the k-th multiple in q's run sits at (-n0) % q + q * k
+    base = (-n0) % big - big * (np.cumsum(count) - count)
+    j = slot[np.repeat(base, count) + q * np.arange(q.size)]
+    hit = j >= 0
+    i = np.concatenate([*hits, j[hit]]).astype(np.int64)
+    q = np.concatenate([np.repeat(small, [h.size for h in hits]), q[hit]])
+    # exponents, and what is left of each value once every q**e is out
+    m = v[i] // q
+    e = np.ones(i.size, dtype=np.int64)
+    k = np.flatnonzero(m % q == 0)
+    while k.size:
+        m[k] //= q[k]
+        e[k] += 1
+        k = k[m[k] % q[k] == 0]
+    rest = v // low
+    np.floor_divide.at(rest, i, q**e)
+    cof = np.flatnonzero(rest > 1)
+    ones = np.ones(cof.size, dtype=np.int64)
+    return (idx[np.concatenate([two, i, cof])],
+            np.concatenate([np.full(two.size, 2), q, rest[cof]]),
+            np.concatenate([np.bitwise_count(low[two] - 1).astype(np.int64), e, ones]))
 
 
 def trial_rows(n: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The prime-power rows (i, q, e) of factor_rows for the int64 array n,
-    by trial division by every prime up to isqrt(max(n)): no table up to
-    max(n) is built.  Whatever is left of n[i] after them is 1 or prime.
+    """Prime-power rows (i, q, e) with q**e exactly dividing n[i], for every
+    n[i] > 1 of the int64 array n, by trial division by every prime up to
+    isqrt(max(n)).  Whatever is left of n[i] after them is 1 or prime.
     Rows come by ascending q, then the prime cofactors."""
     idx = np.flatnonzero(n > 1)
     m = n[idx]
@@ -187,7 +211,7 @@ def powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
     )
     shape = mod.shape
     base, exp, mod = base.ravel(), exp.ravel(), mod.ravel()
-    if mod.size and (mod.min() < 1 or mod.max() >= SPF_LIMIT):
+    if mod.size and (mod.min() < 1 or mod.max() >= POWMOD_LIMIT):
         raise ValueError("powmod needs every modulus in [1, 2**31)")
     if exp.size and exp.min() < 0:
         raise ValueError("powmod needs nonnegative exponents")
@@ -215,7 +239,7 @@ def residues(g: int, mod: np.ndarray) -> np.ndarray:
     """g % m for each int64 modulus m in [1, 2**31), exact for any Python
     int g: |g| is folded in 30-bit limbs, so no intermediate passes 2**62."""
     mod = np.asarray(mod, dtype=np.int64)
-    if mod.size and (mod.min() < 1 or mod.max() >= SPF_LIMIT):
+    if mod.size and (mod.min() < 1 or mod.max() >= POWMOD_LIMIT):
         raise ValueError("residues needs every modulus in [1, 2**31)")
     a = abs(g)
     r = np.zeros(mod.shape, dtype=np.int64)

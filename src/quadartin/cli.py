@@ -155,7 +155,7 @@ CONFIG_SCHEMA: Dict[str, Dict[str, _Key]] = {
     },
     "lemma42": {
         "gens": _Key("a non-empty list of nonzero integers", _each(_nonzero)),
-        "prime_max": _Key("an integer in [2, 2**31)", partial(_int, lo=2, hi=arith.SPF_LIMIT)),
+        "prime_max": _Key("an integer in [2, 2**31)", partial(_int, lo=2, hi=arith.POWMOD_LIMIT)),
         "y_grid": _Key("a non-empty list of positive finite numbers",
                        _each(partial(_number, lo=0)), None),
     },

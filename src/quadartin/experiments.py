@@ -19,16 +19,16 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequenc
 
 import numpy as np
 
+from . import arith
 from .arith import (
-    SPF_LIMIT,
-    factor_rows,
+    POWMOD_LIMIT,
+    _segments,
     factorize,
     jacobi,
     powmod,
-    prime_array,
     primes_in_class,
     residues,
-    smallest_factor_table,
+    sieve_rows,
     trial_rows,
 )
 from .construction import InvariantError
@@ -108,9 +108,8 @@ class AlphaFamily:
         return tuple(int(norm(a)) for a in self.members)
 
 
-# Primes per kernel block, in the scan and lemma42 alike: bounds the
-# (prime, q, e) row arrays, and with them the kernels' memory, whatever
-# prime_max is.
+# Primes per block of the scan's order kernel: bounds the (prime, q, e) row
+# arrays, and with them the kernel's memory, whatever prime_max is.
 PRIME_BLOCK = 2**13
 
 
@@ -124,14 +123,16 @@ def _ramified_split(delta: int, ps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
 
 
 def inert_primes(ctx: FieldContext, lo: int, hi: int) -> List[int]:
-    """Odd inert primes in [lo, hi] for the field.  Ramified primes have
-    (delta|p) = 0 and are left out with the split ones."""
-    ps = prime_array(hi)
-    ps = ps[np.searchsorted(ps, max(lo, 3)) :]
-    small = ps[ps < SPF_LIMIT]
-    ramified, split = _ramified_split(ctx.delta, small)
-    big = ps[small.size :].tolist()
-    return small[~(ramified | split)].tolist() + [p for p in big if jacobi(ctx.delta, p) == -1]
+    """Odd inert primes in [lo, hi] for the field, filtered segment by
+    segment.  Ramified primes have (delta|p) = 0 and are left out with the
+    split ones."""
+    out: List[int] = []
+    for ps in _segments(max(lo, 3), hi):
+        small = ps[ps < POWMOD_LIMIT]
+        ramified, split = _ramified_split(ctx.delta, small)
+        out += small[~(ramified | split)].tolist()
+        out += [p for p in ps[small.size :].tolist() if jacobi(ctx.delta, p) == -1]
+    return out
 
 
 def congruence_primes(u: int, v: int, lo: int, hi: int) -> List[int]:
@@ -186,7 +187,7 @@ def _order_pass(family: AlphaFamily, plist: List[int]) -> Iterator[OrderBlock]:
     blocks of PRIME_BLOCK: the array kernel below 2**31, order_record past
     it.  A broken order chain raises RemarkViolation at the first failing
     (p, member) in (p, member) order."""
-    cut = bisect.bisect_left(plist, SPF_LIMIT)
+    cut = bisect.bisect_left(plist, POWMOD_LIMIT)
     small = np.array(plist[:cut], dtype=np.int64)
     for lo in range(0, cut, PRIME_BLOCK):
         yield _kernel_block(family, small[lo : lo + PRIME_BLOCK])
@@ -470,18 +471,17 @@ def lemma42_scan(
         y_grid = [float(t) for t in np.geomspace(10.0, 1e4, 13)]
     y_grid = sorted(float(y) for y in y_grid)
 
-    ps = prime_array(x)
-    bad = [q for g in gens for q in factorize(abs(g)).primes]
-    keep = ps[~np.isin(ps, bad)]
-    if workers > 1 and keep.size > 1000:
-        chunks = [(tuple(gens), x, keep[i::workers]) for i in range(workers)]
+    bad = tuple(q for g in gens for q in factorize(abs(g)).primes)
+    # whole segments are dealt round-robin, so every worker sieves its own
+    if workers > 1 and x >= 2 + arith.SEGMENT:
+        args = [(tuple(gens), bad, x, y_grid, w, workers) for w in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            sizes = np.concatenate(list(pool.map(_subgroup_block, chunks)))
+            parts = list(pool.map(_growth_counts, args))
     else:
-        sizes = _subgroup_block((tuple(gens), x, keep))
-    sizes.sort()
+        parts = [_growth_counts((tuple(gens), bad, x, y_grid, 0, 1))]
+    counts = np.sum([c for c, _ in parts], axis=0).tolist()
+    prime_count = sum(n for _, n in parts)
 
-    counts = np.searchsorted(sizes, y_grid, side="left").tolist()
     samples = tuple(zip(y_grid, counts))
     pts = [(math.log(y), math.log(n)) for y, n in samples if n > 0]
     if len(pts) >= 2:
@@ -490,22 +490,35 @@ def lemma42_scan(
         slope = float(np.polyfit(xs, ys, 1)[0])
     else:
         slope = float("nan")
-    return GrowthFit(x, tuple(gens), samples, slope, int(keep.size))
+    return GrowthFit(x, tuple(gens), samples, slope, prime_count)
 
 
-def _subgroup_block(args) -> np.ndarray:
-    gens, x, ps = args
-    spf = smallest_factor_table(x)
-    sizes = np.empty(ps.size, dtype=np.int64)
-    for lo in range(0, ps.size, PRIME_BLOCK):
-        block = ps[lo : lo + PRIME_BLOCK]
-        sizes[lo : lo + block.size] = subgroup_sizes(block, gens, spf)
-    return sizes
+def _segment_sizes(gens: Sequence[int], bad: Sequence[int], x: int, first: int = 0,
+                   step: int = 1) -> Iterator[np.ndarray]:
+    """|<gens> mod p| for the primes p <= x of each segment first, first +
+    step, ..., those dividing a generator (bad) left out: the rows of p - 1
+    come from sieving the same segment."""
+    for ps in _segments(2, x, first, step):
+        ps = ps[~np.isin(ps, bad)]
+        yield subgroup_sizes(ps, gens, sieve_rows(ps - 1))
 
 
-def subgroup_sizes(ps: np.ndarray, gens: Sequence[int], spf: np.ndarray) -> np.ndarray:
-    """|<gens> mod p| for every prime p in the int64 array ps (each p < 2**31
-    and inside the smallest-factor table spf), by the descent from the
+def _growth_counts(args) -> Tuple[np.ndarray, int]:
+    """N(y) for each y of y_grid, and the number of primes, over one share
+    of the segments."""
+    gens, bad, x, y_grid, first, step = args
+    counts = np.zeros(len(y_grid), dtype=np.int64)
+    prime_count = 0
+    for sizes in _segment_sizes(gens, bad, x, first, step):
+        sizes.sort()
+        counts += np.searchsorted(sizes, y_grid, side="left")
+        prime_count += sizes.size
+    return counts, prime_count
+
+
+def subgroup_sizes(ps: np.ndarray, gens: Sequence[int], rows: Rows) -> np.ndarray:
+    """|<gens> mod p| for every prime p in the int64 array ps (each p < 2**31),
+    from the prime-power rows (i, q, e) of ps - 1, by the descent from the
     factored group order p - 1 run on all primes at once.
 
     For each prime-power row q**e || p - 1 the subgroup's q-part is q**e as
@@ -519,7 +532,7 @@ def subgroup_sizes(ps: np.ndarray, gens: Sequence[int], spf: np.ndarray) -> np.n
     hit = np.flatnonzero((res == 0).any(axis=0))
     if hit.size:
         raise ValueError(f"a generator vanishes mod {int(ps[hit[0]])}")
-    i, q, e = factor_rows(ps - 1, spf)
+    i, q, e = rows
     p = ps[i]
     full = np.zeros(i.size, dtype=bool)
     for g_res in res:
@@ -625,7 +638,7 @@ def pigeonhole_report(
             np.bincount(i, e * (q > threshold), minlength=p.size).astype(np.int64)
             for i, q, e in (_rows_of(p - 1), _rows_of(p + 1))
         )
-        survivor = survivor_mask(p.astype(np.int64), threshold + 1, v_excluded)
+        survivor = survivor_mask(p, threshold + 1, v_excluded)
         worst = np.maximum(m_minus, m_plus)
         over = np.flatnonzero(survivor & (worst > 7))
         if over.size:

@@ -229,8 +229,9 @@ SURVIVOR_CELLS = 2**16
 
 
 def survivor_mask(ps: np.ndarray, z: int, v: int) -> np.ndarray:
-    """For each prime p of the int64 array ps, whether p^2 - 1 has no prime
-    factor q < z with q not dividing v.  A prime q divides p^2 - 1 exactly
+    """For each prime p of the int64 array ps, or of an object array of
+    Python ints (exact past int64), whether p^2 - 1 has no prime factor
+    q < z with q not dividing v.  A prime q divides p^2 - 1 exactly
     when p = +-1 (mod q), so each block of q is one residue table over the
     primes not yet struck out."""
     qs = prime_array(z - 1)

@@ -3,8 +3,10 @@
 Each is a slow or object-level second route to an answer the package
 computes one way: prime counts by progression, the F_p^2 element API with
 the full p^2 - 1 order descent, the inertness test, the remark-12 chain
-counts, the scalar order scan, the scalar subgroup size, |A_d| split over
-CRT classes, and the trial-division survivor test.  Nothing in src/ calls them; the tests import
+counts, the scalar order scan, the scalar subgroup size, the whole-range
+prime sieve, class filter, smallest-factor table and table-route growth
+counts the segmented sieve replaced, |A_d| split over CRT classes, and the
+trial-division survivor test.  Nothing in src/ calls them; the tests import
 them as `from oracles import ...` (pytest puts tests/ on sys.path).
 """
 
@@ -27,7 +29,7 @@ from quadartin.arith import (
     primes_up_to,
     totient,
 )
-from quadartin.experiments import AlphaFamily, order_scan
+from quadartin.experiments import AlphaFamily, order_scan, subgroup_sizes
 from quadartin.fp2 import (
     Fp2Context,
     OrderRecord,
@@ -92,6 +94,68 @@ def max_error(x: int, m: int) -> float:
         if math.gcd(s, m) == 1:
             worst = max(worst, abs(counts[s] - expected))
     return worst
+
+
+def whole_range_primes(n: int) -> np.ndarray:
+    """All primes <= n as int64, from one bool flag per integer in [0, n]
+    (plain Eratosthenes over the whole range)."""
+    flags = np.ones(n + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags).astype(np.int64)
+
+
+def whole_range_primes_in_class(u: int, v: int, lo: int, hi: int) -> np.ndarray:
+    """primes_in_class by one filter over every prime up to hi."""
+    ps = whole_range_primes(hi)
+    ps = ps[np.searchsorted(ps, lo) :]
+    m = min(v, hi + 1)
+    return ps[ps % m == min(u % v, m)]
+
+
+def smallest_factor_table(n: int) -> np.ndarray:
+    """Array t of length n+1 with t[k] = smallest prime factor of k (t[k] = k
+    for k prime, 0 and 1 map to themselves), as int32: n < 2**31."""
+    if n >= 2**31:
+        raise ValueError(f"smallest_factor_table needs n < 2**31, got {n}")
+    spf = np.zeros(n + 1, dtype=np.int32)
+    for p in range(2, math.isqrt(n) + 1):
+        if spf[p] == 0:
+            block = spf[p * p :: p]
+            block[block == 0] = p
+    rest = np.flatnonzero(spf == 0)
+    spf[rest] = rest
+    return spf
+
+
+def factor_rows(n: np.ndarray, spf: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Prime-power rows (i, q, e) with q**e exactly dividing n[i], for every
+    n[i] > 1, from the int64 array n (entries within the smallest_factor_table
+    spf).  Rows come round by round: round r holds the r-th smallest prime
+    factor of every n[i] that has one."""
+    idx = np.flatnonzero(n > 1)
+    m = n[idx]
+    rows_i, rows_q, rows_e = [], [], []
+    while idx.size:
+        q = spf[m].astype(np.int64)
+        m = m // q
+        e = np.ones(idx.size, dtype=np.int64)
+        j = np.flatnonzero(m % q == 0)
+        while j.size:
+            m[j] //= q[j]
+            e[j] += 1
+            j = j[m[j] % q[j] == 0]
+        rows_i.append(idx)
+        rows_q.append(q)
+        rows_e.append(e)
+        left = m > 1
+        idx, m = idx[left], m[left]
+    if not rows_i:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
+    return np.concatenate(rows_i), np.concatenate(rows_q), np.concatenate(rows_e)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +303,21 @@ def subgroup_size(p: int, gens: Sequence[int]) -> int:
             raise ValueError(f"generator {g} vanishes mod {p}")
         out = math.lcm(out, _order_mod_p(g, p - 1, qs, p))
     return out
+
+
+def table_growth_counts(gens: Sequence[int], x: int, y_grid: Sequence[float]) -> Tuple[List[int], int]:
+    """lemma42_scan's N(y) counts on the sorted y_grid, and its prime count,
+    by the route it took before it streamed: every prime up to x at once,
+    one smallest-factor table up to x, and factor_rows of p - 1 from it in
+    blocks of 2**13 primes."""
+    ps = whole_range_primes(x)
+    bad = [q for g in gens for q in factorize(abs(g)).primes]
+    keep = ps[~np.isin(ps, bad)]
+    spf = smallest_factor_table(x)
+    blocks = [keep[i : i + 2**13] for i in range(0, keep.size, 2**13)]
+    sizes = np.sort(np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        subgroup_sizes(b, gens, factor_rows(b - 1, spf)) for b in blocks]))
+    return np.searchsorted(sizes, sorted(y_grid), side="left").tolist(), int(keep.size)
 
 
 # ---------------------------------------------------------------------------

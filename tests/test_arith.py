@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from quadartin import arith
 from quadartin.arith import (
     Factorization,
     NonCoprimeModuliError,
+    _segments,
     crt,
-    factor_rows,
     factorize,
     is_prime,
     is_square,
@@ -28,12 +29,20 @@ from quadartin.arith import (
     primes_up_to,
     residues,
     set_rho_seed,
-    smallest_factor_table,
+    sieve_rows,
     totient,
     trial_rows,
 )
 
-from oracles import count_progression, max_error, mu
+from oracles import (
+    count_progression,
+    factor_rows,
+    max_error,
+    mu,
+    smallest_factor_table,
+    whole_range_primes,
+    whole_range_primes_in_class,
+)
 
 
 def trial_is_prime(n):
@@ -116,6 +125,84 @@ def test_primes_in_class_matches_loop():
         want = [p for p in plist if lo <= p <= hi and p % v == u % v]
         got = primes_in_class(u, v, lo, hi)
         assert got.tolist() == want, (u, v, lo, hi)
+
+
+@pytest.mark.parametrize("segment", [1000, 2**17])
+def test_segments_match_whole_range_sieve(monkeypatch, segment):
+    # every segment holds exactly the primes of its span: lo in {0, 1, 2},
+    # ranges that are not a multiple of the segment size, and a prime p
+    # that starts the second segment, then ends the first
+    monkeypatch.setattr(arith, "SEGMENT", segment)
+    plain = whole_range_primes(3 * segment + 10**4)
+    p = int(plain[np.searchsorted(plain, segment + 2)])
+    cases = [(0, 3 * segment + 10**4), (1, 2 * segment), (2, segment + 7),
+             (p - segment, 3 * segment), (p - segment + 1, 2 * segment + 5),
+             (segment, segment), (5, 4), (0, 1), (0, 2)]
+    for lo, hi in cases:
+        parts = list(_segments(lo, hi))
+        for k, ps in enumerate(parts):
+            a = max(lo, 2) + k * segment
+            b = min(a + segment - 1, hi)
+            assert ps.dtype == np.int64
+            assert ps.tolist() == plain[(plain >= a) & (plain <= b)].tolist(), (lo, hi, k)
+        got = np.concatenate([np.zeros(0, dtype=np.int64), *parts])
+        assert got.tolist() == plain[(plain >= lo) & (plain <= hi)].tolist(), (lo, hi)
+    assert list(_segments(p - segment, 3 * segment))[1][0] == p
+    assert list(_segments(p - segment + 1, 2 * segment + 5))[0][-1] == p
+
+
+def test_prime_array_grows_by_segments(monkeypatch):
+    # a fresh cache grown in steps through the segment routine
+    monkeypatch.setattr(arith, "SEGMENT", 1000)
+    monkeypatch.setattr(arith, "_primes", np.zeros(0, dtype=np.int64))
+    monkeypatch.setattr(arith, "_primes_limit", 1)
+    plain = whole_range_primes(10**5)
+    for n in (1, 2, 3, 100, 101, 5000, 4999, 10**5):
+        assert prime_array(n).tolist() == plain[plain <= n].tolist(), n
+
+
+def test_sieve_rows_match_factorize():
+    # every prime below 2e5, its p - 1 sieved in segment-sized pieces
+    ps = whole_range_primes(2 * 10**5)
+    rows = [[] for _ in ps]
+    for lo in range(0, ps.size, 9000):
+        block = ps[lo : lo + 9000]
+        i, q, e = sieve_rows(block - 1)
+        assert i.dtype == q.dtype == e.dtype == np.int64
+        for k, t, r in zip(i.tolist(), q.tolist(), e.tolist()):
+            rows[lo + k].append((t, r))
+    for p, got in zip(ps.tolist(), rows):
+        assert tuple(sorted(got)) == factorize(p - 1).factors, p
+
+
+def test_sieve_rows_are_trial_rows():
+    # row for row, on primes just below 2**31 and on every value to 5000
+    top = np.array([p for p in range(2**31 - 5000, 2**31) if is_prime(p)], dtype=np.int64)
+    assert top.size > 200 and top[-1] == 2**31 - 1
+    for n in (top - 1, top + 1, np.arange(0, 5001, dtype=np.int64),
+              np.array([1, 2], dtype=np.int64), np.array([1], dtype=np.int64)):
+        got, want = sieve_rows(n), trial_rows(n)
+        assert all(a.tolist() == b.tolist() for a, b in zip(got, want))
+    i, q, e = sieve_rows(top - 1)
+    for k, p in enumerate(top.tolist()):
+        assert tuple(sorted(zip(q[i == k].tolist(), e[i == k].tolist()))) == factorize(
+            p - 1).factors
+
+
+def test_primes_in_class_matches_whole_range_filter(monkeypatch):
+    monkeypatch.setattr(arith, "SEGMENT", 1000)
+    rng = random.Random(5)
+    cases = [(547, 720, 0, 10**4), (1, 2, 0, 3001), (7, 2**63 + 9, 0, 5000),
+             (2**64 + 7, 2**64, 3, 4000), (5, 1, 2, 2)]
+    for _ in range(100):
+        hi = rng.randrange(0, 12000)
+        v = rng.choice([rng.randrange(1, 300), rng.randrange(hi + 1, hi + 10**4),
+                        rng.randrange(2**63, 2**80)])
+        cases.append((rng.randrange(-10**6, 10**6), v, rng.randrange(-5, hi + 5), hi))
+    for u, v, lo, hi in cases:
+        got = primes_in_class(u, v, lo, hi)
+        assert got.dtype == np.int64
+        assert got.tolist() == whole_range_primes_in_class(u, v, lo, hi).tolist(), (u, v, lo, hi)
 
 
 def test_smallest_factor_table_matches_factorize():

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadartin import experiments, fp2
-from quadartin.arith import factorize, primes_up_to
+from quadartin.arith import factorize, is_prime, jacobi, primes_up_to
 from quadartin.cli import CONFIG_SCHEMA, BadConfig, main, validate_config
 
 
@@ -145,6 +145,26 @@ def test_scan_with_congruence_class(tmp_path):
     rows = (out / "scan.csv").read_text().splitlines()[1:]
     for row in rows:
         assert int(row.split(",")[0]) % 720 == 547
+
+
+@pytest.mark.parametrize("mode", ["dense", "congruence"])
+def test_scan_window_past_1e12(tmp_path, mode):
+    # only the window is sieved, by the primes up to its square root, and
+    # its primes take the scalar route
+    lo = 10**12
+    if mode == "dense":
+        hi = lo + 2000
+        cfg = dict(SCAN_CFG, prime_min=lo, prime_max=hi)
+        want = [p for p in range(lo + 1, hi + 1, 2) if is_prime(p) and jacobi(5, p) == -1]
+    else:
+        hi = lo + 10**5
+        cfg = dict(SCAN_CFG, prime_min=lo, prime_max=hi, use_congruence=True, a=-4)
+        want = [p for p in range(lo + (547 - lo) % 720, hi + 1, 720) if is_prime(p)]
+    code, out = run(tmp_path, "scan", cfg)
+    assert code == 0
+    rows = (out / "scan.csv").read_text().splitlines()[1:]
+    assert [int(r.split(",")[0]) for r in rows[::3]] == want and len(want) > 10
+    assert json.loads((out / "scan_summary.json").read_text())["prime_count"] == len(want)
 
 
 def test_scan_negative_norms(tmp_path):

@@ -2,12 +2,13 @@
 
 import math
 import pickle
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from quadartin import experiments
+from quadartin import arith, experiments
 from quadartin.construction import InvariantError
 from quadartin.arith import (
     factorize,
@@ -15,7 +16,7 @@ from quadartin.arith import (
     jacobi,
     prime_array,
     primes_up_to,
-    smallest_factor_table,
+    sieve_rows,
 )
 from quadartin.experiments import (
     AlphaFamily,
@@ -34,7 +35,13 @@ from quadartin.experiments import (
 )
 from quadartin.quadfield import FieldContext, conjugate, m_ratio, norm
 
-from oracles import remark12_verify, scalar_order_scan, subgroup_size
+from oracles import (
+    remark12_verify,
+    scalar_order_scan,
+    subgroup_size,
+    survivors_by_trial_division,
+    table_growth_counts,
+)
 
 
 @pytest.fixture
@@ -470,14 +477,15 @@ def test_lemma42_counts_monotone_in_y():
     ids=["2,3", "-3,7", "3,5", "5,6", "2,3,5", "2^64+13,3"],
 )
 def test_subgroup_kernel_matches_scalar_oracle(monkeypatch, gens):
-    # 1000-prime blocks: the 2262 primes below 2e4 span three blocks, the
+    # 4096-integer segments: the primes below 2e4 span five segments, the
     # last one partial.  (3, 5) keeps p = 2, where p - 1 = 1 and the size is 1.
-    monkeypatch.setattr(experiments, "PRIME_BLOCK", 1000)
+    monkeypatch.setattr(arith, "SEGMENT", 4096)
     x = 2 * 10**4
     ps = prime_array(x)
     ps = ps[[all(g % p for g in gens) for p in ps.tolist()]]
-    assert ps.size > 2 * experiments.PRIME_BLOCK
-    sizes = experiments._subgroup_block((gens, x, ps))
+    assert x > 2 * arith.SEGMENT
+    bad = [q for g in gens for q in factorize(abs(g)).primes]
+    sizes = np.concatenate(list(experiments._segment_sizes(gens, bad, x)))
     assert sizes.dtype == np.int64
     assert sizes.tolist() == [subgroup_size(p, gens) for p in ps.tolist()]
     if 2 in ps.tolist():
@@ -485,9 +493,9 @@ def test_subgroup_kernel_matches_scalar_oracle(monkeypatch, gens):
 
 
 def test_subgroup_kernel_rejects_vanishing_generator():
-    spf = smallest_factor_table(100)
+    ps = np.array([5, 7, 11])
     with pytest.raises(ValueError):
-        subgroup_sizes(np.array([5, 7, 11]), [2, 14], spf)
+        subgroup_sizes(ps, [2, 14], sieve_rows(ps - 1))
 
 
 def test_subgroup_kernel_descent_overrun_raises(monkeypatch):
@@ -501,15 +509,53 @@ def test_subgroup_kernel_descent_overrun_raises(monkeypatch):
         return np.full(np.broadcast(base, exp, mod).shape, fill, dtype=np.int64)
 
     monkeypatch.setattr(experiments, "powmod", broken)
+    ps = np.array([7, 13])
     with pytest.raises(ArithmeticError):
-        subgroup_sizes(np.array([7, 13]), [2, 3], smallest_factor_table(13))
+        subgroup_sizes(ps, [2, 3], sieve_rows(ps - 1))
 
 
-def test_lemma42_workers_identical():
-    # 15000 keeps the prime list above the pool's activation threshold
+def test_lemma42_workers_identical(monkeypatch):
+    # 2000-integer segments: the primes to 15000 span eight segments, so the
+    # pool deals them out
+    monkeypatch.setattr(arith, "SEGMENT", 2000)
     a = lemma42_scan([2, 3], 15000)
     b = lemma42_scan([2, 3], 15000, workers=3)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [(2, 3), (-3, 7), (5, 6), (2, 3, 5), (2**64 + 13, 3)],
+    ids=["2,3", "-3,7", "5,6", "2,3,5", "2^64+13,3"],
+)
+def test_lemma42_streams_like_table_route(monkeypatch, gens):
+    # 1000-integer segments cross 30 segment edges; the counts and the prime
+    # count equal those of the whole-range table route, with one process and
+    # with two
+    monkeypatch.setattr(arith, "SEGMENT", 1000)
+    x = 3 * 10**4
+    y_grid = [float(y) for y in np.geomspace(1.0, 4 * 10**4, 23)]
+    fit = lemma42_scan(gens, x, y_grid)
+    counts, prime_count = table_growth_counts(gens, x, y_grid)
+    assert [n for _, n in fit.samples] == counts
+    assert fit.prime_count == prime_count
+    assert 0 < counts[len(counts) // 2] < prime_count
+    assert lemma42_scan(gens, x, y_grid, workers=2) == fit
+
+
+def test_lemma42_memory_is_bounded():
+    # numpy reports its buffers to tracemalloc; streaming per segment keeps
+    # the peak flat where whole-range tables grow with x
+    lemma42_scan([2, 3], 10**4)
+    peaks = []
+    for x in (10**6, 4 * 10**6):
+        tracemalloc.start()
+        try:
+            lemma42_scan([2, 3], x)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +598,22 @@ def test_pigeonhole_counts_bounded_by_rows(fam3):
     n = len(rep.rows)
     for c in rep.minus_attained + rep.plus_attained + rep.full_attained:
         assert 0 <= c <= n
+
+
+def test_pigeonhole_past_int64():
+    # primes from 2**63 on are Python ints all the way: survivor flags and
+    # large-factor counts equal trial division and factorize
+    fam = AlphaFamily.from_coords(5, [(3, 2), (2, 1)])
+    ps = [p for p in range(2**63 + 29, 2**63 + 300, 2) if is_prime(p) and jacobi(5, p) == -1]
+    assert ps[0] == 2**63 + 29
+    rep = pigeonhole_report(fam, ps)
+    assert [r.p for r in rep.rows] == ps
+    flags = [r.survivor for r in rep.rows]
+    assert flags == survivors_by_trial_division(ps, rep.threshold + 1, 24)
+    assert True in flags and False in flags
+    for row in rep.rows:
+        for m, n in ((row.m_minus, row.p - 1), (row.m_plus, row.p + 1)):
+            assert m == sum(e for q, e in factorize(n).factors if q > rep.threshold)
 
 
 def test_pigeonhole_too_many_large_factors_raises():

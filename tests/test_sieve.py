@@ -27,8 +27,13 @@ from oracles import count_Ad_by_classes, survivors_by_trial_division, unit_squar
 
 
 def brute_rho(d):
-    m = np.arange(1, d + 1, dtype=np.int64)
-    return int(np.count_nonzero(((m * m - 1) % d == 0) & (np.gcd(m, d) == 1)))
+    # every m in [1, d], in chunks of 2**20; gcd only where m^2 = 1 (mod d)
+    count = 0
+    for lo in range(1, d + 1, 2**20):
+        m = np.arange(lo, min(lo + 2**20, d + 1), dtype=np.int64)
+        m = m[(m * m - 1) % d == 0]
+        count += int(np.count_nonzero(np.gcd(m, d) == 1))
+    return count
 
 
 # ---------------------------------------------------------------------------
