@@ -74,8 +74,9 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # prime sieves
 
-# Integers per segment of the segmented sieve (Bays & Hudson, BIT 17 (1977)):
-# bounds the flags, primes and rows a segment holds, whatever the range is.
+# Members of the sieved progression (integers when v = 1) per segment of the
+# segmented sieve (Bays & Hudson, BIT 17 (1977)): bounds the flags, primes
+# and rows a segment holds, whatever the range is.
 SEGMENT = 2**17
 POWMOD_LIMIT = 2**31  # powmod and residues keep products of residues below 2**62
 
@@ -83,21 +84,54 @@ _primes = np.zeros(0, dtype=np.int64)
 _primes_limit = 1
 
 
-def _segments(lo: int, hi: int, first: int = 0, step: int = 1) -> Iterator[np.ndarray]:
-    """The primes in [lo, hi], ascending, as one int64 array per segment of
-    SEGMENT integers from max(lo, 2); each segment is sieved only by the
-    primes up to isqrt(hi).  With first and step, only segments first,
-    first + step, ... are sieved (one worker's share)."""
-    lo = max(lo, 2)
-    base = prime_array(math.isqrt(hi)).tolist() if hi >= lo else []
-    for a in range(lo + first * SEGMENT, hi + 1, step * SEGMENT):
-        b = min(a + SEGMENT, hi + 1)
-        flags = np.ones(b - a, dtype=bool)
-        for q in base:
-            if q * q >= b:
-                break
-            flags[max(q * q, -(-a // q) * q) - a :: q] = False
-        yield np.flatnonzero(flags) + a
+def _segments(lo: int, hi: int, first: int = 0, step: int = 1, *, u: int = 0,
+              v: int = 1) -> Iterator[np.ndarray]:
+    """The primes p = u (mod v) in [lo, hi], ascending, as one int64 array
+    per segment of SEGMENT members of the progression from its first member
+    n0 >= max(lo, 2) (Bays & Hudson, BIT 17 (1977)).  Each base prime q up
+    to isqrt(hi) that does not divide v strikes its multiples from the first
+    member >= q**2 on; a q dividing v divides no member, or every member
+    and then only n0 can be prime.  With first and step, only segments
+    first, first + step, ... are sieved (one worker's share)."""
+    n0 = max(lo, 2) + (u - max(lo, 2)) % v
+    if n0 + v > hi or math.gcd(n0, v) > 1:
+        # at most n0 can be prime: sieve it alone
+        hi, v = min(n0, hi), 1
+    if n0 > hi:
+        return
+    size = (hi - n0) // v + 1
+    base = prime_array(math.isqrt(hi))
+    for j0 in range(first * SEGMENT, size, step * SEGMENT):
+        a = n0 + v * j0
+        flags = np.ones(min(SEGMENT, size - j0), dtype=bool)
+        top = a + v * (flags.size - 1)
+        qs = base[: np.searchsorted(base, math.isqrt(top), side="right")]
+        # a chunk of base primes at a time, each with the index of its
+        # first strike: a member that q divides, at or past q**2
+        for c in range(0, qs.size, SEGMENT):
+            q = qs[c : c + SEGMENT]
+            if v > 1:
+                q = q[v % q != 0]
+                first_hit = (-a) % q * _inverses(v % q, q) % q
+            else:
+                first_hit = (-a) % q
+            past_square = np.maximum(-((a - q * q) // v), 0)
+            s = past_square + (first_hit - past_square) % q
+            # q shorter than the segment may strike often, the rest once
+            k = int(np.searchsorted(q, flags.size))
+            for t, i in zip(q[:k].tolist(), s[:k].tolist()):
+                flags[i::t] = False
+            s = s[k:]
+            flags[s[s < flags.size]] = False
+        yield np.flatnonzero(flags) * v + a
+
+
+def _inverses(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """a**-1 mod q for int64 residues a coprime to the ascending primes q:
+    a**(q - 2) by powmod below POWMOD_LIMIT, by Python's pow past it."""
+    if not q.size or q[-1] < POWMOD_LIMIT:
+        return powmod(a, q - 2, q)
+    return np.array([pow(x, -1, m) for x, m in zip(a.tolist(), q.tolist())], dtype=np.int64)
 
 
 def prime_array(n: int) -> np.ndarray:
@@ -107,9 +141,18 @@ def prime_array(n: int) -> np.ndarray:
     if n > _primes_limit:
         limit = max(n, 2 * _primes_limit)
         prime_array(math.isqrt(limit))  # the base primes, cached before the cache is read
-        _primes = np.concatenate([_primes, *_segments(_primes_limit + 1, limit)])
-        _primes.flags.writeable = False
-        _primes_limit = limit
+        # filled in place up to pi(limit) < 1.25506 limit / log(limit)
+        # (Rosser & Schoenfeld, Illinois J. Math. 6 (1962), (3.6)), then
+        # cut to size, so no list of segments is held next to the result
+        grown = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.int64)
+        end = _primes.size
+        grown[:end] = _primes
+        for ps in _segments(_primes_limit + 1, limit):
+            grown[end : end + ps.size] = ps
+            end += ps.size
+        grown.resize(end, refcheck=False)  # no view of grown exists yet
+        grown.flags.writeable = False
+        _primes, _primes_limit = grown, limit
     return _primes[: np.searchsorted(_primes, n, side="right")]
 
 
@@ -120,16 +163,8 @@ def primes_up_to(n: int) -> List[int]:
 
 def primes_in_class(u: int, v: int, lo: int, hi: int) -> np.ndarray:
     """Primes p = u (mod v) in [lo, hi], ascending, as a new int64 array,
-    filtered segment by segment.
-
-    Exact for every modulus v >= 1: when v > hi each p <= hi is its own
-    residue, so reducing by min(v, hi + 1) changes no comparison and keeps
-    the arithmetic inside int64.
-    """
-    m = min(v, hi + 1)
-    r = min(u % v, m)
-    return np.concatenate([np.zeros(0, dtype=np.int64),
-                           *(ps[ps % m == r] for ps in _segments(lo, hi))])
+    sieved on the progression itself: exact for every modulus v >= 1."""
+    return np.concatenate([np.zeros(0, dtype=np.int64), *_segments(lo, hi, u=u, v=v)])
 
 
 def sieve_rows(n: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -326,10 +361,11 @@ def _pollard_brent(n: int, rng: random.Random) -> int:
 def factorize(n: int) -> Factorization:
     """Full factorization of n >= 1.
 
-    Trial division peels off the prime factors below 1000 (early exit once
-    the remainder drops below the square of the trial prime); whatever
-    survives is split recursively by Pollard rho (Brent), with a
-    deterministic primality test deciding when to stop splitting.
+    Trial division peels off the prime factors below 1000, and stops once
+    the remainder is below the square of the trial prime: it is then 1 or
+    prime.  A remainder that outlasts every trial prime is split
+    recursively by Pollard rho (Brent), with a deterministic primality test
+    deciding when to stop splitting.
     """
     if n < 1:
         raise ValueError(f"factorize needs n >= 1, got {n}")
@@ -337,11 +373,14 @@ def factorize(n: int) -> Factorization:
     m = n
     for p in _TRIAL_PRIMES:
         if p * p > m:
+            # no prime below p divides m, so m is 1 or prime
+            if m > 1:
+                counts[m] = 1
             break
         while m % p == 0:
             counts[p] = counts.get(p, 0) + 1
             m //= p
-    if m > 1:
+    else:
         rng = random.Random(_rho_seed)
         stack = [m]
         while stack:

@@ -25,6 +25,8 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
+import numpy as np
+
 from . import arith, sieve
 from .construction import (
     Congruence,
@@ -252,15 +254,23 @@ def cmd_scan(cfg: Dict, out: Path, workers: int) -> int:
 
     # The order chain is checked inside the scan pass: a violation raises
     # RemarkViolation, which exits 3.
-    records, summary = order_scan(family, plist, workers=workers)
+    blocks, summary = order_scan(family, plist, workers=workers)
 
+    labels = list(family.labels)
     with open(out / "scan.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["p", "member", "ord_alpha", "ord_N", "ord_M", "attained"])
-        for label, rec in records:
-            w.writerow(
-                [rec.p, label, rec.ord_alpha, rec.ord_n, rec.ord_m, int(rec.attained)]
-            )
+        # one row per (p, member), written from the block arrays in runs of
+        # 512 primes, so the column lists stay small
+        for b in blocks:
+            for lo in range(0, b.p.size, 512):
+                run = slice(lo, lo + 512)
+                w.writerows(zip(
+                    np.repeat(b.p[run], len(labels)).tolist(),
+                    labels * b.p[run].size,
+                    *(a[run].ravel().tolist() for a in (b.ord_alpha, b.ord_n, b.ord_m)),
+                    b.attained[run].ravel().astype(np.int64).tolist(),
+                ))
 
     indep = mult_indep_rational([Fraction(n) for n in family.norms])
     summary_json = {

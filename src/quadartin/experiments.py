@@ -35,7 +35,6 @@ from .construction import InvariantError
 from .fp2 import (
     Fp2Context,
     OrderChainError,
-    OrderRecord,
     Rows,
     descend,
     order_arrays,
@@ -253,12 +252,12 @@ def order_scan(
     family: AlphaFamily,
     primes: Iterable[int],
     workers: int = 1,
-) -> Tuple[List[Tuple[str, OrderRecord]], ScanSummary]:
-    """Order profile of every family member at every usable prime.
+) -> Tuple[List[OrderBlock], ScanSummary]:
+    """Order profile of every family member at every usable prime, as the
+    blocks of the scan pass in ascending order of p, and their summary.
 
     Primes that are not inert, ramify, or divide some member's norm are
-    skipped (logged and counted), not fatal.  Records come back sorted by
-    (p, member position).
+    skipped (logged and counted), not fatal.
     """
     plist = sorted(set(int(p) for p in primes))
     # Measured on dense scans: two workers lose on one block of primes (to
@@ -269,10 +268,8 @@ def order_scan(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = [b for part in pool.map(_scan_blocks, args) for b in part]
     else:
-        blocks = _order_pass(family, plist)
-    labels = family.labels
-    records: List[Tuple[str, OrderRecord]] = []
-    per_member = np.zeros(len(labels), dtype=np.int64)
+        blocks = list(_order_pass(family, plist))
+    per_member = np.zeros(len(family.labels), dtype=np.int64)
     prime_count = skipped = family_attained = 0
     histogram: Counter = Counter()
     for b in blocks:
@@ -281,24 +278,15 @@ def order_scan(
         per_member += b.attained.sum(axis=0)
         family_attained += int(b.attained.any(axis=1).sum())
         histogram.update(((b.p * b.p - 1)[:, None] // b.ord_alpha).ravel().tolist())
-        # records in runs of 512 primes, so the lists they are built from
-        # stay small next to the records themselves
-        for lo in range(0, b.p.size, 512):
-            run = slice(lo, lo + 512)
-            cols = zip(*(a[run].ravel().tolist()
-                         for a in (b.ord_alpha, b.ord_n, b.ord_m, b.attained)))
-            records += [
-                (lab, OrderRecord(p, *next(cols))) for p in b.p[run].tolist() for lab in labels
-            ]
     summary = ScanSummary(
         prime_count,
         skipped,
-        labels,
+        family.labels,
         tuple(per_member.tolist()),
         family_attained,
         dict(histogram),
     )
-    return records, summary
+    return blocks, summary
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +529,9 @@ def subgroup_sizes(ps: np.ndarray, gens: Sequence[int], rows: Rows) -> np.ndarra
         full[r] = powmod(g_res[i[r]], (p[r] - 1) // q[r], p[r]) != 1
     k = np.where(full, e, 0)
 
-    # descent on the rows no generator fills
-    d = np.flatnonzero(~full)
+    # descent on the rows no generator fills; with e = 1 such a row's h
+    # is already 1, so its k stays 0
+    d = np.flatnonzero(~full & (e > 1))
     pd, qd, ed = p[d], q[d], e[d]
     for g_res in res[:, i[d]]:
         h = powmod(g_res, (pd - 1) // qd**ed, pd)

@@ -3,11 +3,12 @@
 Each is a slow or object-level second route to an answer the package
 computes one way: prime counts by progression, the F_p^2 element API with
 the full p^2 - 1 order descent, the inertness test, the remark-12 chain
-counts, the scalar order scan, the scalar subgroup size, the whole-range
-prime sieve, class filter, smallest-factor table and table-route growth
-counts the segmented sieve replaced, |A_d| split over CRT classes, and the
-trial-division survivor test.  Nothing in src/ calls them; the tests import
-them as `from oracles import ...` (pytest puts tests/ on sys.path).
+counts, the scalar order scan, the record list of a scan's blocks, the
+scalar subgroup size, the whole-range prime sieve, class filter,
+smallest-factor table and table-route growth counts the segmented sieve
+replaced, |A_d| split over CRT classes, and the trial-division survivor
+test.  Nothing in src/ calls them; the tests import them as
+`from oracles import ...` (pytest puts tests/ on sys.path).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from quadartin.arith import (
     primes_up_to,
     totient,
 )
-from quadartin.experiments import AlphaFamily, order_scan, subgroup_sizes
+from quadartin.experiments import AlphaFamily, OrderBlock, order_scan, subgroup_sizes
 from quadartin.fp2 import (
     Fp2Context,
     OrderRecord,
@@ -270,8 +271,19 @@ def remark12_verify(family: AlphaFamily, primes: Iterable[int]) -> Dict[str, int
     this is that pass with its counts returned.  Any failure raises
     RemarkViolation.
     """
-    records, summary = order_scan(family, primes)
+    blocks, summary = order_scan(family, primes)
+    records = records_of(blocks, family.labels)
     return {"checked": len(records), "skipped": summary.skipped, "violations": 0}
+
+
+def records_of(blocks: Iterable[OrderBlock], labels: Sequence[str]) -> List[Tuple[str, OrderRecord]]:
+    """order_scan's blocks as (label, OrderRecord) pairs sorted by (p,
+    member position); each OrderRecord checks its own chain."""
+    records = []
+    for b in blocks:
+        cols = zip(*(a.ravel().tolist() for a in (b.ord_alpha, b.ord_n, b.ord_m, b.attained)))
+        records += [(lab, OrderRecord(p, *next(cols))) for p in b.p.tolist() for lab in labels]
+    return records
 
 
 def scalar_order_scan(

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -192,8 +193,11 @@ def test_sieve_rows_are_trial_rows():
 def test_primes_in_class_matches_whole_range_filter(monkeypatch):
     monkeypatch.setattr(arith, "SEGMENT", 1000)
     rng = random.Random(5)
+    # the last three classes share a factor with their modulus: only the
+    # first member can be prime
     cases = [(547, 720, 0, 10**4), (1, 2, 0, 3001), (7, 2**63 + 9, 0, 5000),
-             (2**64 + 7, 2**64, 3, 4000), (5, 1, 2, 2)]
+             (2**64 + 7, 2**64, 3, 4000), (5, 1, 2, 2), (3, 6, 0, 100), (2, 4, 0, 100),
+             (9, 12, 0, 100)]
     for _ in range(100):
         hi = rng.randrange(0, 12000)
         v = rng.choice([rng.randrange(1, 300), rng.randrange(hi + 1, hi + 10**4),
@@ -203,6 +207,32 @@ def test_primes_in_class_matches_whole_range_filter(monkeypatch):
         got = primes_in_class(u, v, lo, hi)
         assert got.dtype == np.int64
         assert got.tolist() == whole_range_primes_in_class(u, v, lo, hi).tolist(), (u, v, lo, hi)
+    assert [primes_in_class(u, v, 0, 100).tolist() for u, v in ((3, 6), (2, 4), (9, 12))] == [
+        [3], [2], []]
+
+
+def test_class_sieve_inverts_past_powmod_limit(monkeypatch):
+    # base primes from POWMOD_LIMIT on get v**-1 mod q from pow, not powmod
+    monkeypatch.setattr(arith, "POWMOD_LIMIT", 50)
+    for u, v in ((547, 720), (1, 7), (5, 6), (10, 21)):
+        got = primes_in_class(u, v, 0, 2 * 10**5)
+        assert got.tolist() == whole_range_primes_in_class(u, v, 0, 2 * 10**5).tolist(), (u, v)
+
+
+def test_far_window_holds_no_copy_of_the_base_primes():
+    # one 101-integer segment past 1e14: the 664,579 base primes up to 1e7
+    # strike in chunks of vectorised offsets, so the sieve allocates less
+    # than twice the base array (a Python list of it costs about five times)
+    base = prime_array(10**7)
+    tracemalloc.start()
+    try:
+        parts = list(_segments(10**14, 10**14 + 100))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    got = np.concatenate(parts).tolist()
+    assert got == [n for n in range(10**14, 10**14 + 101) if is_prime(n)]
+    assert peak < 2 * base.nbytes, (peak, base.nbytes)
 
 
 def test_smallest_factor_table_matches_factorize():

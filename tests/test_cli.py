@@ -192,12 +192,14 @@ def test_scan_negative_norms(tmp_path):
 def test_scan_broken_chain_exits_3(tmp_path, monkeypatch, capsys, workers):
     # an understated ord_N leaves alpha^(2L) != 1, which the scan pass must
     # report as a chain violation, also from a pool worker (64-prime blocks
-    # put the 155 primes past the pool's one-block threshold)
+    # put the 155 primes past the pool's one-block threshold); scan.csv is
+    # written only after the whole pass, so none is left behind
     monkeypatch.setattr(fp2, "_orders_mod_p", lambda a, p, rows: np.ones_like(a))
     monkeypatch.setattr(experiments, "PRIME_BLOCK", 64)
-    code, _ = run(tmp_path, "scan", SCAN_CFG, extra=("--workers", workers))
+    code, out = run(tmp_path, "scan", SCAN_CFG, extra=("--workers", workers))
     assert code == 3
     assert "order chain broken" in capsys.readouterr().err
+    assert not (out / "scan.csv").exists()
 
 
 # Digests of scan.csv and scan_summary.json written by the scalar per-prime
@@ -231,6 +233,21 @@ def test_scan_artifacts_pinned(tmp_path, cfg, csv_sha, summary_sha):
     assert code == 0
     assert hashlib.sha256((out / "scan.csv").read_bytes()).hexdigest() == csv_sha
     assert hashlib.sha256((out / "scan_summary.json").read_bytes()).hexdigest() == summary_sha
+
+
+def test_kernel_scan_builds_no_order_record(tmp_path, monkeypatch):
+    # below 2**31 scan.csv is written from the kernel's arrays: every
+    # OrderRecord check is an array predicate there, so none is built
+    def no_record(*args, **kwargs):
+        raise AssertionError("OrderRecord built on the kernel route")
+
+    monkeypatch.setattr(fp2, "OrderRecord", no_record)
+    monkeypatch.setattr(experiments, "OrderRecord", no_record, raising=False)
+    for name, (cfg, csv_sha, summary_sha) in PINNED_SCANS.items():
+        code, out = run(tmp_path, "scan", cfg, outdir=name)
+        assert code == 0, name
+        assert hashlib.sha256((out / "scan.csv").read_bytes()).hexdigest() == csv_sha
+        assert hashlib.sha256((out / "scan_summary.json").read_bytes()).hexdigest() == summary_sha
 
 
 def test_scan_bad_configs(tmp_path):

@@ -36,6 +36,7 @@ from quadartin.experiments import (
 from quadartin.quadfield import FieldContext, conjugate, m_ratio, norm
 
 from oracles import (
+    records_of,
     remark12_verify,
     scalar_order_scan,
     subgroup_size,
@@ -93,7 +94,8 @@ def test_congruence_primes_match_filter():
 def test_order_scan_rational_one():
     fam = AlphaFamily.from_coords(5, [(1, 0)])
     ps = inert_primes(fam.ctx, 3, 100)
-    records, summary = order_scan(fam, ps)
+    blocks, summary = order_scan(fam, ps)
+    records = records_of(blocks, fam.labels)
     for _, rec in records:
         assert rec.ord_alpha == 1
     # 24 * 1 >= p^2 - 1 only at p = 3
@@ -103,7 +105,8 @@ def test_order_scan_rational_one():
 def test_order_scan_frozen_baseline(fam3):
     ps = inert_primes(fam3.ctx, 3, 10**4)
     assert len(ps) == 618
-    records, s = order_scan(fam3, ps)
+    blocks, s = order_scan(fam3, ps)
+    records = records_of(blocks, fam3.labels)
     assert s.prime_count == 618
     assert s.skipped == 0
     assert s.attained_per_member == (6, 552, 575)
@@ -124,8 +127,8 @@ def test_order_scan_workers_merge_identical(fam3, monkeypatch):
     monkeypatch.setattr(experiments, "PRIME_BLOCK", 64)
     ps = inert_primes(fam3.ctx, 3, 3000)
     assert len(ps) > 3 * experiments.PRIME_BLOCK
-    r1, s1 = order_scan(fam3, ps)
-    r2, s2 = order_scan(fam3, ps, workers=3)
+    (b1, s1), (b2, s2) = order_scan(fam3, ps), order_scan(fam3, ps, workers=3)
+    r1, r2 = records_of(b1, fam3.labels), records_of(b2, fam3.labels)
     assert r1 == r2
     assert s1 == s2
 
@@ -133,7 +136,8 @@ def test_order_scan_workers_merge_identical(fam3, monkeypatch):
 def test_order_scan_skips_unusable_primes():
     # 7*(1 + sqrt(5)) has norm divisible by the inert prime 7; 11 splits
     fam = AlphaFamily.from_coords(5, [(7, 7)])
-    records, s = order_scan(fam, [7, 11, 13])
+    blocks, s = order_scan(fam, [7, 11, 13])
+    records = records_of(blocks, fam.labels)
     assert s.prime_count == 1
     assert s.skipped == 2
     assert records[0][1].p == 13
@@ -141,7 +145,8 @@ def test_order_scan_skips_unusable_primes():
 
 def test_order_scan_index_histogram(fam3):
     ps = inert_primes(fam3.ctx, 3, 500)
-    records, s = order_scan(fam3, ps)
+    blocks, s = order_scan(fam3, ps)
+    records = records_of(blocks, fam3.labels)
     assert sum(s.index_histogram.values()) == len(records)
     for label, rec in records:
         idx = (rec.p**2 - 1) // rec.ord_alpha
@@ -170,7 +175,8 @@ def test_order_kernel_matches_scalar_route(monkeypatch, delta):
     fam = AlphaFamily.from_coords(delta, KERNEL_MEMBERS[delta])
     assert abs(norm(fam.members[2])) == 1
     ps = primes_up_to(2 * 10**4)
-    records, summary = order_scan(fam, ps)
+    blocks, summary = order_scan(fam, ps)
+    records = records_of(blocks, fam.labels)
     want, skipped = scalar_order_scan(fam, ps)
     assert records == want
     assert (summary.prime_count, summary.skipped) == (len(ps) - skipped, skipped)
@@ -183,7 +189,8 @@ def test_order_kernel_matches_scalar_route(monkeypatch, delta):
 def test_order_kernel_skip_count():
     # 2, the ramified 5 and the split 11, 19 and 29 are skipped
     fam = AlphaFamily.from_coords(5, [(2, 1), (3, 2)])
-    records, s = order_scan(fam, [2, 5, 7, 11, 13, 19, 29])
+    blocks, s = order_scan(fam, [2, 5, 7, 11, 13, 19, 29])
+    records = records_of(blocks, fam.labels)
     assert (s.prime_count, s.skipped) == (2, 5)
     assert [r.p for _, r in records] == [7, 7, 13, 13]
 
@@ -204,7 +211,8 @@ def test_order_kernel_exact_below_2_31():
     fam = AlphaFamily.from_coords(5, [(3, 2), (2, 1), (4, 0), (0, 1), (7, 7)])
     ps = _primes_from(2**31 - 1, -2, 6, 5, -1)
     assert ps[0] == 2**31 - 1
-    records, _ = order_scan(fam, ps)
+    blocks, _ = order_scan(fam, ps)
+    records = records_of(blocks, fam.labels)
     assert records == scalar_order_scan(fam, ps)[0]
     label, top = records[-5]
     assert (label, top.p) == ("3+2r5", 2**31 - 1)
@@ -219,7 +227,8 @@ def test_order_scan_past_2_31_matches_scalar_route():
     ps = primes_up_to(300) + _primes_from(2**31 + 1, 2, 3, 5, -1) + _primes_from(
         2**31 + 1, 2, 1, 5, 1
     )
-    records, s = order_scan(fam, ps)
+    blocks, s = order_scan(fam, ps)
+    records = records_of(blocks, fam.labels)
     want, skipped = scalar_order_scan(fam, ps)
     assert records == want and s.skipped == skipped
     assert records[-1][1].p > 2**31
