@@ -35,7 +35,6 @@ from .experiments import (
     order_scan,
     pigeonhole_report,
 )
-from .fp2 import Fp2Context, OrderRecord, order_record
 from .quadfield import (
     FieldContext,
     QuadElem,

@@ -78,7 +78,10 @@ def is_prime(n: int) -> bool:
 # segmented sieve (Bays & Hudson, BIT 17 (1977)): bounds the flags, primes
 # and rows a segment holds, whatever the range is.
 SEGMENT = 2**17
-POWMOD_LIMIT = 2**31  # powmod and residues keep products of residues below 2**62
+# powmod and residues run in int64 on int64 moduli below this bound, where a
+# product of two residues stays below 2**62; past it they are exact on
+# Python ints, one element at a time
+POWMOD_LIMIT = 2**31
 
 _primes = np.zeros(0, dtype=np.int64)
 _primes_limit = 1
@@ -112,7 +115,7 @@ def _segments(lo: int, hi: int, first: int = 0, step: int = 1, *, u: int = 0,
             q = qs[c : c + SEGMENT]
             if v > 1:
                 q = q[v % q != 0]
-                first_hit = (-a) % q * _inverses(v % q, q) % q
+                first_hit = (-a) % q * powmod(v % q, q - 2, q) % q
             else:
                 first_hit = (-a) % q
             past_square = np.maximum(-((a - q * q) // v), 0)
@@ -124,14 +127,6 @@ def _segments(lo: int, hi: int, first: int = 0, step: int = 1, *, u: int = 0,
             s = s[k:]
             flags[s[s < flags.size]] = False
         yield np.flatnonzero(flags) * v + a
-
-
-def _inverses(a: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """a**-1 mod q for int64 residues a coprime to the ascending primes q:
-    a**(q - 2) by powmod below POWMOD_LIMIT, by Python's pow past it."""
-    if not q.size or q[-1] < POWMOD_LIMIT:
-        return powmod(a, q - 2, q)
-    return np.array([pow(x, -1, m) for x, m in zip(a.tolist(), q.tolist())], dtype=np.int64)
 
 
 def prime_array(n: int) -> np.ndarray:
@@ -234,22 +229,37 @@ def trial_rows(n: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.concatenate(t) for t in zip(*rows))
 
 
+def _integers(x) -> np.ndarray:
+    """x as an int64 array, or as the object array of Python ints it is."""
+    x = np.asarray(x)
+    return x if x.dtype == object else x.astype(np.int64, copy=False)
+
+
+def _int64_route(mod: np.ndarray) -> bool:
+    """Whether the moduli are int64 below POWMOD_LIMIT; raises ValueError
+    on a modulus below 1."""
+    if mod.size and mod.min() < 1:
+        raise ValueError("need every modulus >= 1")
+    return mod.dtype != object and not (mod.size and mod.max() >= POWMOD_LIMIT)
+
+
 def powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """Elementwise base**exp % mod (broadcast) in int64, by left-to-right
-    square-and-multiply over 2-bit windows of the exponent.  Every modulus
-    must lie in [1, 2**31), so each product of two residues stays below
-    2**62; exponents must be nonnegative."""
-    base, exp, mod = np.broadcast_arrays(
-        np.asarray(base, dtype=np.int64),
-        np.asarray(exp, dtype=np.int64),
-        np.asarray(mod, dtype=np.int64),
-    )
-    shape = mod.shape
-    base, exp, mod = base.ravel(), exp.ravel(), mod.ravel()
-    if mod.size and (mod.min() < 1 or mod.max() >= POWMOD_LIMIT):
-        raise ValueError("powmod needs every modulus in [1, 2**31)")
+    """Elementwise base**exp % mod (broadcast), exact for every modulus >= 1
+    and exponent >= 0.  On int64 arrays with every modulus below
+    POWMOD_LIMIT it is int64 left-to-right square-and-multiply over 2-bit
+    windows of the exponent, each product of two residues below 2**62;
+    otherwise Python's pow, element by element, in the inputs' dtype (an
+    object array as soon as one input is)."""
+    base, exp, mod = np.broadcast_arrays(_integers(base), _integers(exp), _integers(mod))
     if exp.size and exp.min() < 0:
         raise ValueError("powmod needs nonnegative exponents")
+    if not (_int64_route(mod) and base.dtype == exp.dtype == np.int64):
+        dtype = np.result_type(base, exp, mod)
+        out = [pow(*t) for t in zip(base.ravel().tolist(), exp.ravel().tolist(),
+                                    mod.ravel().tolist())]
+        return np.array(out, dtype=dtype).reshape(mod.shape)
+    shape = mod.shape
+    base, exp, mod = base.ravel(), exp.ravel(), mod.ravel()
     # row t of the table holds base**0 .. base**3 mod t's modulus
     table = np.empty((mod.size, 4), dtype=np.int64)
     table[:, 0] = 1
@@ -271,11 +281,13 @@ def powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
 
 
 def residues(g: int, mod: np.ndarray) -> np.ndarray:
-    """g % m for each int64 modulus m in [1, 2**31), exact for any Python
-    int g: |g| is folded in 30-bit limbs, so no intermediate passes 2**62."""
-    mod = np.asarray(mod, dtype=np.int64)
-    if mod.size and (mod.min() < 1 or mod.max() >= POWMOD_LIMIT):
-        raise ValueError("residues needs every modulus in [1, 2**31)")
+    """g % m for each modulus m >= 1, exact for any Python int g, in mod's
+    dtype.  On int64 moduli below POWMOD_LIMIT |g| is folded in 30-bit
+    limbs, so no intermediate passes 2**62; otherwise Python's %, element
+    by element."""
+    mod = _integers(mod)
+    if not _int64_route(mod):
+        return np.array([g % m for m in mod.ravel().tolist()], dtype=mod.dtype).reshape(mod.shape)
     a = abs(g)
     r = np.zeros(mod.shape, dtype=np.int64)
     for shift in range(30 * (max(a.bit_length() - 1, 0) // 30), -1, -30):

@@ -6,7 +6,6 @@ pigeonhole bookkeeping that splits p^2 - 1 into its p - 1 and p + 1 sides.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import logging
 import math
@@ -24,7 +23,6 @@ from .arith import (
     POWMOD_LIMIT,
     _segments,
     factorize,
-    jacobi,
     powmod,
     primes_in_class,
     residues,
@@ -32,14 +30,7 @@ from .arith import (
     trial_rows,
 )
 from .construction import InvariantError
-from .fp2 import (
-    Fp2Context,
-    OrderChainError,
-    Rows,
-    descend,
-    order_arrays,
-    order_record,
-)
+from .fp2 import Rows, descend, order_arrays
 from .quadfield import FieldContext, QuadElem, norm
 from .sieve import sieving_limit, survivor_mask
 
@@ -113,8 +104,8 @@ PRIME_BLOCK = 2**13
 
 
 def _ramified_split(delta: int, ps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Masks of the int64 primes ps < 2**31 that are 2 or ramify, and of the
-    others that split: delta is a square mod p, by Euler's criterion."""
+    """Masks of the primes ps that are 2 or ramify, and of the others that
+    split: delta is a square mod p, by Euler's criterion."""
     dm = residues(delta, ps)
     ramified = (ps == 2) | (dm == 0)
     split = ~ramified & (powmod(dm, (ps - 1) // 2, ps) != ps - 1)
@@ -127,10 +118,8 @@ def inert_primes(ctx: FieldContext, lo: int, hi: int) -> List[int]:
     split ones."""
     out: List[int] = []
     for ps in _segments(max(lo, 3), hi):
-        small = ps[ps < POWMOD_LIMIT]
-        ramified, split = _ramified_split(ctx.delta, small)
-        out += small[~(ramified | split)].tolist()
-        out += [p for p in ps[small.size :].tolist() if jacobi(ctx.delta, p) == -1]
+        ramified, split = _ramified_split(ctx.delta, ps)
+        out += ps[~(ramified | split)].tolist()
     return out
 
 
@@ -170,8 +159,9 @@ class ScanSummary:
 class OrderBlock(NamedTuple):
     """Orders at the usable primes of one block of a scan.  p holds those
     primes; ord_alpha, ord_n, ord_m and attained have one row per prime and
-    one column per member; skipped counts the block's other primes.  The
-    arrays are int64 below 2**31 and hold Python ints past it."""
+    one column per member; skipped counts the block's other primes.  p and
+    the orders are int64 when the block's largest prime is below 2**31, and
+    object arrays of Python ints otherwise."""
 
     p: np.ndarray
     ord_alpha: np.ndarray
@@ -183,19 +173,18 @@ class OrderBlock(NamedTuple):
 
 def _order_pass(family: AlphaFamily, plist: List[int]) -> Iterator[OrderBlock]:
     """The one pass behind every scan, over the ascending primes plist in
-    blocks of PRIME_BLOCK: the array kernel below 2**31, order_record past
-    it.  A broken order chain raises RemarkViolation at the first failing
-    (p, member) in (p, member) order."""
-    cut = bisect.bisect_left(plist, POWMOD_LIMIT)
-    small = np.array(plist[:cut], dtype=np.int64)
-    for lo in range(0, cut, PRIME_BLOCK):
-        yield _kernel_block(family, small[lo : lo + PRIME_BLOCK])
-    for lo in range(cut, len(plist), PRIME_BLOCK):
-        yield _scalar_block(family, plist[lo : lo + PRIME_BLOCK])
+    blocks of PRIME_BLOCK, each through the array kernel: as int64 when its
+    largest prime is below 2**31, as Python ints otherwise.  A broken order
+    chain raises RemarkViolation at the first failing (p, member) in (p,
+    member) order."""
+    for lo in range(0, len(plist), PRIME_BLOCK):
+        block = plist[lo : lo + PRIME_BLOCK]
+        dtype = np.int64 if block[-1] < POWMOD_LIMIT else object
+        yield _kernel_block(family, np.array(block, dtype=dtype))
 
 
 def _kernel_block(family: AlphaFamily, ps: np.ndarray) -> OrderBlock:
-    """One block of int64 primes below 2**31 through the array kernel."""
+    """One block of primes through the array kernel, in the block's dtype."""
     ramified, split = _ramified_split(family.ctx.delta, ps)
     divides = ~(ramified | split) & np.any(
         [residues(n, ps) == 0 for n in family.norms], axis=0
@@ -207,10 +196,10 @@ def _kernel_block(family: AlphaFamily, ps: np.ndarray) -> OrderBlock:
     # the outputs are allocated before the kernel's temporaries, so the
     # heap those used can be given back once they are freed
     shape = (p.size, len(family.members))
-    ord_alpha, ord_n, ord_m = (np.empty(shape, dtype=np.int64) for _ in range(3))
+    ord_alpha, ord_n, ord_m = (np.empty(shape, dtype=p.dtype) for _ in range(3))
     attained, chain_ok = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
     d = residues(family.ctx.delta, p)
-    minus, plus = trial_rows(p - 1), trial_rows(p + 1)
+    minus, plus = _rows_of(p - 1), _rows_of(p + 1)
     for m, a in enumerate(family.members):
         c0, c1 = residues(int(a.x), p), residues(int(a.y), p)
         (ord_alpha[:, m], ord_n[:, m], ord_m[:, m], attained[:, m],
@@ -224,24 +213,6 @@ def _kernel_block(family: AlphaFamily, ps: np.ndarray) -> OrderBlock:
             f"{ord_alpha[j, m]} break the order chain at p = {p[j]}",
         )
     return OrderBlock(p, ord_alpha, ord_n, ord_m, attained, int(skip.sum()))
-
-
-def _scalar_block(family: AlphaFamily, ps: List[int]) -> OrderBlock:
-    """The same block from order_record, for primes past the kernel's bound."""
-    delta = family.ctx.delta
-    usable = [p for p in ps if p != 2 and delta % p and jacobi(delta, p) == -1
-              and all(n % p for n in family.norms)]
-    recs = []
-    for p in usable:
-        fctx = Fp2Context.for_prime(p, family.ctx)
-        for label, a in zip(family.labels, family.members):
-            try:
-                recs.append(order_record(a, fctx))
-            except OrderChainError as e:
-                raise RemarkViolation(p, label, str(e)) from e
-    cols = [np.array([getattr(r, f) for r in recs], dtype=bool if f == "attained" else object)
-            .reshape(-1, len(family.members)) for f in ("ord_alpha", "ord_n", "ord_m", "attained")]
-    return OrderBlock(np.array(usable, dtype=object), *cols, len(ps) - len(usable))
 
 
 def _scan_blocks(args) -> List[OrderBlock]:
@@ -548,11 +519,12 @@ def subgroup_sizes(ps: np.ndarray, gens: Sequence[int], rows: Rows) -> np.ndarra
 
 def _rows_of(n: np.ndarray) -> Rows:
     """The (i, q, e) rows of n: by trial division for int64 n, by factorize
-    for Python ints past the kernel's bound."""
+    for an object array of Python ints, whose primes q stay Python ints."""
     if n.dtype != object:
         return trial_rows(n)
     flat = [(i, q, e) for i, x in enumerate(n.tolist()) for q, e in factorize(x).factors]
-    return tuple(np.array(flat, dtype=np.int64).reshape(-1, 3).T)
+    i, q, e = zip(*flat) if flat else ((), (), ())
+    return np.array(i, dtype=np.int64), np.array(q, dtype=object), np.array(e, dtype=np.int64)
 
 
 @dataclass(frozen=True)

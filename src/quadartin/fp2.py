@@ -1,5 +1,5 @@
-"""Arithmetic and multiplicative orders in F_p^2 = F_p(sqrt(delta)) for an
-inert prime p.
+"""Multiplicative orders in F_p^2 = F_p(sqrt(delta)) for inert primes p,
+one array of primes at a time.
 
 Elements are pairs (c0, c1) meaning c0 + c1*s where s^2 = delta mod p.  The
 group of units is cyclic of order p^2 - 1.  Orders come from the order
@@ -12,162 +12,23 @@ and 2 divides one of them exactly once, so with L = lcm(ord N, ord M) the
 order of alpha is L or 2L; one power alpha^L decides which.  If alpha^(2L)
 is not 1 either, the chain is broken.
 
-order_arrays runs this on int64 arrays for every prime below 2**31 at once:
-powmod in F_p and an F_p^2 ladder that reduces every product mod p, so no
-product passes p^2 < 2**62.  descend is the one descent routine, shared
-with the lemma42 subgroup sizes.  order_record is the scalar route on
-Python ints, for primes past that bound; it raises OrderChainError on a
-broken chain.  The tests keep the full p^2 - 1 descent as the reference
-both are checked against.
+order_arrays is the one order routine: powmod in F_p and an F_p^2 ladder
+that reduces every product mod p.  Its arrays are int64 for primes below
+2**31, where no product passes p^2 < 2**62, and object arrays of Python
+ints past it; every accumulator takes the dtype of p.  descend is the one
+descent routine, shared with the lemma42 subgroup sizes.  The tests keep
+the scalar order_record and the full p^2 - 1 descent as the references it
+is checked against.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
 
-from .arith import Factorization, factorize, jacobi, powmod
-from .quadfield import FieldContext, QuadElem
+from .arith import POWMOD_LIMIT, powmod
 
-
-class OrderChainError(ValueError):
-    """Orders computed at one prime violate the order chain."""
-
-
-# ---- raw kernels on plain ints (hot path; no dataclass overhead) ----------
-
-def _mul_raw(a0: int, a1: int, b0: int, b1: int, p: int, d: int) -> Tuple[int, int]:
-    return (a0 * b0 + d * a1 * b1) % p, (a0 * b1 + a1 * b0) % p
-
-
-def _pow_raw(c0: int, c1: int, e: int, p: int, d: int) -> Tuple[int, int]:
-    r0, r1 = 1, 0
-    while e:
-        if e & 1:
-            r0, r1 = (r0 * c0 + d * r1 * c1) % p, (r0 * c1 + r1 * c0) % p
-        c0, c1 = (c0 * c0 + d * c1 * c1) % p, 2 * c0 * c1 % p
-        e >>= 1
-    return r0, r1
-
-
-def _order_raw(c0: int, c1: int, n: int, qs, p: int, d: int) -> int:
-    # n is a multiple of the order; qs lists the distinct primes of n.
-    for q in qs:
-        while n % q == 0:
-            m = n // q
-            if _pow_raw(c0, c1, m, p, d) == (1, 0):
-                n = m
-            else:
-                break
-    return n
-
-
-def _order_mod_p(a: int, n: int, qs, p: int) -> int:
-    # Same reduction in the prime subfield, using native modular pow.
-    for q in qs:
-        while n % q == 0:
-            m = n // q
-            if pow(a, m, p) == 1:
-                n = m
-            else:
-                break
-    return n
-
-
-@dataclass(frozen=True)
-class Fp2Context:
-    """An inert prime p together with delta mod p and the factorizations of
-    p - 1 and p + 1 (everything order computations need)."""
-
-    p: int
-    delta_mod_p: int
-    fact_pm1: Factorization
-    fact_pp1: Factorization
-
-    @classmethod
-    def for_prime(cls, p: int, field: FieldContext) -> "Fp2Context":
-        if p == 2 or field.delta % p == 0:
-            raise ValueError(f"p = {p} does not stay prime over delta = {field.delta}")
-        if jacobi(field.delta, p) != -1:
-            raise ValueError(f"p = {p} splits: delta = {field.delta} is a square mod p")
-        return cls(p, field.delta % p, factorize(p - 1), factorize(p + 1))
-
-    def __post_init__(self):
-        if self.fact_pm1.value != self.p - 1 or self.fact_pp1.value != self.p + 1:
-            raise ValueError("factorizations do not match p")
-        if jacobi(self.delta_mod_p, self.p) != -1:
-            raise ValueError(f"delta = {self.delta_mod_p} is a square mod {self.p}")
-
-
-@dataclass(frozen=True, slots=True)
-class OrderRecord:
-    """Orders attached to one reduced element: the element's own order, the
-    order of its norm (in F_p^*), the order of its conjugate ratio, and
-    whether the order clears the (p^2 - 1)/24 threshold."""
-
-    p: int
-    ord_alpha: int
-    ord_n: int
-    ord_m: int
-    attained: bool
-
-    def __post_init__(self):
-        n = self.p * self.p - 1
-        if n % self.ord_alpha or (self.p - 1) % self.ord_n or (self.p + 1) % self.ord_m:
-            raise OrderChainError(f"inconsistent orders at p = {self.p}")
-        if self.ord_alpha % self.ord_n or self.ord_alpha % self.ord_m:
-            raise OrderChainError(
-                f"ord_n or ord_m does not divide ord_alpha at p = {self.p}"
-            )
-        if (2 * self.ord_alpha) % (self.ord_m * self.ord_n):
-            raise OrderChainError(
-                f"ord_m * ord_n does not divide 2 * ord_alpha at p = {self.p}"
-            )
-        if self.attained != (24 * self.ord_alpha >= n):
-            raise ValueError(f"attained flag wrong at p = {self.p}")
-
-
-def order_record(a: QuadElem, ctx: Fp2Context) -> OrderRecord:
-    """Full order profile of an integral element mod the inert prime p.
-
-    Requires the reduction to be invertible: p must not divide the norm.
-    ord_alpha is derived from ord_n and ord_m as the module docstring
-    describes; a broken chain raises OrderChainError.
-    """
-    if not a.is_integral:
-        raise ValueError(f"cannot reduce non-integral element {a}")
-    p = ctx.p
-    d = ctx.delta_mod_p
-    c0 = int(a.x) % p
-    c1 = int(a.y) % p
-    nrm = (c0 * c0 - d * c1 * c1) % p
-    if nrm == 0:
-        raise ValueError(f"p = {p} divides the norm of {a}")
-
-    ord_n = _order_mod_p(nrm, p - 1, ctx.fact_pm1.primes, p)
-    # conjugate ratio: (c0 - c1 s) / (c0 + c1 s) = (c0 - c1 s)^2 / norm
-    s0, s1 = _mul_raw(c0, -c1 % p, c0, -c1 % p, p, d)
-    ninv = pow(nrm, -1, p)
-    m0, m1 = s0 * ninv % p, s1 * ninv % p
-    ord_m = _order_raw(m0, m1, p + 1, ctx.fact_pp1.primes, p, d)
-    lcm = math.lcm(ord_n, ord_m)
-    t0, t1 = _pow_raw(c0, c1, lcm, p, d)
-    if (t0, t1) == (1, 0):
-        ord_alpha = lcm
-    elif _mul_raw(t0, t1, t0, t1, p, d) == (1, 0):
-        ord_alpha = 2 * lcm
-    else:
-        raise OrderChainError(
-            f"alpha^(2L) != 1 for L = lcm(ord_n, ord_m) = {lcm} at p = {p}"
-        )
-    attained = 24 * ord_alpha >= p * p - 1
-    return OrderRecord(p, ord_alpha, ord_n, ord_m, attained)
-
-
-# ---- array kernel: every prime below 2**31 at once ------------------------
 
 Rows = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -196,8 +57,8 @@ def descend(h: np.ndarray, p, q, e, power: Callable, is_one: Callable) -> np.nda
 
 
 def _mul_array(a0, a1, b0, b1, p, d):
-    # each product of two residues is below p**2 < 2**62, each sum of two
-    # below 2**63
+    # in int64 each product of two residues is below p**2 < 2**62, each sum
+    # of two below 2**63
     return (a0 * b0 + d * a1 % p * b1) % p, (a0 * b1 + a1 * b0) % p
 
 
@@ -207,11 +68,11 @@ def _is_one_fp2(x: np.ndarray) -> np.ndarray:
 
 def _pow_array(x: np.ndarray, k: np.ndarray, p: np.ndarray, d: np.ndarray) -> np.ndarray:
     """x ** k in F_p^2, elementwise: x has shape (2, n) with both coordinates
-    reduced mod p < 2**31, d = delta mod p, and 0 <= k < 2**63.  Left to
-    right square and multiply, the multiply only on the rows whose bit is
-    set, so no table of powers is held."""
+    reduced mod p, d = delta mod p and k >= 0, all int64 with p < 2**31 or
+    all Python ints.  Left to right square and multiply, the multiply only
+    on the rows whose bit is set, so no table of powers is held."""
     c0, c1 = x
-    r0, r1 = np.ones(c0.size, dtype=np.int64), np.zeros(c0.size, dtype=np.int64)
+    r0, r1 = np.ones(c0.size, dtype=p.dtype), np.zeros(c0.size, dtype=p.dtype)
     for s in range(int(k.max()).bit_length() - 1 if k.size else -1, -1, -1):
         r0, r1 = _mul_array(r0, r1, r0, r1, p, d)
         j = np.flatnonzero((k >> s) & 1)
@@ -226,7 +87,7 @@ def _orders(g, p, n, rows: Rows, power, is_one) -> np.ndarray:
     i, q, e = rows
     h = power(g[..., i], n[i] // q**e, i)
     k = descend(h, p[i], q, e, lambda h, r: power(h, q[r], i[r]), is_one)
-    out = np.ones(n.size, dtype=np.int64)
+    out = np.ones(n.size, dtype=n.dtype)
     np.multiply.at(out, i, q**k)
     return out
 
@@ -240,11 +101,16 @@ def order_arrays(
     c0: np.ndarray, c1: np.ndarray, p: np.ndarray, d: np.ndarray, minus: Rows, plus: Rows
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(ord_alpha, ord_n, ord_m, attained, chain_ok) for alpha = c0 + c1*s at
-    every inert prime p[j] < 2**31 at once: order_record's derivation on
-    int64 arrays.  c0, c1 and d = delta mod p are reduced mod p; minus and
-    plus are the (i, q, e) rows of p - 1 and p + 1.  chain_ok is False
-    where alpha^(2L) != 1 or any divisibility OrderRecord checks fails.
-    Raises ValueError where p divides the norm."""
+    every inert prime p[j] at once, by the derivation the module docstring
+    describes.  p is int64 with every prime below 2**31, or an object array
+    of Python ints; c0, c1 and d = delta mod p are reduced mod p in the same
+    dtype, and the orders come out in it.  minus and plus are the (i, q, e)
+    rows of p - 1 and p + 1.  chain_ok is False where alpha^(2L) != 1 or
+    any divisibility of the order chain fails.  Raises ValueError where p
+    divides the norm, and on int64 primes from 2**31 on, whose F_p^2
+    products would wrap."""
+    if p.dtype != object and p.size and p.max() >= POWMOD_LIMIT:
+        raise ValueError(f"p = {int(p.max())} needs Python ints: int64 products would wrap")
     nrm = (c0 * c0 - d * c1 % p * c1) % p
     if not nrm.all():
         raise ValueError(f"p = {int(p[np.argmin(nrm)])} divides the norm")

@@ -12,7 +12,9 @@ import math
 import random
 import time
 
-from quadartin.arith import factorize, primes_up_to
+import numpy as np
+
+from quadartin.arith import factorize, primes_up_to, trial_rows
 from quadartin.cli import main
 from quadartin.construction import build_congruence, find_p0, verify_congruence
 from quadartin.experiments import (
@@ -21,7 +23,7 @@ from quadartin.experiments import (
     lemma42_scan,
     order_scan,
 )
-from quadartin.fp2 import Fp2Context, order_record
+from quadartin.fp2 import order_arrays
 from quadartin.quadfield import FieldContext, conjugate, norm
 from quadartin.sieve import (
     SieveConfig,
@@ -31,7 +33,7 @@ from quadartin.sieve import (
     rho,
 )
 
-from oracles import count_Ad_by_classes, reduce_elem
+from oracles import Fp2Context, count_Ad_by_classes, order_record, reduce_elem
 
 DELTAS = (2, 3, 5, 13)
 INSTANCES = ((-4, 5), (-1, 5), (-11, 5), (11, 5), (-12, 13), (-1, 2))
@@ -93,6 +95,7 @@ def test_ac03_order_chain():
     rng = random.Random(816)
     violations = []
     checked = 0
+    samples, orders = [], []  # (c0, c1, p, delta mod p) and order_record's orders
     for delta in DELTAS:
         field = FieldContext(delta)
         for p in inert_primes(field, 3, 10**4):
@@ -106,8 +109,16 @@ def test_ac03_order_chain():
                 ):
                     violations.append((delta, p, str(a)))
                 checked += 1
+                samples.append((int(a.x) % p, int(a.y) % p, p, delta % p))
+                orders.append((r.ord_alpha, r.ord_n, r.ord_m))
     assert violations == []
     assert checked >= 20 * 2000
+    # the same samples through the array kernel src/ ships, in one call
+    c0, c1, p, d = (np.array(t, dtype=np.int64) for t in zip(*samples))
+    ord_alpha, ord_n, ord_m, _, chain_ok = order_arrays(
+        c0, c1, p, d, trial_rows(p - 1), trial_rows(p + 1))
+    assert chain_ok.all()
+    assert list(zip(ord_alpha.tolist(), ord_n.tolist(), ord_m.tolist())) == orders
     _finish(f"AC3 order chain ({checked} samples, 0 violations)", t0, 60.0)
 
 

@@ -212,7 +212,8 @@ def test_primes_in_class_matches_whole_range_filter(monkeypatch):
 
 
 def test_class_sieve_inverts_past_powmod_limit(monkeypatch):
-    # base primes from POWMOD_LIMIT on get v**-1 mod q from pow, not powmod
+    # base primes from POWMOD_LIMIT on get v**-1 mod q from powmod's
+    # Python-int route
     monkeypatch.setattr(arith, "POWMOD_LIMIT", 50)
     for u, v in ((547, 720), (1, 7), (5, 6), (10, 21)):
         got = primes_in_class(u, v, 0, 2 * 10**5)
@@ -270,11 +271,16 @@ def test_factor_rows_match_factorize():
 
 
 def test_residues_exact_for_any_integer():
-    mods = np.array([1, 2, 3, 7, 65537, 2**31 - 1], dtype=np.int64)
+    # int64 moduli below 2**31 and in [2**31, 2**63), and Python-int moduli
+    # past 2**63, each kept in its dtype
+    small = np.array([1, 2, 3, 7, 65537, 2**31 - 1], dtype=np.int64)
+    large = np.array([2**31, 2**31 + 11, 3**39, 2**63 - 25], dtype=np.int64)
+    huge = np.array([2**63, 2**64 + 13, 3**100], dtype=object)
     for g in (0, 5, -5, 2**62, -(2**63), 2**64 + 13, -(2**64 + 13), 3**200, -(7**150)):
-        assert residues(g, mods).tolist() == [g % m for m in mods.tolist()], g
-    with pytest.raises(ValueError):
-        residues(3, np.array([2**31], dtype=np.int64))
+        for mods in (small, large, huge):
+            got = residues(g, mods)
+            assert got.dtype == mods.dtype
+            assert got.tolist() == [g % m for m in mods.tolist()], (g, mods)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -290,10 +296,26 @@ def test_powmod_matches_builtin_pow(b, e, m):
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
-@given(st.integers(2**31, 2**63 - 1), st.integers(0, 2**63 - 1))
-def test_powmod_rejects_modulus_past_int32(m, e):
+@given(st.integers(2**31, 2**63 - 1), st.integers(0, 2**63 - 1), st.integers(2**63, 2**200))
+def test_powmod_exact_past_int32(m, e, big):
+    # int64 moduli past 2**31 stay int64; Python ints past 2**63 stay objects
+    got = powmod(np.array([3, -5]), e, np.array([7, m]))
+    assert got.dtype == np.int64 and got.tolist() == [pow(3, e, 7), pow(-5, e, m)]
+    bases = np.array([3, -(2**70), big - 1], dtype=object)
+    got = powmod(bases, np.array([e, e, big], dtype=object), np.array([m, big, big], dtype=object))
+    assert got.dtype == object
+    assert got.tolist() == [pow(3, e, m), pow(-(2**70), e, big), pow(big - 1, big, big)]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_powmod_and_residues_reject_bad_input(dtype):
+    # a modulus below 1, and a negative exponent, on either route
     with pytest.raises(ValueError):
-        powmod(np.array([3, 5]), e, np.array([7, m]))
+        powmod(np.array([3, 5], dtype=dtype), 2, np.array([7, 0], dtype=dtype))
+    with pytest.raises(ValueError):
+        powmod(np.array([3, 5], dtype=dtype), np.array([2, -1], dtype=dtype), 7)
+    with pytest.raises(ValueError):
+        residues(3, np.array([5, -7], dtype=dtype))
 
 
 def test_smallest_factor_table_rejects_int32_overflow():

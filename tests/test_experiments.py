@@ -220,26 +220,37 @@ def test_order_kernel_exact_below_2_31():
     assert 24 * top.ord_alpha > 2**63
 
 
-def test_order_scan_past_2_31_matches_scalar_route():
-    # primes from 2**31 on take the scalar route, the rest the kernel; the
-    # records and the pigeonhole rows come out as from the scalar route alone
+def test_order_scan_past_2_31_matches_scalar_route(monkeypatch):
+    # a block whose largest prime is 2**31 or more runs the kernel on Python
+    # ints; the records and the pigeonhole rows come out as from the scalar
+    # route alone.  Past 2**32 p**2 - 1 and ord_alpha exceed int64, past
+    # 2**63 p itself does.  Each list is one block, the last one of
+    # consecutive inert primes around 2**31.
     fam = AlphaFamily.from_coords(5, [(3, 2), (2, 1), (7, 7)])
-    ps = primes_up_to(300) + _primes_from(2**31 + 1, 2, 3, 5, -1) + _primes_from(
-        2**31 + 1, 2, 1, 5, 1
-    )
-    blocks, s = order_scan(fam, ps)
-    records = records_of(blocks, fam.labels)
-    want, skipped = scalar_order_scan(fam, ps)
-    assert records == want and s.skipped == skipped
-    assert records[-1][1].p > 2**31
-    rep = pigeonhole_report(fam, ps)
-    assert [r.p for r in rep.rows] == [r.p for _, r in records[::3]]
-    for row in rep.rows:
-        for m, n in ((row.m_minus, row.p - 1), (row.m_plus, row.p + 1)):
-            assert m == sum(e for q, e in factorize(n).factors if q > rep.threshold)
-    assert rep.full_attained == tuple(
-        sum(r.attained for _, r in records[i::3]) for i in range(3)
-    )
+    lists = [primes_up_to(300) + _primes_from(start, 2, 3, 5, -1) + _primes_from(start, 2, 1, 5, 1)
+             for start in (2**31 + 1, 2**32 + 1, 2**63 + 1)]
+    straddle = _primes_from(2**31 - 1, -2, 9, 5, -1)[::-1] + _primes_from(2**31 + 1, 2, 9, 5, -1)
+    for ps in lists + [straddle]:
+        blocks, s = order_scan(fam, ps)
+        records = records_of(blocks, fam.labels)
+        want, skipped = scalar_order_scan(fam, ps)
+        assert records == want and s.skipped == skipped
+        assert [b.p.dtype for b in blocks] == [object] and min(ps) < 2**31 < max(ps)
+        if max(ps) > 2**32:
+            assert max(r.ord_alpha for _, r in records) > 2**63 and max(ps) ** 2 - 1 > 2**64
+        rep = pigeonhole_report(fam, ps)
+        assert [r.p for r in rep.rows] == [r.p for _, r in records[::3]]
+        for row in rep.rows:
+            for m, n in ((row.m_minus, row.p - 1), (row.m_plus, row.p + 1)):
+                assert m == sum(e for q, e in factorize(n).factors if q > rep.threshold)
+        assert rep.full_attained == tuple(
+            sum(r.attained for _, r in records[i::3]) for i in range(3)
+        )
+    # in 8-prime blocks the same scan mixes int64 and Python-int blocks
+    monkeypatch.setattr(experiments, "PRIME_BLOCK", 8)
+    blocks, _ = order_scan(fam, straddle)
+    assert [b.p.dtype for b in blocks] == [np.int64, object, object]
+    assert records_of(blocks, fam.labels) == scalar_order_scan(fam, straddle)[0]
 
 
 def test_scan_summary_validates():

@@ -12,10 +12,23 @@ from hypothesis import strategies as st
 from quadartin import experiments, fp2
 from quadartin.arith import factorize, is_prime, jacobi, primes_up_to, trial_rows
 from quadartin.experiments import AlphaFamily, order_scan
-from quadartin.fp2 import Fp2Context, OrderChainError, OrderRecord, order_record
 from quadartin.quadfield import FieldContext, conjugate, norm
 
-from oracles import Fp2Elem, frobenius, group_primes, is_inert, mult_order, reduce_elem
+import oracles
+from oracles import (
+    Fp2Context,
+    Fp2Elem,
+    OrderChainError,
+    OrderRecord,
+    _mul_raw,
+    _pow_raw,
+    frobenius,
+    group_primes,
+    is_inert,
+    mult_order,
+    order_record,
+    reduce_elem,
+)
 
 
 def inert_primes_under(delta, bound):
@@ -347,7 +360,7 @@ def test_derived_order_sampled_larger_primes():
 
 def test_order_record_broken_chain_raises(monkeypatch):
     # an understated ord_n makes L too small: alpha^(2L) != 1
-    monkeypatch.setattr(fp2, "_order_mod_p", lambda a, n, qs, p: 1)
+    monkeypatch.setattr(oracles, "_order_mod_p", lambda a, n, qs, p: 1)
     with pytest.raises(OrderChainError):
         order_record(FieldContext(5).integer(3, 2), Fp2Context.for_prime(7, FieldContext(5)))
 
@@ -362,11 +375,12 @@ def test_pow_raw_is_repeated_mul_raw(data):
     d = delta % p
     acc = (1, 0)
     for _ in range(e):
-        acc = fp2._mul_raw(*acc, c0, c1, p, d)
-    assert fp2._pow_raw(c0, c1, e, p, d) == acc
+        acc = _mul_raw(*acc, c0, c1, p, d)
+    assert _pow_raw(c0, c1, e, p, d) == acc
 
 
-# inert primes for delta = 5 past 2**31, where the scan takes the scalar route
+# inert primes for delta = 5 past 2**31, where the scan runs the kernel on
+# Python ints
 BIG_INERT = [2147483693, 2147483713]
 
 
@@ -375,13 +389,13 @@ BIG_INERT = [2147483693, 2147483713]
     [
         pytest.param(experiments, "trial_rows", [7, 13], id="trial_rows"),
         pytest.param(fp2, "_orders_mod_p", [7, 13], id="_orders_mod_p"),
-        pytest.param(fp2, "factorize", BIG_INERT, id="factorize"),
-        pytest.param(fp2, "_order_mod_p", BIG_INERT, id="_order_mod_p"),
+        pytest.param(experiments, "factorize", BIG_INERT, id="factorize"),
+        pytest.param(fp2, "_orders_mod_p", BIG_INERT, id="_order_mod_p"),
     ],
 )
 def test_kernel_value_error_is_not_a_skipped_prime(monkeypatch, module, target, primes):
-    # a fault while factoring p -+ 1 or computing an order propagates, on the
-    # array kernel and on the scalar route alike
+    # a fault while factoring p -+ 1 or computing an order propagates, on
+    # int64 blocks and on Python-int blocks alike
     def boom(*args):
         raise ValueError("boom")
 
@@ -420,7 +434,7 @@ def test_pow_array_is_pow_raw(data):
         rows.append((c0, c1, data.draw(st.integers(0, 2**62)), p, d))
     c0, c1, e, p, d = (np.array(t, dtype=np.int64) for t in zip(*rows))
     got = fp2._pow_array(np.stack([c0, c1]), e, p, d)
-    assert [tuple(t) for t in got.T.tolist()] == [fp2._pow_raw(*r) for r in rows]
+    assert [tuple(t) for t in got.T.tolist()] == [_pow_raw(*r) for r in rows]
 
 
 def test_order_arrays_rejects_norm_divisible_by_p():
@@ -429,3 +443,22 @@ def test_order_arrays_rejects_norm_divisible_by_p():
     c = 7 % p
     with pytest.raises(ValueError, match="p = 7"):
         fp2.order_arrays(c, c, p, 5 % p, trial_rows(p - 1), trial_rows(p + 1))
+
+
+def test_order_arrays_rejects_int64_primes_past_2_31():
+    # the int64 F_p^2 ladder would wrap at these primes; as Python ints the
+    # same inputs give order_record's orders
+    field = FieldContext(5)
+    a = field.integer(3, 2)
+    p = np.array(BIG_INERT, dtype=np.int64)
+    c0, c1, d = (np.array([t % q for q in BIG_INERT], dtype=np.int64) for t in (3, 2, 5))
+    with pytest.raises(ValueError, match="needs Python ints"):
+        fp2.order_arrays(c0, c1, p, d, trial_rows(p - 1), trial_rows(p + 1))
+    big = p.astype(object)
+    ord_alpha, ord_n, ord_m, attained, chain_ok = fp2.order_arrays(
+        c0.astype(object), c1.astype(object), big, d.astype(object),
+        experiments._rows_of(big - 1), experiments._rows_of(big + 1))
+    want = [order_record(a, Fp2Context.for_prime(q, field)) for q in BIG_INERT]
+    assert list(zip(ord_alpha.tolist(), ord_n.tolist(), ord_m.tolist(), attained.tolist())) == [
+        (r.ord_alpha, r.ord_n, r.ord_m, r.attained) for r in want]
+    assert chain_ok.all()
