@@ -431,13 +431,17 @@ def lemma42_scan(
     y_grid = sorted(float(y) for y in y_grid)
 
     bad = tuple(q for g in gens for q in factorize(abs(g)).primes)
+    # every size from y_max on counts alike, so sizes are capped there; no
+    # cap is needed from 2**31 on, as every p - 1 is below it
+    y_max = y_grid[-1]
+    cap = max(1, math.ceil(y_max)) if y_max < POWMOD_LIMIT else None
     # whole segments are dealt round-robin, so every worker sieves its own
     if workers > 1 and x >= 2 + arith.SEGMENT:
-        args = [(tuple(gens), bad, x, y_grid, w, workers) for w in range(workers)]
+        args = [(tuple(gens), bad, x, y_grid, cap, w, workers) for w in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_growth_counts, args))
     else:
-        parts = [_growth_counts((tuple(gens), bad, x, y_grid, 0, 1))]
+        parts = [_growth_counts((tuple(gens), bad, x, y_grid, cap, 0, 1))]
     counts = np.sum([c for c, _ in parts], axis=0).tolist()
     prime_count = sum(n for _, n in parts)
 
@@ -452,66 +456,89 @@ def lemma42_scan(
     return GrowthFit(x, tuple(gens), samples, slope, prime_count)
 
 
-def _segment_sizes(gens: Sequence[int], bad: Sequence[int], x: int, first: int = 0,
+def _segment_sizes(gens: Sequence[int], bad: Sequence[int], x: int,
+                   cap: Optional[int] = None, first: int = 0,
                    step: int = 1) -> Iterator[np.ndarray]:
-    """|<gens> mod p| for the primes p <= x of each segment first, first +
-    step, ..., those dividing a generator (bad) left out: the rows of p - 1
-    come from sieving the same segment."""
+    """min(|<gens> mod p|, cap) for the primes p <= x of each segment first,
+    first + step, ..., those dividing a generator (bad) left out: the rows
+    of p - 1 come from sieving the same segment.  cap None keeps every size
+    exact."""
     for ps in _segments(2, x, first, step):
         ps = ps[~np.isin(ps, bad)]
-        yield subgroup_sizes(ps, gens, sieve_rows(ps - 1))
+        yield subgroup_sizes(ps, gens, sieve_rows(ps - 1), cap)
 
 
 def _growth_counts(args) -> Tuple[np.ndarray, int]:
     """N(y) for each y of y_grid, and the number of primes, over one share
-    of the segments."""
-    gens, bad, x, y_grid, first, step = args
+    of the segments, from sizes capped at cap: no size from cap on moves a
+    count."""
+    gens, bad, x, y_grid, cap, first, step = args
     counts = np.zeros(len(y_grid), dtype=np.int64)
     prime_count = 0
-    for sizes in _segment_sizes(gens, bad, x, first, step):
+    for sizes in _segment_sizes(gens, bad, x, cap, first, step):
         sizes.sort()
         counts += np.searchsorted(sizes, y_grid, side="left")
         prime_count += sizes.size
     return counts, prime_count
 
 
-def subgroup_sizes(ps: np.ndarray, gens: Sequence[int], rows: Rows) -> np.ndarray:
-    """|<gens> mod p| for every prime p in the int64 array ps (each p < 2**31),
-    from the prime-power rows (i, q, e) of ps - 1, by the descent from the
-    factored group order p - 1 run on all primes at once.
+# Edges of the bands of q that subgroup_sizes visits, the top band first.
+# A large q has a short fill exponent (p - 1)/q and usually fills its row,
+# so a capped prime often settles before its long q = 2, 3, 5, 7 powers.
+Q_EDGES = (10, 100, 1000)
+
+
+def subgroup_sizes(ps: np.ndarray, gens: Sequence[int], rows: Rows,
+                   cap: Optional[int] = None) -> np.ndarray:
+    """min(|<gens> mod p|, cap) for every prime p in the int64 array ps
+    (each p < 2**31), from the prime-power rows (i, q, e) of ps - 1, by the
+    descent from the factored group order p - 1 run on all primes at once.
+    With cap None, or any cap >= 2**31 (every p - 1 is below it), the sizes
+    are exact; cap must be >= 1.
 
     For each prime-power row q**e || p - 1 the subgroup's q-part is q**e as
-    soon as one generator has g**((p-1)/q) != 1.  Otherwise each generator's
-    h = g**((p-1)/q**e) reaches 1 after k <= e - 1 q-th powers and the
-    q-part is q**max(k).  A descent that has not reached 1 after e steps
-    raises ArithmeticError rather than return a wrong size.
+    soon as one generator has g**((p-1)/q) != 1: the row fills.  The rows
+    are visited in the bands between Q_EDGES, largest q first, and a prime
+    settles once the product of its filled q**e reaches cap; its later rows
+    are not powered.  On the rows no generator fills, of the primes still
+    open, each generator's h = g**((p-1)/q**e) reaches 1 after k <= e - 1
+    q-th powers and the q-part is q**max(k).  A descent that has not
+    reached 1 after e steps raises ArithmeticError rather than return a
+    wrong size.
     """
     ps = np.asarray(ps, dtype=np.int64)
     res = np.stack([residues(g, ps) for g in gens])
     hit = np.flatnonzero((res == 0).any(axis=0))
     if hit.size:
         raise ValueError(f"a generator vanishes mod {int(ps[hit[0]])}")
+    if cap is not None and cap < 1:
+        raise ValueError(f"cap must be >= 1, not {cap}")
+    cap = POWMOD_LIMIT if cap is None else min(int(cap), POWMOD_LIMIT)
     i, q, e = rows
     p = ps[i]
+    # the product of each prime's filled q**e, a lower bound on its size
+    sizes = np.ones(ps.size, dtype=np.int64)
     full = np.zeros(i.size, dtype=bool)
-    for g_res in res:
-        # a later generator is powered only on the rows still open
-        r = np.flatnonzero(~full)
-        full[r] = powmod(g_res[i[r]], (p[r] - 1) // q[r], p[r]) != 1
-    k = np.where(full, e, 0)
+    band = np.searchsorted(Q_EDGES, q, side="right")
+    for b in range(len(Q_EDGES), -1, -1):
+        for g_res in res:
+            # a later generator is powered only on the rows still open
+            r = np.flatnonzero((band == b) & ~full & (sizes[i] < cap))
+            full[r] = powmod(g_res[i[r]], (p[r] - 1) // q[r], p[r]) != 1
+            f = r[full[r]]
+            np.multiply.at(sizes, i[f], q[f] ** e[f])
 
-    # descent on the rows no generator fills; with e = 1 such a row's h
-    # is already 1, so its k stays 0
-    d = np.flatnonzero(~full & (e > 1))
+    # descent on the rows no generator fills, of the primes still open;
+    # with e = 1 such a row's h is already 1, so its q-part is 1
+    d = np.flatnonzero(~full & (e > 1) & (sizes[i] < cap))
     pd, qd, ed = p[d], q[d], e[d]
+    k = np.zeros(d.size, dtype=np.int64)
     for g_res in res[:, i[d]]:
         h = powmod(g_res, (pd - 1) // qd**ed, pd)
         steps = descend(h, pd, qd, ed, lambda h, r: powmod(h, qd[r], pd[r]), lambda h: h == 1)
-        k[d] = np.maximum(k[d], steps)
-
-    sizes = np.ones(ps.size, dtype=np.int64)
-    np.multiply.at(sizes, i, q**k)
-    return sizes
+        k = np.maximum(k, steps)
+    np.multiply.at(sizes, i[d], qd**k)
+    return np.minimum(sizes, cap)
 
 
 # ---------------------------------------------------------------------------

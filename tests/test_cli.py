@@ -448,6 +448,33 @@ def test_lemma42_unsorted_grid_sorted_in_output(tmp_path):
     assert [y for y, _ in doc["samples"]] == [10.0, 100.0, 1000.0]
 
 
+# growth.json digests recorded with the exact, uncapped subgroup kernel: the
+# default grid, a grid with max 50 on which almost every prime settles, and
+# the edge grids whose cap would pass int64 (ceil(1e300)) or sit at 1
+PINNED_GROWTH = {
+    "default": (None, "8b4911d31d31d88ff2af5b28df3730a7a08fa1b4c682d471b8b96c52b78d9e34"),
+    "max50": ([2, 5, 10, 20, 50], "55fc7f1766fcee8f273b5a63eceb0a05ae2ac55e94c7a5dd5798942564680cdf"),
+    "1e300": ([10, 1e300], "418b027bf042c23074501925250d6c6aa5cd51b7acee081c569a742f3f4cf9d0"),
+    "half": ([0.5], "7e91c33146d4e885017217908bf677f84e55cf3e2156d4657c510ed194559e14"),
+}
+
+
+@pytest.mark.parametrize(
+    "workers",
+    ["1", pytest.param("2", marks=pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                                                     reason="--workers 2 needs two CPUs"))],
+)
+@pytest.mark.parametrize("y_grid, sha", PINNED_GROWTH.values(), ids=list(PINNED_GROWTH))
+def test_lemma42_growth_pinned(tmp_path, y_grid, sha, workers):
+    # 2e5 spans two segments, so --workers 2 takes the pool route
+    cfg = {"gens": [2, 3], "prime_max": 2 * 10**5}
+    if y_grid is not None:
+        cfg["y_grid"] = y_grid
+    code, out = run(tmp_path, "lemma42", cfg, extra=("--workers", workers))
+    assert code == 0
+    assert hashlib.sha256((out / "growth.json").read_bytes()).hexdigest() == sha
+
+
 # ---------------------------------------------------------------------------
 # independence
 

@@ -14,6 +14,7 @@ from quadartin.arith import (
     factorize,
     is_prime,
     jacobi,
+    powmod,
     prime_array,
     primes_up_to,
     sieve_rows,
@@ -520,18 +521,62 @@ def test_subgroup_kernel_rejects_vanishing_generator():
 
 def test_subgroup_kernel_descent_overrun_raises(monkeypatch):
     # A power routine that claims every g^((p-1)/q) is 1 and then never lets
-    # the descent reach 1: the kernel must raise, not return a size.
-    calls = []
-
+    # the descent reach 1: the kernel must raise, not return a size, capped
+    # or not.  The fill test is the one power whose exponent is (p-1)/q for
+    # a prime q; every other power returns 2.
     def broken(base, exp, mod):
-        calls.append(1)
-        fill = 1 if len(calls) <= 2 else 2
-        return np.full(np.broadcast(base, exp, mod).shape, fill, dtype=np.int64)
+        exp, mod = np.broadcast_arrays(exp, mod)[:2]
+        fill_test = [(m - 1) % k == 0 and is_prime((m - 1) // k)
+                     for k, m in zip(exp.ravel().tolist(), mod.ravel().tolist())]
+        return np.where(fill_test, 1, 2).astype(np.int64).reshape(mod.shape)
 
     monkeypatch.setattr(experiments, "powmod", broken)
     ps = np.array([7, 13])
-    with pytest.raises(ArithmeticError):
-        subgroup_sizes(ps, [2, 3], sieve_rows(ps - 1))
+    for cap in (None, 10**4):
+        with pytest.raises(ArithmeticError):
+            subgroup_sizes(ps, [2, 3], sieve_rows(ps - 1), cap)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [(2, 3), (-3, 7), (5, 6), (2, 3, 5), (2**64 + 13, 3)],
+    ids=["2,3", "-3,7", "5,6", "2,3,5", "2^64+13,3"],
+)
+def test_subgroup_kernel_cap_is_min_with_oracle(gens):
+    # p = 2 is kept where no generator is even: p - 1 = 1 has no rows
+    ps = prime_array(3 * 10**4)
+    ps = ps[[all(g % p for g in gens) for p in ps.tolist()]]
+    rows = sieve_rows(ps - 1)
+    exact = [subgroup_size(p, gens) for p in ps.tolist()]
+    for cap in (1, 2, 10, 1001, 10**4, int(ps.max()) - 1, 2**31, 2**62):
+        sizes = subgroup_sizes(ps, gens, rows, cap)
+        assert sizes.dtype == np.int64
+        assert sizes.tolist() == [min(s, cap) for s in exact], cap
+    assert subgroup_sizes(ps, gens, rows).tolist() == exact
+    with pytest.raises(ValueError):
+        subgroup_sizes(ps, gens, rows, 0)
+
+
+def test_lemma42_cap_skips_most_powers(monkeypatch):
+    # the number of elements powmod powers, not a timing: with the cap at
+    # the grid's 10**4 most primes settle on their large-q rows.  Below
+    # 2 * 10**5 a prime needs nearly all of p - 1 to reach 10**4, so the
+    # capped scan there still powers 80 %; to 2 * 10**6 it powers 51 %.
+    powered = []
+
+    def counting(base, exp, mod):
+        powered.append(np.broadcast(base, exp, mod).size)
+        return powmod(base, exp, mod)
+
+    def uncapped(ps, gens, rows, cap=None):
+        return subgroup_sizes(ps, gens, rows)
+
+    monkeypatch.setattr(experiments, "powmod", counting)
+    capped = lemma42_scan([2, 3], 2 * 10**6)
+    capped_work, powered[:] = sum(powered), []
+    monkeypatch.setattr(experiments, "subgroup_sizes", uncapped)
+    assert lemma42_scan([2, 3], 2 * 10**6) == capped
+    assert capped_work <= 0.6 * sum(powered), (capped_work, sum(powered))
 
 
 def test_lemma42_workers_identical(monkeypatch):
