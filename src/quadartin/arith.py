@@ -1,6 +1,6 @@
 """Exact integer utilities: a segmented prime sieve, primality,
-factorization (scalar, and array-wise by sieving a segment or by trial
-division), array modular powers, Jacobi symbols, CRT, and the logarithmic
+factorization (scalar, and array-wise by sieving the values' own
+progression), array modular powers, Jacobi symbols, CRT, and the logarithmic
 integral.
 
 Everything here is deterministic.  The only randomized internals (Pollard rho
@@ -115,11 +115,8 @@ def _segments(lo: int, hi: int, first: int = 0, step: int = 1, *, u: int = 0,
             q = qs[c : c + SEGMENT]
             if v > 1:
                 q = q[v % q != 0]
-                first_hit = (-a) % q * powmod(v % q, q - 2, q) % q
-            else:
-                first_hit = (-a) % q
             past_square = np.maximum(-((a - q * q) // v), 0)
-            s = past_square + (first_hit - past_square) % q
+            s = past_square + (_first_hits(a, v, q) - past_square) % q
             # q shorter than the segment may strike often, the rest once
             k = int(np.searchsorted(q, flags.size))
             for t, i in zip(q[:k].tolist(), s[:k].tolist()):
@@ -162,71 +159,76 @@ def primes_in_class(u: int, v: int, lo: int, hi: int) -> np.ndarray:
     return np.concatenate([np.zeros(0, dtype=np.int64), *_segments(lo, hi, u=u, v=v)])
 
 
+def _first_hits(a: int, v: int, q: np.ndarray) -> np.ndarray:
+    """For each prime q, the least j >= 0 with q | a + v*j: the first member
+    of the progression a, a + v, ... that q strikes.  q must not divide v,
+    unless it divides a too (then j = 0)."""
+    hit = (-a) % q
+    return hit if v == 1 else hit * powmod(v % q, q - 2, q) % q
+
+
 def sieve_rows(n: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows (i, q, e) of trial_rows, in the same order, for an ascending
-    int64 array n of distinct values: each prime q up to isqrt(max(n))
-    strikes its multiples in the span of n instead of dividing every entry.
-    Memory grows with that span, so callers pass one segment's worth."""
+    """Prime-power rows (i, q, e) with q**e exactly dividing n[i], for every
+    n[i] > 1 of an ascending int64 array n of distinct values: the 2-parts,
+    then by ascending q, then the prime cofactor of each n[i] left once
+    every prime up to isqrt(max(n)) is out.  The values > 1 lie on x0 + g*k,
+    g the gcd of their distances from the first, x0.  Each odd such q
+    strikes its multiples there: every k if q divides g and x0, none if q
+    divides g only, else every q-th k from its first hit.  Slots are indexed
+    by k, one occupied window of SEGMENT k at a time, whatever the span."""
     idx = np.flatnonzero(n > 1)
-    v = n[idx]
-    if not v.size:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty
-    n0 = int(v[0])
-    slot = np.full(int(v[-1]) - n0 + 1, -1, dtype=np.int32)
-    slot[v - n0] = np.arange(v.size)
+    x = n[idx]
+    if not x.size:
+        return tuple(np.zeros((3, 0), dtype=np.int64))
+    x0 = int(x[0])
+    g = int(np.gcd.reduce(x - x0)) or 1
+    k = (x - x0) // g
+    qs = prime_array(math.isqrt(int(x[-1])))[1:]
+    qs = qs[(g % qs != 0) | (x0 % qs == 0)]
+    step, first = np.where(g % qs != 0, qs, 1), _first_hits(x0, g, qs)
+    # q below 64 strike one slice at a time; the rest, with few strikes
+    # each, in one gathered batch, the r-th strike of q at f + step * r
+    small = int(np.searchsorted(qs, 64))
+    big, t = qs[small:], step[small:]
+    parts_i, parts_q = [], []
+    cuts = [0, *(np.flatnonzero(np.diff(k // SEGMENT)) + 1).tolist(), k.size]
+    for start, stop in zip(cuts, cuts[1:]):
+        k0 = int(k[start])
+        slot = np.full(int(k[stop - 1]) - k0 + 1, -1, dtype=np.int32)
+        slot[k[start:stop] - k0] = np.arange(start, stop)
+        f = (first - k0) % step
+        hits = [slot[a::b] for a, b in zip(f[:small].tolist(), step[:small].tolist())]
+        count = (slot.size - f[small:] + t - 1) // t
+        hits.append(slot[np.repeat(f[small:] - t * (np.cumsum(count) - count), count)
+                         + np.repeat(t, count) * np.arange(count.sum())])
+        q = np.repeat(big, count)[hits[-1] >= 0]
+        hits = [h[h >= 0] for h in hits]
+        parts_i += hits
+        parts_q += [np.repeat(qs[:small], [h.size for h in hits[:-1]]), q]
+    i = np.concatenate(parts_i).astype(np.int64)
+    q = np.concatenate(parts_q)
+    if np.any(q[1:] < q[:-1]):
+        # each window after the first starts the run of q over
+        order = np.argsort(q, kind="stable")
+        i, q = i[order], q[order]
     # the 2-part from the lowest set bit
-    low = v & -v
+    low = x & -x
     two = np.flatnonzero(low > 1)
-    # odd q below 64 strike one stride at a time; the rest, with few
-    # multiples each, in one gathered batch
-    qs = prime_array(math.isqrt(int(v[-1])))[1:]
-    small, big = qs[qs < 64], qs[qs >= 64]
-    hits = [slot[(-n0) % t :: t] for t in small.tolist()]
-    hits = [j[j >= 0] for j in hits]
-    count = np.maximum(slot.size - (-n0) % big + big - 1, 0) // big
-    q = np.repeat(big, count)
-    # the k-th multiple in q's run sits at (-n0) % q + q * k
-    base = (-n0) % big - big * (np.cumsum(count) - count)
-    j = slot[np.repeat(base, count) + q * np.arange(q.size)]
-    hit = j >= 0
-    i = np.concatenate([*hits, j[hit]]).astype(np.int64)
-    q = np.concatenate([np.repeat(small, [h.size for h in hits]), q[hit]])
     # exponents, and what is left of each value once every q**e is out
-    m = v[i] // q
+    m = x[i] // q
     e = np.ones(i.size, dtype=np.int64)
-    k = np.flatnonzero(m % q == 0)
-    while k.size:
-        m[k] //= q[k]
-        e[k] += 1
-        k = k[m[k] % q[k] == 0]
-    rest = v // low
+    r = np.flatnonzero(m % q == 0)
+    while r.size:
+        m[r] //= q[r]
+        e[r] += 1
+        r = r[m[r] % q[r] == 0]
+    rest = x // low
     np.floor_divide.at(rest, i, q**e)
     cof = np.flatnonzero(rest > 1)
-    ones = np.ones(cof.size, dtype=np.int64)
     return (idx[np.concatenate([two, i, cof])],
             np.concatenate([np.full(two.size, 2), q, rest[cof]]),
-            np.concatenate([np.bitwise_count(low[two] - 1).astype(np.int64), e, ones]))
-
-
-def trial_rows(n: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Prime-power rows (i, q, e) with q**e exactly dividing n[i], for every
-    n[i] > 1 of the int64 array n, by trial division by every prime up to
-    isqrt(max(n)).  Whatever is left of n[i] after them is 1 or prime.
-    Rows come by ascending q, then the prime cofactors."""
-    idx = np.flatnonzero(n > 1)
-    m = n[idx]
-    rows = []
-    for q in prime_array(math.isqrt(int(m.max()) if m.size else 1)).tolist():
-        j = np.flatnonzero(m % q == 0)
-        e = np.zeros(j.size, dtype=np.int64)
-        while (k := np.flatnonzero(m[j] % q == 0)).size:
-            m[j[k]] //= q
-            e[k] += 1
-        rows.append((idx[j], np.full(j.size, q, dtype=np.int64), e))
-    big = np.flatnonzero(m > 1)
-    rows.append((idx[big], m[big], np.ones(big.size, dtype=np.int64)))
-    return tuple(np.concatenate(t) for t in zip(*rows))
+            np.concatenate([np.bitwise_count(low[two] - 1).astype(np.int64), e,
+                            np.ones(cof.size, dtype=np.int64)]))
 
 
 def _integers(x) -> np.ndarray:

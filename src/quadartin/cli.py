@@ -41,7 +41,6 @@ from .experiments import (
     AlphaFamily,
     DependentGenerators,
     RemarkViolation,
-    congruence_primes,
     inert_primes,
     lemma42_scan,
     mult_indep_norm_one,
@@ -60,6 +59,11 @@ EXIT_DEPENDENT = 5
 
 class BadConfig(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # not argparse's exit 2, which means "nothing found"
+        raise BadConfig(message)
 
 
 def _ok(value, cond):
@@ -248,7 +252,7 @@ def cmd_scan(cfg: Dict, out: Path, workers: int) -> int:
     if cfg["use_congruence"]:
         a = family.norms[0] if cfg["a"] is None else cfg["a"]
         cong = _checked_class(a, family.ctx.delta, cfg["p0_bound"])
-        plist = congruence_primes(cong.u, cong.v, lo, hi)
+        plist = arith.primes_in_class(cong.u, cong.v, lo, hi)
     else:
         plist = inert_primes(family.ctx, lo, hi)
 
@@ -420,7 +424,7 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadartin",
         description="order experiments for quadratic integers modulo inert primes",
     )
@@ -429,12 +433,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0, help="rho restart seed")
-    args = parser.parse_args(argv)
-
-    arith.set_rho_seed(args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        args = parser.parse_args(argv)
+        arith.set_rho_seed(args.seed)
+        out = Path(args.out)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise BadConfig(f"cannot make the output directory {out}: {e.strerror}") from None
         cpus = os.cpu_count() or 1
         if not 1 <= args.workers <= cpus:
             raise BadConfig(f"{args.command} needs '--workers' to be an integer in [1, {cpus}]")

@@ -24,10 +24,8 @@ from .arith import (
     _segments,
     factorize,
     powmod,
-    primes_in_class,
     residues,
     sieve_rows,
-    trial_rows,
 )
 from .construction import InvariantError
 from .fp2 import Rows, descend, order_arrays
@@ -121,11 +119,6 @@ def inert_primes(ctx: FieldContext, lo: int, hi: int) -> List[int]:
         ramified, split = _ramified_split(ctx.delta, ps)
         out += ps[~(ramified | split)].tolist()
     return out
-
-
-def congruence_primes(u: int, v: int, lo: int, hi: int) -> List[int]:
-    """Primes p = u (mod v) in [lo, hi]."""
-    return primes_in_class(u, v, lo, hi).tolist()
 
 
 @dataclass(frozen=True)
@@ -421,20 +414,24 @@ def lemma42_scan(
 ) -> GrowthFit:
     """Tabulate how often the reduction of a fixed independent generator set
     spans a small subgroup.  The generators must be multiplicatively
-    independent integers; primes dividing any generator are skipped.
+    independent integers; primes dividing any generator are skipped.  Every
+    y of y_grid must be finite and > 0, else ValueError.
     """
-    verdict = mult_indep_rational([Fraction(g) for g in gens])
-    if not verdict.independent:
-        raise DependentGenerators(verdict.relation)
     if y_grid is None:
         y_grid = [float(t) for t in np.geomspace(10.0, 1e4, 13)]
     y_grid = sorted(float(y) for y in y_grid)
+    for y in y_grid:
+        if not (math.isfinite(y) and y > 0):
+            raise ValueError(f"y_grid needs finite values > 0, got {y}")
+    verdict = mult_indep_rational([Fraction(g) for g in gens])
+    if not verdict.independent:
+        raise DependentGenerators(verdict.relation)
 
     bad = tuple(q for g in gens for q in factorize(abs(g)).primes)
     # every size from y_max on counts alike, so sizes are capped there; no
     # cap is needed from 2**31 on, as every p - 1 is below it
     y_max = y_grid[-1]
-    cap = max(1, math.ceil(y_max)) if y_max < POWMOD_LIMIT else None
+    cap = math.ceil(y_max) if y_max < POWMOD_LIMIT else None
     # whole segments are dealt round-robin, so every worker sieves its own
     if workers > 1 and x >= 2 + arith.SEGMENT:
         args = [(tuple(gens), bad, x, y_grid, cap, w, workers) for w in range(workers)]
@@ -545,10 +542,10 @@ def subgroup_sizes(ps: np.ndarray, gens: Sequence[int], rows: Rows,
 # pigeonhole bookkeeping
 
 def _rows_of(n: np.ndarray) -> Rows:
-    """The (i, q, e) rows of n: by trial division for int64 n, by factorize
-    for an object array of Python ints, whose primes q stay Python ints."""
+    """The (i, q, e) rows of the ascending n: by sieve_rows for int64 n, by
+    factorize for Python ints, whose primes q stay Python ints."""
     if n.dtype != object:
-        return trial_rows(n)
+        return sieve_rows(n)
     flat = [(i, q, e) for i, x in enumerate(n.tolist()) for q, e in factorize(x).factors]
     i, q, e = zip(*flat) if flat else ((), (), ())
     return np.array(i, dtype=np.int64), np.array(q, dtype=object), np.array(e, dtype=np.int64)

@@ -8,7 +8,8 @@ full p^2 - 1 order descent, the inertness test, the remark-12 chain
 counts, the scalar order scan, the record list of a scan's blocks, the
 scalar subgroup size, the whole-range prime sieve, class filter,
 smallest-factor table and table-route growth counts the segmented sieve
-replaced, |A_d| split over CRT classes, and the trial-division survivor
+replaced, the trial-division rows of p -+ 1 the row sieve replaced,
+|A_d| split over CRT classes, and the trial-division survivor
 test.  Nothing in src/ calls them; the tests import them as
 `from oracles import ...` (pytest puts tests/ on sys.path).
 """
@@ -107,6 +108,27 @@ def whole_range_primes_in_class(u: int, v: int, lo: int, hi: int) -> np.ndarray:
     ps = ps[np.searchsorted(ps, lo) :]
     m = min(v, hi + 1)
     return ps[ps % m == min(u % v, m)]
+
+
+def trial_rows(n: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sieve_rows by trial division: prime-power rows (i, q, e) with q**e
+    exactly dividing n[i], for every n[i] > 1 of the int64 array n (in any
+    order, repeats allowed), from dividing every entry by every prime up to
+    isqrt(max(n)).  Whatever is left of n[i] after them is 1 or prime.
+    Rows come by ascending q, then the prime cofactors."""
+    idx = np.flatnonzero(n > 1)
+    m = n[idx]
+    rows = []
+    for q in prime_array(math.isqrt(int(m.max()) if m.size else 1)).tolist():
+        j = np.flatnonzero(m % q == 0)
+        e = np.zeros(j.size, dtype=np.int64)
+        while (k := np.flatnonzero(m[j] % q == 0)).size:
+            m[j[k]] //= q
+            e[k] += 1
+        rows.append((idx[j], np.full(j.size, q, dtype=np.int64), e))
+    big = np.flatnonzero(m > 1)
+    rows.append((idx[big], m[big], np.ones(big.size, dtype=np.int64)))
+    return tuple(np.concatenate(t) for t in zip(*rows))
 
 
 def smallest_factor_table(n: int) -> np.ndarray:

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from quadartin.arith import factorize, primes_up_to, trial_rows
+from quadartin.arith import factorize, primes_up_to
 from quadartin.cli import main
 from quadartin.construction import build_congruence, find_p0, verify_congruence
 from quadartin.experiments import (
@@ -33,7 +33,7 @@ from quadartin.sieve import (
     rho,
 )
 
-from oracles import Fp2Context, count_Ad_by_classes, order_record, reduce_elem
+from oracles import Fp2Context, count_Ad_by_classes, order_record, reduce_elem, trial_rows
 
 DELTAS = (2, 3, 5, 13)
 INSTANCES = ((-4, 5), (-1, 5), (-11, 5), (11, 5), (-12, 13), (-1, 2))

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from quadartin import arith
+from quadartin import arith, experiments
 from quadartin.arith import (
     Factorization,
     NonCoprimeModuliError,
@@ -32,7 +32,6 @@ from quadartin.arith import (
     set_rho_seed,
     sieve_rows,
     totient,
-    trial_rows,
 )
 
 from oracles import (
@@ -41,6 +40,7 @@ from oracles import (
     max_error,
     mu,
     smallest_factor_table,
+    trial_rows,
     whole_range_primes,
     whole_range_primes_in_class,
 )
@@ -177,17 +177,43 @@ def test_sieve_rows_match_factorize():
 
 
 def test_sieve_rows_are_trial_rows():
-    # row for row, on primes just below 2**31 and on every value to 5000
+    # row for row, on primes just below 2**31, on every value to 5000, on
+    # the p -+ 1 of the scan's class blocks (p = 547 mod 720 to 1e7 and
+    # p = 7 mod 30 on [1e6, 3e6]), and on values far apart
     top = np.array([p for p in range(2**31 - 5000, 2**31) if is_prime(p)], dtype=np.int64)
     assert top.size > 200 and top[-1] == 2**31 - 1
-    for n in (top - 1, top + 1, np.arange(0, 5001, dtype=np.int64),
-              np.array([1, 2], dtype=np.int64), np.array([1], dtype=np.int64)):
+    inputs = [top - 1, top + 1, np.arange(0, 5001, dtype=np.int64),
+              np.array([1, 2], dtype=np.int64), np.array([1], dtype=np.int64),
+              np.array([4, 6, 10, 2**31 - 2], dtype=np.int64)]
+    for u, v, lo, hi in ((547, 720, 0, 10**7), (7, 30, 10**6, 3 * 10**6)):
+        ps = primes_in_class(u, v, lo, hi)
+        blocks = [ps[b : b + experiments.PRIME_BLOCK]
+                  for b in range(0, ps.size, experiments.PRIME_BLOCK)]
+        inputs += [b + s for b in blocks for s in (-1, 1)]
+    assert len(inputs) == 6 + 2 + 2 * 3
+    for n in inputs:
         got, want = sieve_rows(n), trial_rows(n)
         assert all(a.tolist() == b.tolist() for a, b in zip(got, want))
     i, q, e = sieve_rows(top - 1)
     for k, p in enumerate(top.tolist()):
         assert tuple(sorted(zip(q[i == k].tolist(), e[i == k].tolist()))) == factorize(
             p - 1).factors
+
+
+def test_sieve_rows_memory_is_bounded_by_the_window():
+    # the values lie on 4 + 2k with k up to 2**23 - 1, and the two windows
+    # of occupied k hold three slots; one int32 slot per integer of the
+    # span would take 64 MB
+    prime_array(2**12)
+    tracemalloc.start()
+    try:
+        i, q, e = sieve_rows(np.array([4, 6, 2**24 + 2], dtype=np.int64))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+    assert list(zip(i.tolist(), q.tolist(), e.tolist())) == [
+        (0, 2, 2), (1, 2, 1), (2, 2, 1), (1, 3, 1), (2, 3, 1), (2, 2796203, 1)]
 
 
 def test_primes_in_class_matches_whole_range_filter(monkeypatch):

@@ -549,6 +549,12 @@ MALFORMED = {
 }
 CASES = [pytest.param(c, cfg, (), id=i) for i, (c, cfg) in MALFORMED.items()]
 CASES.append(pytest.param("scan", SCAN_CFG, ("--workers", "0"), id="workers-zero"))
+# malformed flags: argparse alone would exit 2, the "nothing found" code
+CASES += [pytest.param("scan", SCAN_CFG, extra, id=i) for i, extra in (
+    ("workers-not-int", ("--workers", "abc")),
+    ("seed-not-int", ("--seed", "x")),
+    ("unknown-flag", ("--verbose",)),
+)]
 
 
 @pytest.mark.parametrize("command, cfg, extra", CASES)
@@ -570,6 +576,26 @@ def test_workers_outside_cpu_range_exits_4(tmp_path, capsys, monkeypatch, worker
     assert code == 4
     err = capsys.readouterr().err
     assert err.startswith("error: lemma42 needs '--workers'") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["out-is-a-file", "out-under-a-file"])
+def test_out_that_cannot_be_a_directory_exits_4(tmp_path, capsys, under):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"values": [2, 3]}))
+    out = blocker / "out" if under else blocker
+    code = main(["independence", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot make the output directory") and err.count("\n") == 1, err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    assert "usage: quadartin" in capsys.readouterr().out
 
 
 def test_unreadable_config_exits_4(tmp_path, capsys):

@@ -16,6 +16,7 @@ from quadartin.arith import (
     jacobi,
     powmod,
     prime_array,
+    primes_in_class,
     primes_up_to,
     sieve_rows,
 )
@@ -25,7 +26,6 @@ from quadartin.experiments import (
     GrowthFit,
     RemarkViolation,
     ScanSummary,
-    congruence_primes,
     inert_primes,
     lemma42_scan,
     mult_indep_norm_one,
@@ -80,13 +80,6 @@ def test_inert_primes_delta5():
     for p in primes_up_to(50):
         if p > 2 and p != 5:
             assert (p in got) == (p % 5 in (2, 3))
-
-
-def test_congruence_primes_match_filter():
-    got = congruence_primes(547, 720, 3, 10**4)
-    want = [p for p in primes_up_to(10**4) if p % 720 == 547]
-    assert got == want
-    assert 547 in got
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +212,18 @@ def test_order_kernel_exact_below_2_31():
     assert (label, top.p) == ("3+2r5", 2**31 - 1)
     assert (top.p**2 - 1) // top.ord_alpha == 8 and top.attained
     assert 24 * top.ord_alpha > 2**63
+
+
+def test_order_scan_rows_of_a_block_far_apart():
+    # one int64 block whose p -+ 1 span 2**31: the row sieve takes them in
+    # two windows, the small primes' and the six largest, and the records
+    # come out as from the scalar route alone
+    fam = AlphaFamily.from_coords(5, [(3, 2), (2, 1), (7, 7)])
+    ps = primes_up_to(300) + _primes_from(2**31 - 1, -2, 6, 5, -1)[::-1]
+    blocks, s = order_scan(fam, ps)
+    assert [b.p.dtype for b in blocks] == [np.int64]
+    want, skipped = scalar_order_scan(fam, ps)
+    assert records_of(blocks, fam.labels) == want and s.skipped == skipped
 
 
 def test_order_scan_past_2_31_matches_scalar_route(monkeypatch):
@@ -461,6 +466,13 @@ def test_subgroup_size_rejects_vanishing_generator():
         subgroup_size(7, [14])
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -1.0, 0.0])
+def test_lemma42_rejects_grid_values_the_cli_rejects(bad):
+    # the y domain of the CLI schema: finite and > 0
+    with pytest.raises(ValueError, match=f"y_grid needs finite values > 0, got {bad}"):
+        lemma42_scan([2, 3], 1000, [bad, 5])
+
+
 def test_lemma42_rejects_dependent_generators():
     with pytest.raises(DependentGenerators) as e:
         lemma42_scan([2, 4], 1000)
@@ -627,7 +639,7 @@ def test_lemma42_memory_is_bounded():
 # pigeonhole bookkeeping
 
 def test_pigeonhole_side_selection(fam3):
-    ps = congruence_primes(547, 720, 3, 10**5)
+    ps = primes_in_class(547, 720, 3, 10**5)
     rep = pigeonhole_report(fam3, ps)
     for row in rep.rows:
         if row.p % 3 == 1:
@@ -637,7 +649,7 @@ def test_pigeonhole_side_selection(fam3):
 
 
 def test_pigeonhole_survivor_factor_bound(fam3):
-    ps = congruence_primes(547, 720, 3, 10**5)
+    ps = primes_in_class(547, 720, 3, 10**5)
     rep = pigeonhole_report(fam3, ps)
     # every class prime survives: all small primes divide 24 here
     assert all(r.survivor for r in rep.rows)
@@ -647,7 +659,7 @@ def test_pigeonhole_survivor_factor_bound(fam3):
 
 
 def test_pigeonhole_frozen_counts(fam3):
-    ps = congruence_primes(547, 720, 3, 10**5)
+    ps = primes_in_class(547, 720, 3, 10**5)
     rep = pigeonhole_report(fam3, ps)
     assert len(rep.rows) == 50
     assert rep.threshold == 4
@@ -658,7 +670,7 @@ def test_pigeonhole_frozen_counts(fam3):
 
 
 def test_pigeonhole_counts_bounded_by_rows(fam3):
-    ps = congruence_primes(547, 720, 3, 3 * 10**4)
+    ps = primes_in_class(547, 720, 3, 3 * 10**4)
     rep = pigeonhole_report(fam3, ps)
     n = len(rep.rows)
     for c in rep.minus_attained + rep.plus_attained + rep.full_attained:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadartin import experiments, fp2
-from quadartin.arith import factorize, is_prime, jacobi, primes_up_to, trial_rows
+from quadartin.arith import factorize, is_prime, jacobi, primes_up_to
 from quadartin.experiments import AlphaFamily, order_scan
 from quadartin.quadfield import FieldContext, conjugate, norm
 
@@ -28,6 +28,7 @@ from oracles import (
     mult_order,
     order_record,
     reduce_elem,
+    trial_rows,
 )
 
 
@@ -387,7 +388,7 @@ BIG_INERT = [2147483693, 2147483713]
 @pytest.mark.parametrize(
     "module, target, primes",
     [
-        pytest.param(experiments, "trial_rows", [7, 13], id="trial_rows"),
+        pytest.param(experiments, "sieve_rows", [7, 13], id="sieve_rows"),
         pytest.param(fp2, "_orders_mod_p", [7, 13], id="_orders_mod_p"),
         pytest.param(experiments, "factorize", BIG_INERT, id="factorize"),
         pytest.param(fp2, "_orders_mod_p", BIG_INERT, id="_order_mod_p"),
