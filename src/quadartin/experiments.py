@@ -28,7 +28,7 @@ from .arith import (
     sieve_rows,
 )
 from .construction import InvariantError
-from .fp2 import Rows, descend, order_arrays
+from .fp2 import Rows, _orders, order_arrays
 from .quadfield import FieldContext, QuadElem, norm
 from .sieve import sieving_limit, survivor_mask
 
@@ -429,9 +429,9 @@ def lemma42_scan(
 
     bad = tuple(q for g in gens for q in factorize(abs(g)).primes)
     # every size from y_max on counts alike, so sizes are capped there; no
-    # cap is needed from 2**31 on, as every p - 1 is below it
+    # cap is needed from x on, as every p - 1 is below it
     y_max = y_grid[-1]
-    cap = math.ceil(y_max) if y_max < POWMOD_LIMIT else None
+    cap = math.ceil(y_max) if y_max < x else None
     # whole segments are dealt round-robin, so every worker sieves its own
     if workers > 1 and x >= 2 + arith.SEGMENT:
         args = [(tuple(gens), bad, x, y_grid, cap, w, workers) for w in range(workers)]
@@ -479,30 +479,12 @@ def _growth_counts(args) -> Tuple[np.ndarray, int]:
     return counts, prime_count
 
 
-# Edges of the bands of q that subgroup_sizes visits, the top band first.
-# A large q has a short fill exponent (p - 1)/q and usually fills its row,
-# so a capped prime often settles before its long q = 2, 3, 5, 7 powers.
-Q_EDGES = (10, 100, 1000)
-
-
 def subgroup_sizes(ps: np.ndarray, gens: Sequence[int], rows: Rows,
                    cap: Optional[int] = None) -> np.ndarray:
     """min(|<gens> mod p|, cap) for every prime p in the int64 array ps
     (each p < 2**31), from the prime-power rows (i, q, e) of ps - 1, by the
-    descent from the factored group order p - 1 run on all primes at once.
-    With cap None, or any cap >= 2**31 (every p - 1 is below it), the sizes
-    are exact; cap must be >= 1.
-
-    For each prime-power row q**e || p - 1 the subgroup's q-part is q**e as
-    soon as one generator has g**((p-1)/q) != 1: the row fills.  The rows
-    are visited in the bands between Q_EDGES, largest q first, and a prime
-    settles once the product of its filled q**e reaches cap; its later rows
-    are not powered.  On the rows no generator fills, of the primes still
-    open, each generator's h = g**((p-1)/q**e) reaches 1 after k <= e - 1
-    q-th powers and the q-part is q**max(k).  A descent that has not
-    reached 1 after e steps raises ArithmeticError rather than return a
-    wrong size.
-    """
+    fp2 order routine on all primes at once; cap None keeps the sizes
+    exact, and cap must be >= 1."""
     ps = np.asarray(ps, dtype=np.int64)
     res = np.stack([residues(g, ps) for g in gens])
     hit = np.flatnonzero((res == 0).any(axis=0))
@@ -510,32 +492,7 @@ def subgroup_sizes(ps: np.ndarray, gens: Sequence[int], rows: Rows,
         raise ValueError(f"a generator vanishes mod {int(ps[hit[0]])}")
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be >= 1, not {cap}")
-    cap = POWMOD_LIMIT if cap is None else min(int(cap), POWMOD_LIMIT)
-    i, q, e = rows
-    p = ps[i]
-    # the product of each prime's filled q**e, a lower bound on its size
-    sizes = np.ones(ps.size, dtype=np.int64)
-    full = np.zeros(i.size, dtype=bool)
-    band = np.searchsorted(Q_EDGES, q, side="right")
-    for b in range(len(Q_EDGES), -1, -1):
-        for g_res in res:
-            # a later generator is powered only on the rows still open
-            r = np.flatnonzero((band == b) & ~full & (sizes[i] < cap))
-            full[r] = powmod(g_res[i[r]], (p[r] - 1) // q[r], p[r]) != 1
-            f = r[full[r]]
-            np.multiply.at(sizes, i[f], q[f] ** e[f])
-
-    # descent on the rows no generator fills, of the primes still open;
-    # with e = 1 such a row's h is already 1, so its q-part is 1
-    d = np.flatnonzero(~full & (e > 1) & (sizes[i] < cap))
-    pd, qd, ed = p[d], q[d], e[d]
-    k = np.zeros(d.size, dtype=np.int64)
-    for g_res in res[:, i[d]]:
-        h = powmod(g_res, (pd - 1) // qd**ed, pd)
-        steps = descend(h, pd, qd, ed, lambda h, r: powmod(h, qd[r], pd[r]), lambda h: h == 1)
-        k = np.maximum(k, steps)
-    np.multiply.at(sizes, i[d], qd**k)
-    return np.minimum(sizes, cap)
+    return _orders(res, ps, ps - 1, rows, cap=cap)
 
 
 # ---------------------------------------------------------------------------

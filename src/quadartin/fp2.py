@@ -6,24 +6,25 @@ group of units is cyclic of order p^2 - 1.  Orders come from the order
 chain instead of a descent from p^2 - 1.  Frobenius is the p-power map, so
 alpha^(p+1) = N(alpha) lies in F_p^* and alpha^(p-1) = conj(alpha)/alpha =
 M has norm 1.  ord N is found over the primes of p - 1, ord M over the
-primes of p + 1, each by Cohen's descent from a factored group order (GTM
-138, Alg. 1.4.3).  Every odd prime divides at most one of p - 1 and p + 1,
+primes of p + 1.  Every odd prime divides at most one of p - 1 and p + 1,
 and 2 divides one of them exactly once, so with L = lcm(ord N, ord M) the
-order of alpha is L or 2L; one power alpha^L decides which.  If alpha^(2L)
-is not 1 either, the chain is broken.
+order of alpha is L or 2L; one power alpha^L decides which.  If
+alpha^(2L) is not 1 either, the chain is broken.
 
-order_arrays is the one order routine: powmod in F_p and an F_p^2 ladder
-that reduces every product mod p.  Its arrays are int64 for primes below
-2**31, where no product passes p^2 < 2**62, and object arrays of Python
-ints past it; every accumulator takes the dtype of p.  descend is the one
-descent routine, shared with the lemma42 subgroup sizes.  The tests keep
-the scalar order_record and the full p^2 - 1 descent as the references it
-is checked against.
+_orders is the one order routine: the size of the subgroup a stack of
+generators spans in a cyclic group whose order has been factored (Cohen,
+GTM 138, Alg. 1.4.3), optionally capped, with rows filled largest q first
+and the open ones descended.  order_arrays runs it for ord N in F_p and
+ord M in F_p^2, and the lemma42 subgroup sizes run it in F_p.  Its
+arrays are int64 for primes below 2**31, where no product passes
+p^2 < 2**62, and object arrays of Python ints past it; every accumulator
+takes the dtype of p.  The tests keep the scalar order_record and the
+full p^2 - 1 descent as the references it is checked against.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -31,29 +32,6 @@ from .arith import POWMOD_LIMIT, powmod
 
 
 Rows = Tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def descend(h: np.ndarray, p, q, e, power: Callable, is_one: Callable) -> np.ndarray:
-    """Per row r, the least k with h[..., r] ** (q[r] ** k) = 1, where
-    h[..., r] = g ** (n / q[r] ** e[r]) for q[r] ** e[r] exactly dividing the
-    order n of the group mod p[r]; q ** k is then the q-part of ord g.
-    power(h, rows) returns h ** q[rows] on the given rows and is_one marks
-    the identity.  A row not at 1 after e[r] powers raises ArithmeticError
-    rather than return a wrong order."""
-    steps = np.zeros(q.size, dtype=np.int64)
-    live = np.flatnonzero(~is_one(h))
-    while live.size:
-        over = live[steps[live] >= e[live]]
-        if over.size:
-            r = over[0]
-            raise ArithmeticError(
-                f"descent for q = {int(q[r])} at p = {int(p[r])} "
-                f"exceeds e = {int(e[r])} steps"
-            )
-        h[..., live] = power(h[..., live], live)
-        steps[live] += 1
-        live = live[~is_one(h[..., live])]
-    return steps
 
 
 def _mul_array(a0, a1, b0, b1, p, d):
@@ -80,21 +58,66 @@ def _pow_array(x: np.ndarray, k: np.ndarray, p: np.ndarray, d: np.ndarray) -> np
     return np.stack([r0, r1])
 
 
-def _orders(g, p, n, rows: Rows, power, is_one) -> np.ndarray:
-    """ord g[..., j] in a cyclic group of order n[j] mod p[j], from the
-    prime-power rows (i, q, e) of n: each row's g ** (n / q**e) descends to
-    1 in k steps of q-th powers, and the order is the product of the q**k."""
+# Edges of the bands of q that _orders visits, the top band first.  A large
+# q has a short fill exponent n/q and usually fills its row, so a capped
+# element often settles before its long q = 2, 3, 5, 7 powers.
+Q_EDGES = (10, 100, 1000)
+
+
+def _orders(g: np.ndarray, p: np.ndarray, n: np.ndarray, rows: Rows,
+            d: Optional[np.ndarray] = None, cap: Optional[int] = None) -> np.ndarray:
+    """min(|<g[0][..., j], g[1][..., j], ...>|, cap) for every element j of
+    a cyclic group of order n[j], from the prime-power rows (i, q, e) of n:
+    F_p^* mod p[j] when d is None, else F_p^2 with d = delta mod p.  The
+    generators g are reduced mod p in p's dtype; cap None keeps sizes exact.
+
+    A row fills, with q-part q**e, once some generator has g**(n/q) != 1.
+    Rows are visited in the bands between Q_EDGES, largest q first, and an
+    element settles once the product of its filled q**e reaches cap.  On
+    its open unfilled rows with e > 1 each h = g**(n/q**e) descends to 1 in
+    k q-th powers, and the q-part is q**max(k) (Cohen, GTM 138, Alg. 1.4.3);
+    a descent past e steps raises ArithmeticError, not a wrong size."""
+
+    def power(x, k, j):
+        return powmod(x, k, p[j]) if d is None else _pow_array(x, k, p[j], d[j])
+
+    is_one = (lambda x: x == 1) if d is None else _is_one_fp2
     i, q, e = rows
-    h = power(g[..., i], n[i] // q**e, i)
-    k = descend(h, p[i], q, e, lambda h, r: power(h, q[r], i[r]), is_one)
-    out = np.ones(n.size, dtype=n.dtype)
-    np.multiply.at(out, i, q**k)
-    return out
+    top = int(n.max(initial=1))
+    cap = top if cap is None else min(int(cap), top)
+    # the product of each element's filled q**e, a lower bound on its size
+    sizes = np.ones(n.size, dtype=n.dtype)
+    full = np.zeros(i.size, dtype=bool)
+    band = np.searchsorted(Q_EDGES, q, side="right")
+    for b in range(len(Q_EDGES), -1, -1):
+        for x in g:
+            # a later generator is powered only on the rows still open
+            r = np.flatnonzero((band == b) & ~full & (sizes[i] < cap))
+            full[r] = ~is_one(power(x[..., i[r]], n[i[r]] // q[r], i[r]))
+            f = r[full[r]]
+            np.multiply.at(sizes, i[f], q[f] ** e[f])
 
-
-def _orders_mod_p(a: np.ndarray, p: np.ndarray, rows: Rows) -> np.ndarray:
-    """ord a mod p for each residue a[j] != 0 mod p[j], from the rows of p - 1."""
-    return _orders(a, p, p - 1, rows, lambda x, k, r: powmod(x, k, p[r]), lambda h: h == 1)
+    # descent on the rows no generator fills, of the elements still open;
+    # with e = 1 such a row's h is already 1, so its q-part is 1
+    r = np.flatnonzero(~full & (e > 1) & (sizes[i] < cap))
+    j, q, e = i[r], q[r], e[r]
+    k = np.zeros(r.size, dtype=np.int64)
+    for x in g:
+        h = power(x[..., j], n[j] // q**e, j)
+        steps = np.zeros(r.size, dtype=np.int64)
+        live = np.flatnonzero(~is_one(h))
+        while live.size:
+            over = live[steps[live] >= e[live]]
+            if over.size:
+                t = over[0]
+                raise ArithmeticError(f"descent for q = {int(q[t])} at p = {int(p[j[t]])} "
+                                      f"exceeds e = {int(e[t])} steps")
+            h[..., live] = power(h[..., live], q[live], j[live])
+            steps[live] += 1
+            live = live[~is_one(h[..., live])]
+        k = np.maximum(k, steps)
+    np.multiply.at(sizes, j, q**k)
+    return np.minimum(sizes, cap)
 
 
 def order_arrays(
@@ -114,12 +137,12 @@ def order_arrays(
     nrm = (c0 * c0 - d * c1 % p * c1) % p
     if not nrm.all():
         raise ValueError(f"p = {int(p[np.argmin(nrm)])} divides the norm")
-    ord_n = _orders_mod_p(nrm, p, minus)
+    ord_n = _orders(nrm[None], p, p - 1, minus)
     # conjugate ratio: (c0 - c1 s) / (c0 + c1 s) = (c0 - c1 s)^2 / norm
     s0, s1 = _mul_array(c0, -c1 % p, c0, -c1 % p, p, d)
     ninv = powmod(nrm, p - 2, p)
     m = np.stack([s0 * ninv % p, s1 * ninv % p])
-    ord_m = _orders(m, p, p + 1, plus, lambda x, k, r: _pow_array(x, k, p[r], d[r]), _is_one_fp2)
+    ord_m = _orders(m[None], p, p + 1, plus, d)
     lcm = np.lcm(ord_n, ord_m)
     t0, t1 = _pow_array(np.stack([c0, c1]), lcm, p, d)
     at_l = (t0 == 1) & (t1 == 0)

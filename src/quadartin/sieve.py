@@ -72,29 +72,14 @@ def sieving_limit(x: int, delta1: float = 0.01) -> int:
 
 
 def rho(d: int) -> int:
-    """Number of m in [1, d] with m^2 = 1 (mod d) and gcd(m, d) = 1.
-
-    Direct enumeration up to 10**6 (vectorized); beyond that the count is
-    assembled from the prime-power factorization (1 for 2, 2 for 4 and odd
-    prime powers, 4 for higher powers of 2).
-    """
+    """Number of m in [1, d] with m^2 = 1 (mod d) and gcd(m, d) = 1, from
+    the prime-power factorization of d: 2 for each odd prime power, and
+    1, 2 or 4 for 2, 4 or a higher power of 2."""
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
-    if d <= 10**6:
-        m = np.arange(1, d + 1, dtype=np.int64)
-        ok = (m * m - 1) % d == 0
-        ok &= np.gcd(m, d) == 1
-        return int(np.count_nonzero(ok))
     out = 1
     for p, e in factorize(d).factors:
-        if p > 2:
-            out *= 2
-        elif e == 1:
-            out *= 1
-        elif e == 2:
-            out *= 2
-        else:
-            out *= 4
+        out *= 2 if p > 2 else min(2 ** (e - 1), 4)
     return out
 
 

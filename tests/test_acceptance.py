@@ -33,7 +33,14 @@ from quadartin.sieve import (
     rho,
 )
 
-from oracles import Fp2Context, count_Ad_by_classes, order_record, reduce_elem, trial_rows
+from oracles import (
+    Fp2Context,
+    count_Ad_by_classes,
+    order_record,
+    reduce_elem,
+    trial_rows,
+    unit_square_roots,
+)
 
 DELTAS = (2, 3, 5, 13)
 INSTANCES = ((-4, 5), (-1, 5), (-11, 5), (11, 5), (-12, 13), (-1, 2))
@@ -63,9 +70,9 @@ def test_ac01_rho_identity():
         f = factorize(d)
         if not f.is_squarefree:
             continue
-        # rho() counts unit square roots by direct enumeration here,
-        # so the 2^nu comparison is a genuine dual route
-        assert rho(d) == 2**f.nu, d
+        # rho() reads the factorization; the enumeration of the unit
+        # square roots keeps the 2^nu comparison a genuine dual route
+        assert rho(d) == len(unit_square_roots(d)) == 2**f.nu, d
         checked += 1
     assert checked > 3000
     _finish("AC1 rho identity (odd squarefree d <= 1e4)", t0, 10.0)

@@ -150,6 +150,15 @@ def test_scan_with_congruence_class(tmp_path):
         assert int(row.split(",")[0]) % 720 == 547
 
 
+# Digests of scan.csv and scan_summary.json of the dense window past 10**12,
+# written by the descent-only order kernel that the fill-then-descend one
+# replaced: they pin the orders computed on Python-int blocks byte for byte.
+FAR_DENSE_SHA = (
+    "73dca8c3cdf6d0ec58d1559f437d661cbd713cba1a1aa431180147c24eebd7d6",
+    "1d175fe5eb2f60ed57bc4ca56cb4b7a96a579c16a2186dc4307312fdda1008d9",
+)
+
+
 @pytest.mark.parametrize("mode", ["dense", "congruence"])
 def test_scan_window_past_1e12(tmp_path, mode):
     # only the window is sieved, by the primes up to its square root, and
@@ -168,6 +177,9 @@ def test_scan_window_past_1e12(tmp_path, mode):
     rows = (out / "scan.csv").read_text().splitlines()[1:]
     assert [int(r.split(",")[0]) for r in rows[::3]] == want and len(want) > 10
     assert json.loads((out / "scan_summary.json").read_text())["prime_count"] == len(want)
+    if mode == "dense":
+        assert tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                     for name in ("scan.csv", "scan_summary.json")) == FAR_DENSE_SHA
 
 
 def test_scan_negative_norms(tmp_path):
@@ -197,7 +209,9 @@ def test_scan_broken_chain_exits_3(tmp_path, monkeypatch, capsys, workers):
     # report as a chain violation, also from a pool worker (64-prime blocks
     # put the 155 primes past the pool's one-block threshold); scan.csv is
     # written only after the whole pass, so none is left behind
-    monkeypatch.setattr(fp2, "_orders_mod_p", lambda a, p, rows: np.ones_like(a))
+    orders = fp2._orders
+    monkeypatch.setattr(fp2, "_orders", lambda g, p, n, rows, d=None, cap=None: (
+        np.ones_like(n) if d is None else orders(g, p, n, rows, d, cap)))
     monkeypatch.setattr(experiments, "PRIME_BLOCK", 64)
     code, out = run(tmp_path, "scan", SCAN_CFG, extra=("--workers", workers))
     assert code == 3

@@ -389,9 +389,9 @@ BIG_INERT = [2147483693, 2147483713]
     "module, target, primes",
     [
         pytest.param(experiments, "sieve_rows", [7, 13], id="sieve_rows"),
-        pytest.param(fp2, "_orders_mod_p", [7, 13], id="_orders_mod_p"),
+        pytest.param(fp2, "_orders", [7, 13], id="_orders_int64"),
         pytest.param(experiments, "factorize", BIG_INERT, id="factorize"),
-        pytest.param(fp2, "_orders_mod_p", BIG_INERT, id="_order_mod_p"),
+        pytest.param(fp2, "_orders", BIG_INERT, id="_orders_object"),
     ],
 )
 def test_kernel_value_error_is_not_a_skipped_prime(monkeypatch, module, target, primes):
@@ -463,3 +463,23 @@ def test_order_arrays_rejects_int64_primes_past_2_31():
     assert list(zip(ord_alpha.tolist(), ord_n.tolist(), ord_m.tolist(), attained.tolist())) == [
         (r.ord_alpha, r.ord_n, r.ord_m, r.attained) for r in want]
     assert chain_ok.all()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+def test_order_arrays_descent_overrun_raises(monkeypatch, dtype):
+    # A power map that claims every g^((p-1)/q) is 1 and then never lets
+    # the descent of ord_N reach 1: order_arrays must raise, not return an
+    # order, on int64 blocks and on Python-int blocks alike.  The fill test
+    # is the one power whose exponent is (p-1)/q for a prime q; every other
+    # power returns 2.  Each p - 1 has a row with e > 1, so a descent runs.
+    def broken(base, exp, mod):
+        exp, mod = np.broadcast_arrays(exp, mod)[:2]
+        fill_test = [(m - 1) % k == 0 and is_prime((m - 1) // k)
+                     for k, m in zip(exp.ravel().tolist(), mod.ravel().tolist())]
+        return np.where(fill_test, 1, 2).astype(mod.dtype).reshape(mod.shape)
+
+    monkeypatch.setattr(fp2, "powmod", broken)
+    p = np.array([13, 17] if dtype is np.int64 else BIG_INERT, dtype=dtype)
+    c0, c1, d = (np.array([t % q for q in p.tolist()], dtype=dtype) for t in (2, 1, 5))
+    with pytest.raises(ArithmeticError, match="exceeds"):
+        fp2.order_arrays(c0, c1, p, d, experiments._rows_of(p - 1), experiments._rows_of(p + 1))

@@ -59,7 +59,7 @@ def test_rho_vs_enumeration():
 
 
 def test_rho_closed_form_branch_matches_enumeration():
-    # inputs beyond the enumeration cutoff take the factorization route
+    # large inputs, odd and with powers of 2 past 4, against enumeration
     for d in (10**6 + 3, 10**6 + 33, 2**21, 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23,
               2**4 * 3 * 5 * 7 * 11 * 13 * 17):
         assert d > 10**6

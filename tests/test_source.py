@@ -86,3 +86,39 @@ def test_commands_read_only_typed_config():
             ):
                 found.append(f"{fn.name}:{call.lineno}")
     assert not found, found
+
+
+# Where POWMOD_LIMIT may be read outside arith, which owns it: the scan's
+# choice of int64 or Python-int blocks, the F_p^2 kernel's guard against
+# wrapping int64 products, and the CLI's bound on lemma42's prime_max.
+# Every other bound follows from the data (lemma42's sizes are at most
+# p - 1, so their cap is clamped by the group orders).  Each of these reads
+# must be found, so a walker that sees none cannot pass.
+POWMOD_LIMIT_READERS = {("experiments.py", "_order_pass"), ("fp2.py", "order_arrays"),
+                        ("cli.py", "lemma42")}
+
+
+def _reads(node, name, scope=None):
+    # the scope of each read of name below node: its innermost enclosing
+    # function, else the outermost string key of the dicts around it
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = node.name
+    if (isinstance(node, ast.Name) and node.id == name) or (
+            isinstance(node, ast.Attribute) and node.attr == name):
+        yield scope
+    if isinstance(node, ast.Dict) and scope is None:
+        for key, value in zip(node.keys, node.values):
+            label = key.value if isinstance(key, ast.Constant) else None
+            yield from _reads(value, name, label)
+        return
+    for child in ast.iter_child_nodes(node):
+        yield from _reads(child, name, scope)
+
+
+def test_powmod_limit_read_only_where_int64_is_chosen():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "arith.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            found |= {(path.name, scope) for scope in _reads(tree, "POWMOD_LIMIT")}
+    assert found == POWMOD_LIMIT_READERS, found
