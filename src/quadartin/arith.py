@@ -186,10 +186,12 @@ def sieve_rows(n: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     qs = prime_array(math.isqrt(int(x[-1])))[1:]
     qs = qs[(g % qs != 0) | (x0 % qs == 0)]
     step, first = np.where(g % qs != 0, qs, 1), _first_hits(x0, g, qs)
-    # q below 64 strike one slice at a time; the rest, with few strikes
-    # each, in one gathered batch, the r-th strike of q at f + step * r
+    # q below 64 strike one strided view of the slots each; the rest, with
+    # few strikes each, one gathered run each, its slots the running sum of
+    # the gaps between strikes.  Each batch of strikes, its views or runs
+    # laid end to end, keeps the occupied slots, and a strike's q is that
+    # of the view or run it falls in.
     small = int(np.searchsorted(qs, 64))
-    big, t = qs[small:], step[small:]
     parts_i, parts_q = [], []
     cuts = [0, *(np.flatnonzero(np.diff(k // SEGMENT)) + 1).tolist(), k.size]
     for start, stop in zip(cuts, cuts[1:]):
@@ -197,38 +199,50 @@ def sieve_rows(n: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         slot = np.full(int(k[stop - 1]) - k0 + 1, -1, dtype=np.int32)
         slot[k[start:stop] - k0] = np.arange(start, stop)
         f = (first - k0) % step
-        hits = [slot[a::b] for a, b in zip(f[:small].tolist(), step[:small].tolist())]
-        count = (slot.size - f[small:] + t - 1) // t
-        hits.append(slot[np.repeat(f[small:] - t * (np.cumsum(count) - count), count)
-                         + np.repeat(t, count) * np.arange(count.sum())])
-        q = np.repeat(big, count)[hits[-1] >= 0]
-        hits = [h[h >= 0] for h in hits]
-        parts_i += hits
-        parts_q += [np.repeat(qs[:small], [h.size for h in hits[:-1]]), q]
-    i = np.concatenate(parts_i).astype(np.int64)
+        views = [slot[a::b] for a, b in zip(f[:small].tolist(), step[:small].tolist())]
+        count = (slot.size - f + step - 1) // step
+        big = small + np.flatnonzero(count[small:])
+        c, t, f0 = count[big], np.minimum(step[big], slot.size), f[big]
+        # every gap is below the window, and a run's first gap leads from
+        # the last strike of the run before
+        gaps = np.repeat(t.astype(np.int32), c)
+        gaps[np.cumsum(c) - c] = f0 - np.r_[0, (f0 + t * (c - 1))[:-1]]
+        for h, ends, hq in ((np.concatenate([slot[:0], *views]),
+                             np.cumsum([v.size for v in views], dtype=np.int64), qs),
+                            (slot[np.cumsum(gaps, dtype=np.int32)], np.cumsum(c), qs[big])):
+            hit = np.flatnonzero(h >= 0)
+            parts_i.append(h[hit])
+            parts_q.append(hq[np.searchsorted(ends, hit, side="right")])
+    i = np.concatenate(parts_i)
     q = np.concatenate(parts_q)
+    del k, slot, views, gaps, parts_i, parts_q
     if np.any(q[1:] < q[:-1]):
         # each window after the first starts the run of q over
         order = np.argsort(q, kind="stable")
         i, q = i[order], q[order]
-    # the 2-part from the lowest set bit
-    low = x & -x
-    two = np.flatnonzero(low > 1)
     # exponents, and what is left of each value once every q**e is out
     m = x[i] // q
-    e = np.ones(i.size, dtype=np.int64)
+    e = np.ones(i.size, dtype=np.int8)
     r = np.flatnonzero(m % q == 0)
     while r.size:
         m[r] //= q[r]
         e[r] += 1
         r = r[m[r] % q[r] == 0]
+    del m, r
+    # the 2-part from the lowest set bit
+    low = x & -x
     rest = x // low
     np.floor_divide.at(rest, i, q**e)
-    cof = np.flatnonzero(rest > 1)
-    return (idx[np.concatenate([two, i, cof])],
-            np.concatenate([np.full(two.size, 2), q, rest[cof]]),
-            np.concatenate([np.bitwise_count(low[two] - 1).astype(np.int64), e,
-                            np.ones(cof.size, dtype=np.int64)]))
+    two, cof = np.flatnonzero(low > 1), np.flatnonzero(rest > 1)
+    # the rows, filled a part at a time: the 2-parts, the sieved q, the
+    # cofactors
+    rows = i_rows, q_rows, e_rows = tuple(
+        np.empty(two.size + i.size + cof.size, dtype=np.int64) for _ in range(3))
+    a, b = two.size, two.size + i.size
+    i_rows[:a], q_rows[:a], e_rows[:a] = idx[two], 2, np.bitwise_count(low[two] - 1)
+    i_rows[a:b], q_rows[a:b], e_rows[a:b] = idx[i], q, e
+    i_rows[b:], q_rows[b:], e_rows[b:] = idx[cof], rest[cof], 1
+    return rows
 
 
 def _integers(x) -> np.ndarray:
@@ -262,22 +276,33 @@ def powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
         return np.array(out, dtype=dtype).reshape(mod.shape)
     shape = mod.shape
     base, exp, mod = base.ravel(), exp.ravel(), mod.ravel()
-    # row t of the table holds base**0 .. base**3 mod t's modulus
-    table = np.empty((mod.size, 4), dtype=np.int64)
-    table[:, 0] = 1
-    table[:, 1] = base % mod
-    table[:, 2] = table[:, 1] * table[:, 1] % mod
-    table[:, 3] = table[:, 2] * table[:, 1] % mod
+    # row t of the table holds base**0 .. base**3 mod t's modulus, each
+    # below POWMOD_LIMIT, so in int32
+    table = np.empty((mod.size, 4), dtype=np.int32)
+    table[:, 0] = 1 % mod
+    table[:, 1] = b = base % mod
+    table[:, 2] = b2 = b * b % mod
+    table[:, 3] = b2 * b % mod
+    del b, b2
     flat = table.ravel()
     row = 4 * np.arange(mod.size)
-    out = np.ones(mod.size, dtype=np.int64) % mod
-    top = int(exp.max()).bit_length() - 1 if exp.size else -1
-    for s in range(top - top % 2, -1, -2):
+    # the ladder starts from the table, at the window of the top bit of the
+    # largest exponent; every window after it is two squarings and a
+    # product, its table index built in one buffer
+    top = int(exp.max()).bit_length() - 1 if exp.size else 0
+    top -= top % 2
+    w = (exp >> top) & 3
+    w += row
+    out = flat[w].astype(np.int64)
+    for s in range(top - 2, -1, -2):
         out *= out
         out %= mod
         out *= out
         out %= mod
-        out *= flat[row + ((exp >> s) & 3)]
+        np.right_shift(exp, s, out=w)
+        w &= 3
+        w += row
+        out *= flat[w]
         out %= mod
     return out.reshape(shape)
 

@@ -206,7 +206,9 @@ def _load_config(path: str):
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    # allow_nan=False: NaN and infinities are not JSON, so none is written
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n",
+                    encoding="utf-8")
 
 
 def _congruence_json(c: Congruence, report) -> Dict:
@@ -374,7 +376,8 @@ def cmd_lemma42(cfg: Dict, out: Path, workers: int) -> int:
             "gens": list(fit.gens),
             "prime_count": fit.prime_count,
             "samples": [[y, n] for y, n in fit.samples],
-            "slope": fit.slope,
+            # fewer than two positive counts leave no slope
+            "slope": fit.slope if math.isfinite(fit.slope) else None,
         },
     )
     print(f"lemma42: {fit.prime_count} primes, slope {fit.slope:.4f}")

@@ -10,7 +10,6 @@ import itertools
 import logging
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -227,6 +226,10 @@ def order_scan(
     # Measured on dense scans: two workers lose on one block of primes (to
     # 1e5) and win on several (to 1e6).
     if workers > 1 and len(plist) > PRIME_BLOCK:
+        # imported here: the pool's modules cost every run set-up time and
+        # memory, and only these runs use them
+        from concurrent.futures import ProcessPoolExecutor
+
         size = -(-len(plist) // workers)
         args = [(family, plist[i : i + size]) for i in range(0, len(plist), size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -434,6 +437,8 @@ def lemma42_scan(
     cap = math.ceil(y_max) if y_max < x else None
     # whole segments are dealt round-robin, so every worker sieves its own
     if workers > 1 and x >= 2 + arith.SEGMENT:
+        from concurrent.futures import ProcessPoolExecutor
+
         args = [(tuple(gens), bad, x, y_grid, cap, w, workers) for w in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_growth_counts, args))

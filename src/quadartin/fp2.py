@@ -44,24 +44,40 @@ def _is_one_fp2(x: np.ndarray) -> np.ndarray:
     return (x[0] == 1) & (x[1] == 0)
 
 
-def _pow_array(x: np.ndarray, k: np.ndarray, p: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """x ** k in F_p^2, elementwise: x has shape (2, n) with both coordinates
-    reduced mod p, d = delta mod p and k >= 0, all int64 with p < 2**31 or
-    all Python ints.  Left to right square and multiply, the multiply only
-    on the rows whose bit is set, so no table of powers is held."""
-    c0, c1 = x
-    r0, r1 = np.ones(c0.size, dtype=p.dtype), np.zeros(c0.size, dtype=p.dtype)
-    for s in range(int(k.max()).bit_length() - 1 if k.size else -1, -1, -1):
-        r0, r1 = _mul_array(r0, r1, r0, r1, p, d)
+def _pow_array(x: np.ndarray, k: np.ndarray, p: np.ndarray,
+               d: Optional[np.ndarray] = None) -> np.ndarray:
+    """x ** k elementwise for k >= 0: in F_p when d is None, else in F_p^2
+    with x of shape (2, n) and d = delta mod p; x reduced mod p, all int64
+    with p < 2**31 or all Python ints.  Left to right square and multiply
+    from the top bit of the largest k, the multiply only on the elements
+    whose bit is set, so no table of powers is held."""
+
+    def mul(a, b, p, d):
+        return (a[0] * b[0] % p,) if d is None else _mul_array(*a, *b, p, d)
+
+    x = (x,) if d is None else tuple(x)
+    r = (np.ones_like(p),) if d is None else (np.ones_like(p), np.zeros_like(p))
+    top = int(k.max()).bit_length() - 1 if k.size else -1
+    for s in range(top, -1, -1):
         j = np.flatnonzero((k >> s) & 1)
-        r0[j], r1[j] = _mul_array(r0[j], r1[j], c0[j], c1[j], p[j], d[j])
-    return np.stack([r0, r1])
+        if s < top:
+            r = mul(r, r, p, d)
+            if j.size:
+                at = mul([c[j] for c in r], [c[j] for c in x], p[j], None if d is None else d[j])
+                for c, v in zip(r, at):
+                    c[j] = v
+        else:
+            for c, v in zip(r, x):
+                c[j] = v[j]
+    return r[0] if d is None else np.stack(r)
 
 
-# Edges of the bands of q that _orders visits, the top band first.  A large
-# q has a short fill exponent n/q and usually fills its row, so a capped
-# element often settles before its long q = 2, 3, 5, 7 powers.
-Q_EDGES = (10, 100, 1000)
+# Edges of the bands of q in which _orders visits the rows of its first
+# generator, the top band first.  A large q has a short fill exponent n/q
+# and usually fills its row, so a capped element often settles before its
+# long q = 3, 5, 7 powers, and before the longest, q = 2, which has a band
+# of its own.
+Q_EDGES = (3, 10, 100, 1000)
 
 
 def _orders(g: np.ndarray, p: np.ndarray, n: np.ndarray, rows: Rows,
@@ -76,7 +92,10 @@ def _orders(g: np.ndarray, p: np.ndarray, n: np.ndarray, rows: Rows,
     element settles once the product of its filled q**e reaches cap.  On
     its open unfilled rows with e > 1 each h = g**(n/q**e) descends to 1 in
     k q-th powers, and the q-part is q**max(k) (Cohen, GTM 138, Alg. 1.4.3);
-    a descent past e steps raises ArithmeticError, not a wrong size."""
+    a descent past e steps raises ArithmeticError, not a wrong size.  Only
+    the first generator goes band by band; each later one fills what is
+    left in one power, and the descent steps of every generator share one
+    array and are multiplied out by _pow_array, with no call to powmod."""
 
     def power(x, k, j):
         return powmod(x, k, p[j]) if d is None else _pow_array(x, k, p[j], d[j])
@@ -88,35 +107,47 @@ def _orders(g: np.ndarray, p: np.ndarray, n: np.ndarray, rows: Rows,
     # the product of each element's filled q**e, a lower bound on its size
     sizes = np.ones(n.size, dtype=n.dtype)
     full = np.zeros(i.size, dtype=bool)
-    band = np.searchsorted(Q_EDGES, q, side="right")
+    band = np.zeros(i.size, dtype=np.uint8)
+    for t in Q_EDGES:
+        band += q >= t
+
+    def fill(x, r):
+        # x is powered on those of the rows r still open: unfilled, of an
+        # element that has not settled
+        r = r[~full[r] & (sizes < cap)[i[r]]]
+        j = i[r]
+        full[r] = ~is_one(power(x[..., j], n[j] // q[r], j))
+        f = r[full[r]]
+        np.multiply.at(sizes, i[f], q[f] ** e[f])
+
+    # the first generator band by band, each later one in one call on every
+    # row still open
     for b in range(len(Q_EDGES), -1, -1):
-        for x in g:
-            # a later generator is powered only on the rows still open
-            r = np.flatnonzero((band == b) & ~full & (sizes[i] < cap))
-            full[r] = ~is_one(power(x[..., i[r]], n[i[r]] // q[r], i[r]))
-            f = r[full[r]]
-            np.multiply.at(sizes, i[f], q[f] ** e[f])
+        fill(g[0], np.flatnonzero(band == b))
+    for x in g[1:]:
+        fill(x, np.flatnonzero(~full))
 
     # descent on the rows no generator fills, of the elements still open;
-    # with e = 1 such a row's h is already 1, so its q-part is 1
-    r = np.flatnonzero(~full & (e > 1) & (sizes[i] < cap))
-    j, q, e = i[r], q[r], e[r]
-    k = np.zeros(r.size, dtype=np.int64)
-    for x in g:
-        h = power(x[..., j], n[j] // q**e, j)
-        steps = np.zeros(r.size, dtype=np.int64)
-        live = np.flatnonzero(~is_one(h))
-        while live.size:
-            over = live[steps[live] >= e[live]]
-            if over.size:
-                t = over[0]
-                raise ArithmeticError(f"descent for q = {int(q[t])} at p = {int(p[j[t]])} "
-                                      f"exceeds e = {int(e[t])} steps")
-            h[..., live] = power(h[..., live], q[live], j[live])
-            steps[live] += 1
-            live = live[~is_one(h[..., live])]
-        k = np.maximum(k, steps)
-    np.multiply.at(sizes, j, q**k)
+    # with e = 1 such a row's h is already 1, so its q-part is 1.  Column c
+    # of h is generator c // r.size at row r[c % r.size]
+    r = np.flatnonzero(~full & (e > 1) & (sizes < cap)[i])
+    c = np.tile(r, len(g))
+    h = power(np.concatenate([x[..., i[r]] for x in g], axis=-1), n[i[c]] // q[c] ** e[c], i[c])
+    steps = np.zeros(c.size, dtype=np.int64)
+    live = np.flatnonzero(~is_one(h))
+    h = h[..., live]
+    while live.size:
+        t = c[live]
+        over = np.flatnonzero(steps[live] >= e[t])
+        if over.size:
+            t = t[over[0]]
+            raise ArithmeticError(f"descent for q = {int(q[t])} at p = {int(p[i[t]])} "
+                                  f"exceeds e = {int(e[t])} steps")
+        h = _pow_array(h, q[t], p[i[t]], None if d is None else d[i[t]])
+        steps[live] += 1
+        keep = ~is_one(h)
+        live, h = live[keep], h[..., keep]
+    np.multiply.at(sizes, i[r], q[r] ** steps.reshape(len(g), r.size).max(axis=0, initial=0))
     return np.minimum(sizes, cap)
 
 

@@ -1,5 +1,6 @@
 """CLI surface: configs, artifacts, exit codes, determinism."""
 
+import concurrent.futures
 import hashlib
 import importlib
 import json
@@ -430,6 +431,19 @@ def test_lemma42_growth_artifact(tmp_path):
     assert ys == sorted(ys)
 
 
+def test_lemma42_growth_without_a_slope_is_strict_json(tmp_path):
+    # no prime up to 3 is kept (2 and 3 divide a generator), so no count is
+    # positive and there is no slope: growth.json says null, which strict
+    # parsers read, where NaN is not JSON
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    code, out = run(tmp_path, "lemma42", {"gens": [2, 3], "prime_max": 3})
+    assert code == 0
+    doc = json.loads((out / "growth.json").read_text(), parse_constant=reject)
+    assert doc["prime_count"] == 0 and doc["slope"] is None
+
+
 def test_lemma42_rejects_prime_max_past_int32(tmp_path, capsys):
     code, _ = run(tmp_path, "lemma42", {"gens": [2, 3], "prime_max": 2**31})
     assert code == 4
@@ -464,12 +478,14 @@ def test_lemma42_unsorted_grid_sorted_in_output(tmp_path):
 
 # growth.json digests recorded with the exact, uncapped subgroup kernel: the
 # default grid, a grid with max 50 on which almost every prime settles, and
-# the edge grids whose cap would pass int64 (ceil(1e300)) or sit at 1
+# the edge grids whose cap would pass int64 (ceil(1e300)) or sit at 1.  The
+# one-point grid has no slope, written as null (the same bytes as the
+# recording, with its NaN, which is not JSON, as null)
 PINNED_GROWTH = {
     "default": (None, "8b4911d31d31d88ff2af5b28df3730a7a08fa1b4c682d471b8b96c52b78d9e34"),
     "max50": ([2, 5, 10, 20, 50], "55fc7f1766fcee8f273b5a63eceb0a05ae2ac55e94c7a5dd5798942564680cdf"),
     "1e300": ([10, 1e300], "418b027bf042c23074501925250d6c6aa5cd51b7acee081c569a742f3f4cf9d0"),
-    "half": ([0.5], "7e91c33146d4e885017217908bf677f84e55cf3e2156d4657c510ed194559e14"),
+    "half": ([0.5], "b539c4d0ab2738c73abf1c24ddcbdce5ad5d2eb2d34afabedaebe1729f5b6596"),
 }
 
 
@@ -584,7 +600,7 @@ def test_workers_outside_cpu_range_exits_4(tmp_path, capsys, monkeypatch, worker
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     cfg = {"gens": [2, 3], "prime_max": 10**4}
     code, _ = run(tmp_path, "lemma42", cfg, extra=("--workers", str(workers)))
     assert code == 4

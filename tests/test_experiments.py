@@ -525,6 +525,28 @@ def test_subgroup_kernel_matches_scalar_oracle(monkeypatch, gens):
         assert sizes[0] == 1
 
 
+def test_lemma42_powmod_calls_per_segment_are_bounded(monkeypatch):
+    # A count, not a timing: each segment powers the first generator once
+    # per band, the second once, and the descent's start once; the descent
+    # steps are multiplied out.  Every segment reaches powmod, and the
+    # counts are the exact ones.
+    calls = []
+    real = fp2.powmod
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fp2, "powmod", counted)
+    x = 2 * 10**6
+    fit = lemma42_scan([2, 3], x)
+    segments = -(-(x - 1) // arith.SEGMENT)
+    assert segments <= len(calls) <= segments * (len(fp2.Q_EDGES) + 1 + 2)
+    assert fit.prime_count == 148931
+    assert [n for _, n in fit.samples] == [2, 6, 10, 18, 28, 53, 84, 136, 238, 401, 661,
+                                           1105, 1858]
+
+
 def test_subgroup_kernel_rejects_vanishing_generator():
     ps = np.array([5, 7, 11])
     with pytest.raises(ValueError):

@@ -1,6 +1,9 @@
 """Source-level checks on the package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import quadartin
@@ -122,3 +125,18 @@ def test_powmod_limit_read_only_where_int64_is_chosen():
             tree = ast.parse(path.read_text(encoding="utf-8"))
             found |= {(path.name, scope) for scope in _reads(tree, "POWMOD_LIMIT")}
     assert found == POWMOD_LIMIT_READERS, found
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # The process pool's modules cost every run set-up time and memory, and
+    # only --workers > 1 uses them, so a fresh interpreter that imports the
+    # CLI has neither loaded.
+    probe = ("import sys, quadartin.cli; print(quadartin.cli.__file__); "
+             "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+             "if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout.splitlines()
+    assert Path(out[0]).resolve() == (SRC / "cli.py").resolve()
+    assert out[1] == "[]"
