@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, List, Tuple
 import numpy as np
 
 # Deterministic Miller-Rabin witness tiers: each set is exact below its
-# threshold (the last one out to 3.3 * 10**24, far past 64 bits).
+# threshold (the last one out to 3.18 * 10**23, far past 64 bits).
 _MR_TIERS = (
     (2047, (2,)),
     (1373653, (2, 3)),
@@ -82,9 +82,10 @@ SEGMENT = 2**17
 # product of two residues stays below 2**62; past it they are exact on
 # Python ints, one element at a time
 POWMOD_LIMIT = 2**31
-
-_primes = np.zeros(0, dtype=np.int64)
-_primes_limit = 1
+# Every sieve here strikes with the primes up to BASE only.  A survivor
+# below BASE**2 is then prime; past it is_prime decides a survivor, and
+# factorize splits a cofactor, whose primes all pass BASE.
+BASE = 2**16
 
 
 def _segments(lo: int, hi: int, first: int = 0, step: int = 1, *, u: int = 0,
@@ -92,10 +93,12 @@ def _segments(lo: int, hi: int, first: int = 0, step: int = 1, *, u: int = 0,
     """The primes p = u (mod v) in [lo, hi], ascending, as one int64 array
     per segment of SEGMENT members of the progression from its first member
     n0 >= max(lo, 2) (Bays & Hudson, BIT 17 (1977)).  Each base prime q up
-    to isqrt(hi) that does not divide v strikes its multiples from the first
-    member >= q**2 on; a q dividing v divides no member, or every member
-    and then only n0 can be prime.  With first and step, only segments
-    first, first + step, ... are sieved (one worker's share)."""
+    to min(isqrt(top), BASE), top the segment's last member, that does not
+    divide v strikes its multiples from the first member >= q**2 on; a q
+    dividing v divides no member, or every member and then only n0 can be
+    prime.  In a segment whose top reaches BASE**2, only the survivors
+    is_prime passes are kept.  With first and step, only segments first,
+    first + step, ... are sieved (one worker's share)."""
     n0 = max(lo, 2) + (u - max(lo, 2)) % v
     if n0 + v > hi or math.gcd(n0, v) > 1:
         # at most n0 can be prime: sieve it alone
@@ -103,49 +106,38 @@ def _segments(lo: int, hi: int, first: int = 0, step: int = 1, *, u: int = 0,
     if n0 > hi:
         return
     size = (hi - n0) // v + 1
-    base = prime_array(math.isqrt(hi))
+    base = prime_array(min(math.isqrt(hi), BASE))
     for j0 in range(first * SEGMENT, size, step * SEGMENT):
         a = n0 + v * j0
         flags = np.ones(min(SEGMENT, size - j0), dtype=bool)
         top = a + v * (flags.size - 1)
-        qs = base[: np.searchsorted(base, math.isqrt(top), side="right")]
-        # a chunk of base primes at a time, each with the index of its
-        # first strike: a member that q divides, at or past q**2
-        for c in range(0, qs.size, SEGMENT):
-            q = qs[c : c + SEGMENT]
-            if v > 1:
-                q = q[v % q != 0]
-            past_square = np.maximum(-((a - q * q) // v), 0)
-            s = past_square + (_first_hits(a, v, q) - past_square) % q
-            # q shorter than the segment may strike often, the rest once
-            k = int(np.searchsorted(q, flags.size))
-            for t, i in zip(q[:k].tolist(), s[:k].tolist()):
-                flags[i::t] = False
-            s = s[k:]
-            flags[s[s < flags.size]] = False
+        q = base[: np.searchsorted(base, math.isqrt(top), side="right")]
+        if v > 1:
+            q = q[v % q != 0]
+        # the index of each q's first strike: a member that q divides, at
+        # or past q**2
+        past_square = np.maximum(-((a - q * q) // v), 0)
+        s = past_square + (_first_hits(a, v, q) - past_square) % q
+        # q shorter than the segment may strike often, the rest once
+        k = int(np.searchsorted(q, flags.size))
+        for t, i in zip(q[:k].tolist(), s[:k].tolist()):
+            flags[i::t] = False
+        s = s[k:]
+        flags[s[s < flags.size]] = False
+        if top >= BASE**2:
+            # past BASE**2 a survivor may be a product of primes past BASE
+            j = np.flatnonzero(flags)
+            flags[j[[not is_prime(n) for n in (j * v + a).tolist()]]] = False
         yield np.flatnonzero(flags) * v + a
 
 
 def prime_array(n: int) -> np.ndarray:
-    """All primes <= n, ascending: a read-only int64 view of one cached list,
-    grown by sieving only the range it does not cover yet."""
-    global _primes, _primes_limit
-    if n > _primes_limit:
-        limit = max(n, 2 * _primes_limit)
-        prime_array(math.isqrt(limit))  # the base primes, cached before the cache is read
-        # filled in place up to pi(limit) < 1.25506 limit / log(limit)
-        # (Rosser & Schoenfeld, Illinois J. Math. 6 (1962), (3.6)), then
-        # cut to size, so no list of segments is held next to the result
-        grown = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.int64)
-        end = _primes.size
-        grown[:end] = _primes
-        for ps in _segments(_primes_limit + 1, limit):
-            grown[end : end + ps.size] = ps
-            end += ps.size
-        grown.resize(end, refcheck=False)  # no view of grown exists yet
-        grown.flags.writeable = False
-        _primes, _primes_limit = grown, limit
-    return _primes[: np.searchsorted(_primes, n, side="right")]
+    """All primes <= n, ascending, as int64: a read-only view of the base
+    primes for n <= BASE, else a new array that continues them by
+    segments."""
+    if n <= BASE:
+        return _BASE_PRIMES[: np.searchsorted(_BASE_PRIMES, n, side="right")]
+    return np.concatenate([_BASE_PRIMES, *_segments(BASE + 1, n)])
 
 
 def primes_up_to(n: int) -> List[int]:
@@ -167,11 +159,20 @@ def _first_hits(a: int, v: int, q: np.ndarray) -> np.ndarray:
     return hit if v == 1 else hit * powmod(v % q, q - 2, q) % q
 
 
+# The primes up to BASE, read-only: the segmented sieve lists them itself,
+# from the primes up to BASE**(1/4) = 16, then those up to 256
+_BASE_PRIMES = np.array([2, 3, 5, 7, 11, 13], dtype=np.int64)
+_BASE_PRIMES = np.concatenate(list(_segments(2, math.isqrt(BASE))))
+_BASE_PRIMES = np.concatenate(list(_segments(2, BASE)))
+_BASE_PRIMES.flags.writeable = False
+
+
 def sieve_rows(n: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Prime-power rows (i, q, e) with q**e exactly dividing n[i], for every
     n[i] > 1 of an ascending int64 array n of distinct values: the 2-parts,
-    then by ascending q, then the prime cofactor of each n[i] left once
-    every prime up to isqrt(max(n)) is out.  The values > 1 lie on x0 + g*k,
+    then by ascending q, then what is left of each n[i] once every prime up
+    to min(isqrt(max(n)), BASE) is out: the prime cofactors below BASE**2,
+    then the rows factorize gives the rest.  The values > 1 lie on x0 + g*k,
     g the gcd of their distances from the first, x0.  Each odd such q
     strikes its multiples there: every k if q divides g and x0, none if q
     divides g only, else every q-th k from its first hit.  Slots are indexed
@@ -183,7 +184,7 @@ def sieve_rows(n: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     x0 = int(x[0])
     g = int(np.gcd.reduce(x - x0)) or 1
     k = (x - x0) // g
-    qs = prime_array(math.isqrt(int(x[-1])))[1:]
+    qs = prime_array(min(math.isqrt(int(x[-1])), BASE))[1:]
     qs = qs[(g % qs != 0) | (x0 % qs == 0)]
     step, first = np.where(g % qs != 0, qs, 1), _first_hits(x0, g, qs)
     # q below 64 strike one strided view of the slots each; the rest, with
@@ -234,14 +235,22 @@ def sieve_rows(n: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     rest = x // low
     np.floor_divide.at(rest, i, q**e)
     two, cof = np.flatnonzero(low > 1), np.flatnonzero(rest > 1)
+    split = np.zeros((0, 3), dtype=np.int64)
+    if x[-1] >= BASE**2:
+        # a cofactor from BASE**2 on may be composite: factorize splits it
+        far = rest[cof] >= BASE**2
+        split = np.array([(j, t, r) for j in cof[far].tolist() for t, r in
+                          factorize(int(rest[j])).factors], dtype=np.int64).reshape(-1, 3)
+        cof = cof[~far]
     # the rows, filled a part at a time: the 2-parts, the sieved q, the
-    # cofactors
+    # prime cofactors, the split ones
     rows = i_rows, q_rows, e_rows = tuple(
-        np.empty(two.size + i.size + cof.size, dtype=np.int64) for _ in range(3))
-    a, b = two.size, two.size + i.size
+        np.empty(two.size + i.size + cof.size + len(split), dtype=np.int64) for _ in range(3))
+    a, b, c = two.size, two.size + i.size, two.size + i.size + cof.size
     i_rows[:a], q_rows[:a], e_rows[:a] = idx[two], 2, np.bitwise_count(low[two] - 1)
     i_rows[a:b], q_rows[a:b], e_rows[a:b] = idx[i], q, e
-    i_rows[b:], q_rows[b:], e_rows[b:] = idx[cof], rest[cof], 1
+    i_rows[b:c], q_rows[b:c], e_rows[b:c] = idx[cof], rest[cof], 1
+    i_rows[c:], q_rows[c:], e_rows[c:] = idx[split[:, 0]], split[:, 1], split[:, 2]
     return rows
 
 

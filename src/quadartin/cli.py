@@ -314,17 +314,8 @@ def cmd_sieve(cfg: Dict, out: Path, workers: int) -> int:
         raise BadConfig(f"sieve needs 'z' to be at most prime_max, got {z} > {x}")
     cong = _checked_class(cfg["a"], cfg["delta"], cfg["p0_bound"])
     u, v = cong.u, cong.v
-    sieve_cfg = SieveConfig(
-        x=x,
-        u=u,
-        v=v,
-        z=z,
-        delta1=delta1,
-        c2=cfg["c2"],
-        c3=cfg["c3"],
-        a_exp=cfg["A"],
-        congruence=cong,
-    )
+    sieve_cfg = SieveConfig(x=x, u=u, v=v, z=z, delta1=delta1, c2=cfg["c2"], c3=cfg["c3"],
+                            a_exp=cfg["A"])
 
     rows = sieve.ledger(sieve_cfg, d_max)
     with open(out / "sieve.csv", "w", newline="", encoding="utf-8") as fh:
@@ -359,10 +350,11 @@ def cmd_sieve(cfg: Dict, out: Path, workers: int) -> int:
         "notes": list(bound.notes) + list(rem.notes),
     }
     _write_json(out / "sieve_report.json", report)
+    threshold = "undefined" if bound.threshold is None else f"{bound.threshold:.3f}"
     print(
         f"sieve: {len(rows)} divisor rows to d <= {d_max}, "
         f"{bound.survivors} survivors at z = {z}, threshold "
-        f"{bound.threshold:.3f} vs {sieve.T0_THRESHOLD}"
+        f"{threshold} vs {sieve.T0_THRESHOLD}"
     )
     return EXIT_OK
 

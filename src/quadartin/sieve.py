@@ -19,7 +19,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .arith import factorize, li, prime_array, primes_in_class, primes_up_to, totient
-from .construction import Congruence
 
 T0_THRESHOLD = 4.42
 
@@ -37,7 +36,6 @@ class SieveConfig:
     c2: float = 1.0
     c3: float = 1.0
     a_exp: float = 1.0
-    congruence: Optional[Congruence] = None
 
     def __post_init__(self):
         if self.x < 2:
@@ -50,10 +48,6 @@ class SieveConfig:
             raise ValueError(f"need 0 < delta1 < 1/8, got {self.delta1}")
         if not self.c2 >= 0:
             raise ValueError(f"need c2 >= 0, got {self.c2}")
-        if self.congruence is not None and (
-            self.congruence.u != self.u or self.congruence.v != self.v
-        ):
-            raise ValueError("congruence does not match (u, v)")
 
     @property
     def big_x(self) -> float:
@@ -245,13 +239,13 @@ class SieveBoundReport:
     count, the untruncated main term X * prod(1 - omega(q)/q), and where the
     level-vs-sifting ratio log(X)/(2 log z) sits against the 4.42 threshold
     (below it the bracket in the bound is not positive and the main term
-    cannot be trusted)."""
+    cannot be trusted; at X = 0, for x = 2, it is None and notes say why)."""
 
     config: SieveConfig
     survivors: int
     big_x: float
     main_term: float
-    threshold: float
+    threshold: Optional[float]
     threshold_ok: bool
     notes: Tuple[str, ...] = field(default_factory=tuple)
 
@@ -263,10 +257,12 @@ def sieve_bound_report(cfg: SieveConfig) -> SieveBoundReport:
     main = big_x * product_lower(cfg.z, cfg.v).product
     for q in excluded:
         main *= 1.0 - 2.0 / (q - 1)
-    t = math.log(big_x) / (2.0 * math.log(cfg.z))
+    t = math.log(big_x) / (2.0 * math.log(cfg.z)) if big_x > 0 else None
     notes = (
         "progression error terms use the endpoint y = x only",
         "main term omits the sieve's correction factor; threshold_ok marks "
         "whether the correction could be positive at all",
     )
-    return SieveBoundReport(cfg, surv, big_x, main, t, t > T0_THRESHOLD, notes)
+    if t is None:
+        notes += ("X = li(x)/phi(v) = 0: the threshold log(X)/(2 log z) is undefined",)
+    return SieveBoundReport(cfg, surv, big_x, main, t, t is not None and t > T0_THRESHOLD, notes)

@@ -153,13 +153,38 @@ def test_segments_match_whole_range_sieve(monkeypatch, segment):
 
 
 def test_prime_array_grows_by_segments(monkeypatch):
-    # a fresh cache grown in steps through the segment routine
+    # up to BASE a read-only view of the one base table; past it the table
+    # continued by the segment routine into a new array
     monkeypatch.setattr(arith, "SEGMENT", 1000)
-    monkeypatch.setattr(arith, "_primes", np.zeros(0, dtype=np.int64))
-    monkeypatch.setattr(arith, "_primes_limit", 1)
-    plain = whole_range_primes(10**5)
-    for n in (1, 2, 3, 100, 101, 5000, 4999, 10**5):
-        assert prime_array(n).tolist() == plain[plain <= n].tolist(), n
+    plain = whole_range_primes(2 * 10**6)
+    base = prime_array(arith.BASE)
+    assert base.size == 6542 and not base.flags.writeable
+    for n in (1, 2, 3, 100, 101, 4999, 5000, arith.BASE - 1, arith.BASE, arith.BASE + 1,
+              arith.BASE + 1000, 10**5, 2 * 10**6):
+        got = prime_array(n)
+        assert got.dtype == np.int64 and got.tolist() == plain[plain <= n].tolist(), n
+        if n <= arith.BASE:
+            assert not got.flags.writeable and (not got.size or np.shares_memory(got, base)), n
+        else:
+            assert not np.shares_memory(got, base), n
+
+
+def test_segments_past_base_squared_match_is_prime(monkeypatch):
+    # past BASE**2 a survivor of the base primes may be composite: windows
+    # across BASE**2, on 65537**2 and 65537 * 65539 (no base prime divides
+    # either), near 1e12, 1e16 and just below 2**63, dense and in a class
+    monkeypatch.setattr(arith, "SEGMENT", 1000)
+    assert 2**32 == arith.BASE**2 < 65537**2
+    cases = [(1, 2**32 - 1500, 2**32 + 1500), (1, 65537**2 - 10, 65537 * 65539 + 10)]
+    for lo in (10**12, 10**16, 2**63 - 3001):
+        cases += [(1, lo, lo + 3000), (720, lo - 720 * 3000, lo)]
+    for v, lo, hi in cases:
+        got = primes_in_class(547 % v, v, lo, hi)
+        assert got.dtype == np.int64
+        want = [n for n in range(lo + (547 - lo) % v, hi + 1, v) if is_prime(n)]
+        assert got.tolist() == want and len(want) > 10, (v, lo, hi)
+        if v == 1:
+            assert np.concatenate(list(_segments(lo, hi))).tolist() == want
 
 
 def test_sieve_rows_match_factorize():
@@ -200,11 +225,26 @@ def test_sieve_rows_are_trial_rows():
             p - 1).factors
 
 
+def test_sieve_rows_past_base_squared_match_factorize():
+    # values up to 2**63 whose cofactor after the base primes may be a
+    # prime past BASE**2, or a product of two or three primes past BASE
+    far = [65537**2, 65537 * 65539, 2 * 3 * 65537 * 65539, 65537 * 65539 * 65543,
+           (2**31 - 1) ** 2, 2 * 4294967311, 3**5 * 65537**3, 2**63 - 25, 2**63 - 1,
+           2**62 + 1, 2147483647 * 2147483629, 3 * 65537 * 4294967291]
+    rng = random.Random(11)
+    far += [rng.randrange(2**32, 2**63) for _ in range(300)]
+    n = np.array(sorted(set(far)), dtype=np.int64)
+    i, q, e = sieve_rows(n)
+    assert i.dtype == q.dtype == e.dtype == np.int64
+    for k, m in enumerate(n.tolist()):
+        got = tuple(sorted(zip(q[i == k].tolist(), e[i == k].tolist())))
+        assert got == factorize(m).factors, m
+
+
 def test_sieve_rows_memory_is_bounded_by_the_window():
     # the values lie on 4 + 2k with k up to 2**23 - 1, and the two windows
     # of occupied k hold three slots; one int32 slot per integer of the
     # span would take 64 MB
-    prime_array(2**12)
     tracemalloc.start()
     try:
         i, q, e = sieve_rows(np.array([4, 6, 2**24 + 2], dtype=np.int64))
@@ -247,19 +287,18 @@ def test_class_sieve_inverts_past_powmod_limit(monkeypatch):
 
 
 def test_far_window_holds_no_copy_of_the_base_primes():
-    # one 101-integer segment past 1e14: the 664,579 base primes up to 1e7
-    # strike in chunks of vectorised offsets, so the sieve allocates less
-    # than twice the base array (a Python list of it costs about five times)
-    base = prime_array(10**7)
+    # one 101-integer segment just below 2**63: it strikes with the 6,542
+    # base primes up to BASE, not the 146M primes up to its square root
+    # (1.2 GB as int64), so it allocates a few arrays of the base primes' size
     tracemalloc.start()
     try:
-        parts = list(_segments(10**14, 10**14 + 100))
+        parts = list(_segments(2**63 - 101, 2**63 - 1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     got = np.concatenate(parts).tolist()
-    assert got == [n for n in range(10**14, 10**14 + 101) if is_prime(n)]
-    assert peak < 2 * base.nbytes, (peak, base.nbytes)
+    assert got == [n for n in range(2**63 - 101, 2**63) if is_prime(n)] and got
+    assert peak < 8 * prime_array(arith.BASE).nbytes, peak
 
 
 def test_smallest_factor_table_matches_factorize():

@@ -162,8 +162,9 @@ FAR_DENSE_SHA = (
 
 @pytest.mark.parametrize("mode", ["dense", "congruence"])
 def test_scan_window_past_1e12(tmp_path, mode):
-    # only the window is sieved, by the primes up to its square root, and
-    # its primes run the order kernel on Python ints
+    # only the window is sieved, by the base primes up to 2**16 with
+    # is_prime deciding the survivors, and its primes run the order kernel
+    # on Python ints
     lo = 10**12
     if mode == "dense":
         hi = lo + 2000
@@ -409,6 +410,21 @@ def test_sieve_remainder_ceiling_undefined_when_x_below_one(tmp_path, a_exp):
     assert doc["remainder_ceiling"] is None
     assert doc["remainder_within"] is False
     assert any("ceiling" in n and "undefined" in n for n in doc["notes"])
+
+
+def test_sieve_threshold_undefined_at_x_2(tmp_path, capsys):
+    # X = li(2)/phi(v) = 0, so the threshold log(X)/(2 log z) is undefined:
+    # the report says null, which strict parsers read, and so does the
+    # printed line
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    code, out = run(tmp_path, "sieve", {"a": -4, "delta": 5, "prime_max": 2})
+    assert code == 0
+    doc = json.loads((out / "sieve_report.json").read_text(), parse_constant=reject)
+    assert doc["big_x"] == 0 and doc["threshold"] is None and doc["threshold_ok"] is False
+    assert any("threshold" in n and "undefined" in n for n in doc["notes"])
+    assert "threshold undefined vs 4.42" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,19 @@ def test_commands_read_only_typed_config():
     assert not found, found
 
 
+def test_no_global_statement_but_the_rho_seed():
+    # A global statement is how a module cache grows without bound; the one
+    # module state src/ rebinds is the Pollard rho seed.  That statement must
+    # be found, so a walker that sees none cannot pass.
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {(path.name, fn.name, name) for node in ast.walk(fn)
+                          if isinstance(node, ast.Global) for name in node.names}
+    assert found == {("arith.py", "set_rho_seed", "_rho_seed")}, found
+
+
 # Where POWMOD_LIMIT may be read outside arith, which owns it: the scan's
 # choice of int64 or Python-int blocks, the F_p^2 kernel's guard against
 # wrapping int64 products, and the CLI's bound on lemma42's prime_max.
