@@ -345,7 +345,8 @@ class Factorization:
         prod = 1
         prev = 1
         for p, e in self.factors:
-            if p <= prev or e < 1 or not is_prime(p):
+            # a trial prime needs no Miller-Rabin; every other factor gets it
+            if p <= prev or e < 1 or (p not in _TRIAL_SET and not is_prime(p)):
                 raise ValueError(f"bad factor list for {self.value}")
             prev = p
             prod *= p**e
@@ -373,6 +374,7 @@ class Factorization:
 
 
 _TRIAL_PRIMES = tuple(primes_up_to(1000))
+_TRIAL_SET = frozenset(_TRIAL_PRIMES)
 
 
 def _pollard_brent(n: int, rng: random.Random) -> int:

@@ -23,32 +23,18 @@ import sys
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Dict, List, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
-from . import arith, sieve
-from .construction import (
-    Congruence,
-    InvariantError,
-    SeedNotFoundError,
-    build_congruence,
-    check_class_symbols,
-    find_p0,
-    verify_congruence,
-)
-from .experiments import (
-    AlphaFamily,
-    DependentGenerators,
-    RemarkViolation,
-    inert_primes,
-    lemma42_scan,
-    mult_indep_norm_one,
-    mult_indep_rational,
-    order_scan,
-)
+# Only what the schema and main need is imported here; each cmd_* imports
+# the modules it runs, so a run loads no module another command needs.
+from . import arith
+from .errors import DependentGenerators, InvariantError, RemarkViolation, SeedNotFoundError
 from .quadfield import FieldContext, m_ratio, square_guard
-from .sieve import SieveConfig, sieving_limit
+
+if TYPE_CHECKING:
+    from .construction import Congruence
 
 EXIT_OK = 0
 EXIT_NOT_FOUND = 2
@@ -225,6 +211,8 @@ def _congruence_json(c: Congruence, report) -> Dict:
 
 
 def cmd_construct(cfg: Dict, out: Path, workers: int) -> int:
+    from .construction import build_congruence, find_p0, verify_congruence
+
     seed = find_p0(cfg["a"], cfg["delta"], cfg["p0_bound"])
     cong = build_congruence(seed)
     report = verify_congruence(cong, cfg["verify_bound"])
@@ -240,12 +228,16 @@ def cmd_construct(cfg: Dict, out: Path, workers: int) -> int:
 def _checked_class(a: int, delta: int, p0_bound: int) -> Congruence:
     """The class for (a, delta); a class on which a or delta is a square
     raises InvariantError before it is scanned or sieved."""
+    from .construction import build_congruence, check_class_symbols, find_p0
+
     cong = build_congruence(find_p0(a, delta, p0_bound))
     check_class_symbols(cong)
     return cong
 
 
 def cmd_scan(cfg: Dict, out: Path, workers: int) -> int:
+    from .experiments import AlphaFamily, inert_primes, mult_indep_rational, order_scan
+
     lo, hi = cfg["prime_min"], cfg["prime_max"]
     if lo > hi:
         raise BadConfig(f"scan needs 'prime_min' to be at most prime_max, got {lo} > {hi}")
@@ -308,14 +300,16 @@ def cmd_scan(cfg: Dict, out: Path, workers: int) -> int:
 
 
 def cmd_sieve(cfg: Dict, out: Path, workers: int) -> int:
+    from . import sieve
+
     x, delta1, d_max = cfg["prime_max"], cfg["delta1"], cfg["d_max"]
-    z = max(2, sieving_limit(x, delta1)) if cfg["z"] is None else cfg["z"]
+    z = max(2, sieve.sieving_limit(x, delta1)) if cfg["z"] is None else cfg["z"]
     if z > x:
         raise BadConfig(f"sieve needs 'z' to be at most prime_max, got {z} > {x}")
     cong = _checked_class(cfg["a"], cfg["delta"], cfg["p0_bound"])
     u, v = cong.u, cong.v
-    sieve_cfg = SieveConfig(x=x, u=u, v=v, z=z, delta1=delta1, c2=cfg["c2"], c3=cfg["c3"],
-                            a_exp=cfg["A"])
+    sieve_cfg = sieve.SieveConfig(x=x, u=u, v=v, z=z, delta1=delta1, c2=cfg["c2"],
+                                  c3=cfg["c3"], a_exp=cfg["A"])
 
     rows = sieve.ledger(sieve_cfg, d_max)
     with open(out / "sieve.csv", "w", newline="", encoding="utf-8") as fh:
@@ -360,6 +354,8 @@ def cmd_sieve(cfg: Dict, out: Path, workers: int) -> int:
 
 
 def cmd_lemma42(cfg: Dict, out: Path, workers: int) -> int:
+    from .experiments import lemma42_scan
+
     fit = lemma42_scan(cfg["gens"], cfg["prime_max"], cfg["y_grid"], workers=workers)
     _write_json(
         out / "growth.json",
@@ -377,6 +373,8 @@ def cmd_lemma42(cfg: Dict, out: Path, workers: int) -> int:
 
 
 def cmd_independence(cfg: Dict, out: Path, workers: int) -> int:
+    from .experiments import AlphaFamily, mult_indep_norm_one, mult_indep_rational
+
     if cfg["values"] is None and cfg["members"] is None:
         raise BadConfig("independence needs 'values' or 'members'")
     if cfg["members"] is not None and cfg["delta"] is None:

@@ -25,24 +25,13 @@ from .arith import (
     primes_in_class,
     primes_up_to,
 )
+from .errors import InvariantError, SeedNotFoundError
 
 # Residue classes with v_2(u^2 - 1) = 3, resp. v_3(u^2 - 1) = 1.  Both
 # valuations are determined by the class (mod 16, resp. mod 9), so a plain
 # enumeration is exact.
 _U2_CLASSES = tuple(r for r in range(16) if r % 2 and (r * r - 1) % 16 == 8)
 _U3_CLASSES = tuple(r for r in range(9) if r % 3 and (r * r - 1) % 3 == 0 and (r * r - 1) % 9 != 0)
-
-
-class SeedNotFoundError(Exception):
-    """No prime up to the bound satisfies the four-symbol condition."""
-
-    def __init__(self, a: int, delta: int, bound: int):
-        self.bound = bound
-        super().__init__(f"no seed prime <= {bound} for a = {a}, delta = {delta}")
-
-
-class InvariantError(Exception):
-    """A constructed object failed one of its own consistency checks."""
 
 
 class SquareHypothesisWarning(UserWarning):

@@ -26,35 +26,11 @@ from .arith import (
     residues,
     sieve_rows,
 )
-from .construction import InvariantError
+from .errors import DependentGenerators, InvariantError, RemarkViolation
 from .fp2 import Rows, _orders, order_arrays
 from .quadfield import FieldContext, QuadElem, norm
-from .sieve import sieving_limit, survivor_mask
 
 log = logging.getLogger(__name__)
-
-
-class RemarkViolation(AssertionError):
-    """An order-chain identity failed at a specific (p, element) pair."""
-
-    def __init__(self, p: int, label: str, detail: str):
-        self.p = p
-        self.label = label
-        self.detail = detail
-        super().__init__(f"order chain broken at p = {p}, member {label}: {detail}")
-
-    def __reduce__(self):
-        # args holds only the message; rebuild from the three fields so a
-        # violation raised in a pool worker reaches the parent intact.
-        return type(self), (self.p, self.label, self.detail)
-
-
-class DependentGenerators(ValueError):
-    """A generator set expected to be independent admits a relation."""
-
-    def __init__(self, relation: Tuple[int, ...]):
-        self.relation = relation
-        super().__init__(f"generators admit the relation {relation}")
 
 
 @dataclass(frozen=True)
@@ -568,6 +544,9 @@ def pigeonhole_report(
     v_excluded) must have at most 7 large factors per side, else
     InvariantError; everything else is only measured.
     """
+    # imported here: no scan or lemma42 run needs the sieve module
+    from .sieve import sieving_limit, survivor_mask
+
     plist = sorted(set(int(p) for p in primes))
     if x is None:
         x = max(plist) if plist else 2

@@ -14,11 +14,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .arith import factorize, li, prime_array, primes_in_class, primes_up_to, totient
+from .arith import (Factorization, factorize, li, prime_array, primes_in_class, primes_up_to,
+                    totient)
 
 T0_THRESHOLD = 4.42
 
@@ -49,9 +50,10 @@ class SieveConfig:
         if not self.c2 >= 0:
             raise ValueError(f"need c2 >= 0, got {self.c2}")
 
-    @property
+    @cached_property
     def big_x(self) -> float:
-        """Expected size li(x)/phi(v) of the progression."""
+        """Expected size li(x)/phi(v) of the progression, computed once per
+        config: count_Ad reads it for every row."""
         return li(float(self.x)) / totient(self.v)
 
     @cached_property
@@ -65,24 +67,28 @@ def sieving_limit(x: int, delta1: float = 0.01) -> int:
     return int(math.floor(x ** (0.125 + delta1)))
 
 
-def rho(d: int) -> int:
+def _factored(d: Union[int, Factorization]) -> Factorization:
+    return d if isinstance(d, Factorization) else factorize(d)
+
+
+def rho(d: Union[int, Factorization]) -> int:
     """Number of m in [1, d] with m^2 = 1 (mod d) and gcd(m, d) = 1, from
-    the prime-power factorization of d: 2 for each odd prime power, and
-    1, 2 or 4 for 2, 4 or a higher power of 2."""
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
+    the prime-power factorization of d (d itself or its Factorization): 2
+    for each odd prime power, and 1, 2 or 4 for 2, 4 or a higher power
+    of 2.  factorize raises ValueError for d < 1."""
     out = 1
-    for p, e in factorize(d).factors:
+    for p, e in _factored(d).factors:
         out *= 2 if p > 2 else min(2 ** (e - 1), 4)
     return out
 
 
-def omega(d: int) -> Fraction:
-    """The local weight 2^nu(d) * d / phi(d) for squarefree d, exact."""
-    f = factorize(d)
+def omega(d: Union[int, Factorization]) -> Fraction:
+    """The local weight 2^nu(d) * d / phi(d) for squarefree d (d itself or
+    its Factorization), exact."""
+    f = _factored(d)
     if not f.is_squarefree:
-        raise ValueError(f"omega needs squarefree d, got {d}")
-    return Fraction(2**f.nu * d, f.totient())
+        raise ValueError(f"omega needs squarefree d, got {f.value}")
+    return Fraction(2**f.nu * f.value, f.totient())
 
 
 @dataclass(frozen=True)
@@ -97,23 +103,27 @@ class SieveRow:
     remainder: float
 
 
-def count_Ad(cfg: SieveConfig, d: int) -> SieveRow:
-    """Exact |A_d| = #{p <= x, p = u (mod v), d | p^2 - 1} by enumeration."""
-    w = omega(d)  # raises for d that is not squarefree
+def count_Ad(cfg: SieveConfig, d: Union[int, Factorization]) -> SieveRow:
+    """Exact |A_d| = #{p <= x, p = u (mod v), d | p^2 - 1} by enumeration;
+    d may come as its Factorization, which is then the only one made."""
+    f = _factored(d)
+    d = f.value
+    w = omega(f)  # raises for d that is not squarefree
     if math.gcd(d, cfg.v) != 1:
         raise ValueError(f"d = {d} shares a factor with v = {cfg.v}")
     r = cfg.class_primes % d  # reduce first: p * p wraps int64 past 3.04e9
     cnt = int(np.count_nonzero(r * r % d == 1 % d))
     main = float(w / d) * cfg.big_x
-    return SieveRow(d, rho(d), cnt, main, cnt - main)
+    return SieveRow(d, rho(f), cnt, main, cnt - main)
 
 
 def ledger(cfg: SieveConfig, d_hi: int) -> List[SieveRow]:
-    """count_Ad rows for every squarefree d <= d_hi coprime to v, ascending."""
+    """count_Ad rows for every squarefree d <= d_hi coprime to v, ascending,
+    each d factored once."""
     return [
-        count_Ad(cfg, d)
-        for d in range(1, d_hi + 1)
-        if factorize(d).is_squarefree and math.gcd(d, cfg.v) == 1
+        count_Ad(cfg, f)
+        for f in map(factorize, range(1, d_hi + 1))
+        if f.is_squarefree and math.gcd(f.value, cfg.v) == 1
     ]
 
 

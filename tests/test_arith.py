@@ -454,6 +454,19 @@ def test_factorization_validates_itself():
         Factorization(10, ((2, 1), (3, 1)))  # wrong product
     with pytest.raises(ValueError):
         Factorization(2, ((2, 0),))  # zero exponent
+    for n in (9, 1007, 1009 * 1013):  # composite below and past the trial primes
+        with pytest.raises(ValueError):
+            Factorization(n, ((n, 1),))
+
+
+def test_factorization_tests_only_factors_past_the_trial_primes(monkeypatch):
+    # a prime below 1000 was found by trial division, so only a larger
+    # factor goes through Miller-Rabin again
+    checked = []
+    real = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n: checked.append(n) or real(n))
+    Factorization(8 * 997 * 1009, ((2, 3), (997, 1), (1009, 1)))
+    assert checked == [1009]
 
 
 def test_factorization_properties():

@@ -2,12 +2,14 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from quadartin.arith import is_prime, li, primes_up_to, totient
+from quadartin import sieve
+from quadartin.arith import factorize, is_prime, li, primes_up_to, totient
 from quadartin.sieve import (
     T0_THRESHOLD,
     SieveConfig,
@@ -119,6 +121,21 @@ def test_big_x():
     cfg = SieveConfig(10**5, 1, 4, 6)
     assert cfg.big_x == pytest.approx(li(10**5) / 2, rel=1e-12)
     assert cfg.big_x == pytest.approx(4814.381918635465, abs=1e-6)
+
+
+def test_ledger_factors_each_d_once_and_li_once(monkeypatch):
+    # The squarefree filter, omega and rho share one factorization of d, and
+    # X = li(x)/phi(v) is computed once per config, not once per row.
+    calls = Counter()
+    for name in ("factorize", "li"):
+        real = getattr(sieve, name)
+        monkeypatch.setattr(sieve, name, lambda n, name=name, real=real:
+                            calls.update([name]) or real(n))
+    cfg = SieveConfig(10**4, 547, 720, 8)
+    rows = sieve.ledger(cfg, 200)
+    assert [r.d for r in rows] == [d for d in range(1, 201)
+                                   if math.gcd(d, 720) == 1 and factorize(d).is_squarefree]
+    assert calls == {"factorize": 200, "li": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Source-level checks on the package."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import quadartin
 
@@ -140,16 +143,49 @@ def test_powmod_limit_read_only_where_int64_is_chosen():
     assert found == POWMOD_LIMIT_READERS, found
 
 
+def _modules_after(code: str, *argv: str) -> set:
+    # The modules a fresh interpreter has loaded once it has run code with
+    # argv, after checking that it imported the package from SRC.
+    probe = code + ("\nimport json, sys, quadartin\nprint(quadartin.__file__)\n"
+                    "print(json.dumps(sorted(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout.splitlines()
+    assert Path(out[-2]).resolve() == (SRC / "__init__.py").resolve()
+    return set(json.loads(out[-1]))
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     # The process pool's modules cost every run set-up time and memory, and
     # only --workers > 1 uses them, so a fresh interpreter that imports the
     # CLI has neither loaded.
-    probe = ("import sys, quadartin.cli; print(quadartin.cli.__file__); "
-             "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
-             "if m in sys.modules])")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True, timeout=60).stdout.splitlines()
-    assert Path(out[0]).resolve() == (SRC / "cli.py").resolve()
-    assert out[1] == "[]"
+    loaded = _modules_after("import quadartin.cli")
+    assert "quadartin.cli" in loaded
+    assert not {"multiprocessing", "concurrent.futures.process"} & loaded
+
+
+def test_package_import_loads_no_submodule():
+    # Every caller imports from the submodules, so the package root loads
+    # none of them and each run pays only for the modules it uses.
+    assert not {m for m in _modules_after("import quadartin") if m.startswith("quadartin.")}
+
+
+@pytest.mark.parametrize("command, cfg, used, unused", [
+    pytest.param("sieve", {"a": -4, "delta": 5, "prime_max": 10**4, "d_max": 20},
+                 {"quadartin.sieve", "quadartin.construction"},
+                 {"quadartin.experiments", "quadartin.fp2"}, id="sieve"),
+    pytest.param("lemma42", {"gens": [2, 3], "prime_max": 10**4},
+                 {"quadartin.experiments", "quadartin.fp2"},
+                 {"quadartin.construction", "quadartin.sieve"}, id="lemma42"),
+])
+def test_cli_command_loads_only_the_modules_it_runs(tmp_path, command, cfg, used, unused):
+    # Each cmd_* imports its own modules: the sieve ledger needs no order
+    # kernel, and the subgroup counts need no residue class and no sieve.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    run = ("import sys, quadartin.cli\n"
+           "if quadartin.cli.main(sys.argv[1:]) != 0:\n    raise SystemExit('run failed')")
+    loaded = _modules_after(run, command, "--config", str(path), "--out", str(tmp_path / "out"))
+    assert used <= loaded
+    assert not unused & loaded
