@@ -192,9 +192,17 @@ def _load_config(path: str):
 
 
 def _write_json(path: Path, obj) -> None:
-    # allow_nan=False: NaN and infinities are not JSON, so none is written
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n",
-                    encoding="utf-8")
+    # streamed to the file, so the text is never held whole; allow_nan=False:
+    # NaN and infinities are not JSON, and an encode that fails on one
+    # leaves no truncated artifact behind
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            json.dump(obj, fh, sort_keys=True, indent=2, allow_nan=False)
+            fh.write("\n")
+    except BaseException:
+        path.unlink()
+        raise
 
 
 def _congruence_json(c: Congruence, report) -> Dict:
@@ -256,19 +264,21 @@ def cmd_scan(cfg: Dict, out: Path, workers: int) -> int:
 
     labels = list(family.labels)
     with open(out / "scan.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["p", "member", "ord_alpha", "ord_N", "ord_M", "attained"])
+        fh.write("p,member,ord_alpha,ord_N,ord_M,attained\n")
         # one row per (p, member), written from the block arrays in runs of
-        # 512 primes, so the column lists stay small
+        # 512 primes, each run one format of its cells filled column by
+        # column, so the cell list stays small; no label holds a comma or a
+        # quote, so no cell needs CSV quoting
         for b in blocks:
             for lo in range(0, b.p.size, 512):
                 run = slice(lo, lo + 512)
-                w.writerows(zip(
-                    np.repeat(b.p[run], len(labels)).tolist(),
-                    labels * b.p[run].size,
-                    *(a[run].ravel().tolist() for a in (b.ord_alpha, b.ord_n, b.ord_m)),
-                    b.attained[run].ravel().astype(np.int64).tolist(),
-                ))
+                rows = b.p[run].size * len(labels)
+                cells = [None] * (6 * rows)
+                cells[0::6] = np.repeat(b.p[run], len(labels)).tolist()
+                cells[1::6] = labels * b.p[run].size
+                for c, a in enumerate((b.ord_alpha, b.ord_n, b.ord_m, b.attained), 2):
+                    cells[c::6] = a[run].ravel().tolist()
+                fh.write("%d,%s,%d,%d,%d,%d\n" * rows % tuple(cells))
 
     indep = mult_indep_rational([Fraction(n) for n in family.norms])
     summary_json = {

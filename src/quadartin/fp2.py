@@ -1,25 +1,50 @@
 """Multiplicative orders in F_p^2 = F_p(sqrt(delta)) for inert primes p,
-one array of primes at a time.
+one array of primes at a time, in F_p arithmetic only.
 
-Elements are pairs (c0, c1) meaning c0 + c1*s where s^2 = delta mod p.  The
-group of units is cyclic of order p^2 - 1.  Orders come from the order
-chain instead of a descent from p^2 - 1.  Frobenius is the p-power map, so
-alpha^(p+1) = N(alpha) lies in F_p^* and alpha^(p-1) = conj(alpha)/alpha =
-M has norm 1.  ord N is found over the primes of p - 1, ord M over the
-primes of p + 1.  Every odd prime divides at most one of p - 1 and p + 1,
-and 2 divides one of them exactly once, so with L = lcm(ord N, ord M) the
-order of alpha is L or 2L; one power alpha^L decides which.  If
-alpha^(2L) is not 1 either, the chain is broken.
+alpha = c0 + c1*s with s^2 = delta mod p.  The units form a cyclic group of
+order p^2 - 1, and Frobenius is the p-power map, so alpha^(p+1) = N =
+c0^2 - delta*c1^2 lies in F_p^*, and alpha^(p-1) = M = conj(alpha)/alpha in
+the norm-one torus, of order p + 1.  ord N is found over the primes of
+p - 1, ord M over the primes of p + 1.
+
+The torus.  M and 1/M are the roots of x^2 - t*x + 1, t = M + 1/M =
+(conj(alpha)^2 + alpha^2)/N = 2*(c0^2 + delta*c1^2)/N, so M^k + M^-k =
+V_k(t), the Lucas sequence V_0 = 2, V_1 = P, V_(k+1) = P*V_k - Q*V_(k-1) at
+P = t, Q = 1.  As V_k(t) - 2 = (M^k - 1)^2 / M^k, M^k = 1 exactly when
+V_k(t) = 2, and M^k = -1 exactly when V_k(t) = -2.  A power of M is held
+by its trace, and V_q(V_k(t)) = V_qk(t) is a descent step.
+
+The order of alpha.  Let A = ord alpha and L = lcm(ord N, ord M).  Every
+odd prime divides at most one of p - 1 and p + 1, and 2 divides one of
+them exactly once.  ord N = A / gcd(A, p + 1) and ord M = A / gcd(A, p - 1),
+so v_q(L) = v_q(A) for odd q, and v_2(L) = max(v_2(A) - 1, 0): each of ord N
+and ord M loses at least one factor 2 of A, and one of them exactly one.
+So A is L or 2L, and A = 2L whenever L is even.  And alpha^L = +-1, since
+alpha^2 = N/M gives alpha^(2L) = N^L * M^-L = 1.
+- Even L: alpha^L = (alpha^2)^(L/2) = N^(L/2) * M^(-L/2), with N^(L/2) = +-1
+  from one power in F_p and M^(L/2) = +-1 from V_(L/2)(t) = +-2.  A = 2L
+  makes their signs multiply to -1.
+- Odd L: alpha and -alpha share N and M, so alpha's own trace decides.
+  alpha and conj(alpha) are the roots of x^2 - 2*c0*x + N, so alpha^L +
+  conj(alpha)^L = V_L(2*c0, N), which alpha^L = e = +-1 makes 2e, with
+  N^L = 1.  Conversely, V_L = 2e and N^L = alpha^L * conj(alpha)^L = 1 make
+  both roots of x^2 - 2e*x + 1 = (x - e)^2, so alpha^L = e; A = L when e = 1.
+
+chain_ok.  Either test implies alpha^(2L) = 1, the even one through
+alpha^L = -1 and the odd one through alpha^L = +-1.  The odd test is
+equivalent to alpha^(2L) = 1, which makes alpha^L = +-1 and conj(alpha)^L
+the same sign; the even test asks alpha^L = -1, which the 2-adic count
+gives for every correct ord N and ord M.  A too small L fails them.
 
 _orders is the one order routine: the size of the subgroup a stack of
 generators spans in a cyclic group whose order has been factored (Cohen,
 GTM 138, Alg. 1.4.3), optionally capped, with rows filled largest q first
 and the open ones descended.  order_arrays runs it for ord N in F_p and
-ord M in F_p^2, and the lemma42 subgroup sizes run it in F_p.  Its
-arrays are int64 for primes below 2**31, where no product passes
-p^2 < 2**62, and object arrays of Python ints past it; every accumulator
-takes the dtype of p.  The tests keep the scalar order_record and the
-full p^2 - 1 descent as the references it is checked against.
+for ord M on the torus, and the lemma42 subgroup sizes run it in F_p.  Its
+arrays are int64 for primes below 2**31, where no product passes p^2 <
+2**62, and object arrays of Python ints past it; every accumulator takes
+the dtype of p.  The tests keep the scalar order_record and the full
+p^2 - 1 descent as the references it is checked against.
 """
 
 from __future__ import annotations
@@ -34,42 +59,58 @@ from .arith import POWMOD_LIMIT, powmod
 Rows = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _mul_array(a0, a1, b0, b1, p, d):
-    # in int64 each product of two residues is below p**2 < 2**62, each sum
-    # of two below 2**63
-    return (a0 * b0 + d * a1 % p * b1) % p, (a0 * b1 + a1 * b0) % p
-
-
-def _is_one_fp2(x: np.ndarray) -> np.ndarray:
-    return (x[0] == 1) & (x[1] == 0)
-
-
-def _pow_array(x: np.ndarray, k: np.ndarray, p: np.ndarray,
-               d: Optional[np.ndarray] = None) -> np.ndarray:
-    """x ** k elementwise for k >= 0: in F_p when d is None, else in F_p^2
-    with x of shape (2, n) and d = delta mod p; x reduced mod p, all int64
-    with p < 2**31 or all Python ints.  Left to right square and multiply
-    from the top bit of the largest k, the multiply only on the elements
-    whose bit is set, so no table of powers is held."""
-
-    def mul(a, b, p, d):
-        return (a[0] * b[0] % p,) if d is None else _mul_array(*a, *b, p, d)
-
-    x = (x,) if d is None else tuple(x)
-    r = (np.ones_like(p),) if d is None else (np.ones_like(p), np.zeros_like(p))
+def _pow_array(x: np.ndarray, k: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """x ** k % p elementwise for k >= 0, x reduced mod p, all int64 with
+    p < 2**31 or all Python ints.  Left to right square and multiply from
+    the top bit of the largest k, the multiply only on the elements whose
+    bit is set, so no table of powers is held."""
+    r = np.ones_like(p)
     top = int(k.max()).bit_length() - 1 if k.size else -1
     for s in range(top, -1, -1):
         j = np.flatnonzero((k >> s) & 1)
         if s < top:
-            r = mul(r, r, p, d)
-            if j.size:
-                at = mul([c[j] for c in r], [c[j] for c in x], p[j], None if d is None else d[j])
-                for c, v in zip(r, at):
-                    c[j] = v
+            r = r * r % p
+            r[j] = r[j] * x[j] % p[j]
         else:
-            for c, v in zip(r, x):
-                c[j] = v[j]
-    return r[0] if d is None else np.stack(r)
+            r[j] = x[j]
+    return r
+
+
+def lucas_v(P: np.ndarray, k: np.ndarray, p: np.ndarray,
+            Q: Optional[np.ndarray] = None) -> np.ndarray:
+    """V_k(P, Q) mod p elementwise for k >= 0, Q = 1 when None: the Lucas
+    sequence V_0 = 2, V_1 = P, V_(j+1) = P*V_j - Q*V_(j-1).  P and Q are
+    reduced mod p in p's dtype, all int64 with p < 2**31 or all Python ints.
+
+    The ladder holds V_j and V_(j+1) and, from the top bit of the largest k,
+    steps to j -> 2j + b, b the next bit, by V_2j = V_j^2 - 2Q^j and
+    V_(2j+1) = V_j*V_(j+1) - P*Q^j (Joye & Quisquater, Electronics Letters
+    32, 1996): two products per bit for Q = 1, five with Q^j carried along.
+    It keeps the pair as sq = V_(j+b)^2 - 2Q^(j+b) and x = V_j*V_(j+1) -
+    P*Q^j, unordered: the next step squares sq when its bit equals b and x
+    otherwise, a test on k ^ (k >> 1), and only the end puts them in order.
+    It starts at j = 0, which a zero bit keeps at (2, P), so every k shares
+    the one loop."""
+    sq, x = np.full_like(p, 2), P
+    w = None if Q is None else np.ones_like(p)
+    flips = k ^ (k >> 1)
+    top = int(k.max()).bit_length() if k.size else 0
+    for s in range(top - 1, -1, -1):
+        y = np.where(flips & (1 << s), x, sq)  # V_(j+b)
+        x = x * sq
+        if w is None:
+            x -= P
+            sq = y * y
+            sq -= 2
+        else:
+            r = np.where(k & (1 << s), w * Q % p, w)  # Q^(j+b)
+            x -= P * w
+            sq = y * y
+            sq -= 2 * r
+            w = w * r % p
+        x %= p
+        sq %= p
+    return np.where(k & 1, x, sq)
 
 
 # Edges of the bands of q in which _orders visits the rows of its first
@@ -81,11 +122,12 @@ Q_EDGES = (3, 10, 100, 1000)
 
 
 def _orders(g: np.ndarray, p: np.ndarray, n: np.ndarray, rows: Rows,
-            d: Optional[np.ndarray] = None, cap: Optional[int] = None) -> np.ndarray:
-    """min(|<g[0][..., j], g[1][..., j], ...>|, cap) for every element j of
-    a cyclic group of order n[j], from the prime-power rows (i, q, e) of n:
-    F_p^* mod p[j] when d is None, else F_p^2 with d = delta mod p.  The
-    generators g are reduced mod p in p's dtype; cap None keeps sizes exact.
+            torus: bool = False, cap: Optional[int] = None) -> np.ndarray:
+    """min(|<g[0][j], g[1][j], ...>|, cap) for every element j of a cyclic
+    group of order n[j], from the prime-power rows (i, q, e) of n: F_p^*
+    mod p[j], or with torus the norm-one torus of F_p^2, of order p[j] + 1,
+    whose elements g holds by their traces.  The generators g are reduced
+    mod p in p's dtype; cap None keeps sizes exact.
 
     A row fills, with q-part q**e, once some generator has g**(n/q) != 1.
     Rows are visited in the bands between Q_EDGES, largest q first, and an
@@ -95,12 +137,10 @@ def _orders(g: np.ndarray, p: np.ndarray, n: np.ndarray, rows: Rows,
     a descent past e steps raises ArithmeticError, not a wrong size.  Only
     the first generator goes band by band; each later one fills what is
     left in one power, and the descent steps of every generator share one
-    array and are multiplied out by _pow_array, with no call to powmod."""
-
-    def power(x, k, j):
-        return powmod(x, k, p[j]) if d is None else _pow_array(x, k, p[j], d[j])
-
-    is_one = (lambda x: x == 1) if d is None else _is_one_fp2
+    array.  In F_p the fill powers are powmod's and the descent steps
+    _pow_array's, with no call to powmod; on the torus both are lucas_v's,
+    and the identity is the trace 2."""
+    power, step, one = (lucas_v, lucas_v, 2) if torus else (powmod, _pow_array, 1)
     i, q, e = rows
     top = int(n.max(initial=1))
     cap = top if cap is None else min(int(cap), top)
@@ -116,7 +156,7 @@ def _orders(g: np.ndarray, p: np.ndarray, n: np.ndarray, rows: Rows,
         # element that has not settled
         r = r[~full[r] & (sizes < cap)[i[r]]]
         j = i[r]
-        full[r] = ~is_one(power(x[..., j], n[j] // q[r], j))
+        full[r] = power(x[j], n[j] // q[r], p[j]) != one
         f = r[full[r]]
         np.multiply.at(sizes, i[f], q[f] ** e[f])
 
@@ -128,14 +168,14 @@ def _orders(g: np.ndarray, p: np.ndarray, n: np.ndarray, rows: Rows,
         fill(x, np.flatnonzero(~full))
 
     # descent on the rows no generator fills, of the elements still open;
-    # with e = 1 such a row's h is already 1, so its q-part is 1.  Column c
+    # with e = 1 such a row's h is already 1, so its q-part is 1.  Element c
     # of h is generator c // r.size at row r[c % r.size]
     r = np.flatnonzero(~full & (e > 1) & (sizes < cap)[i])
     c = np.tile(r, len(g))
-    h = power(np.concatenate([x[..., i[r]] for x in g], axis=-1), n[i[c]] // q[c] ** e[c], i[c])
+    h = power(np.concatenate([x[i[r]] for x in g]), n[i[c]] // q[c] ** e[c], p[i[c]])
     steps = np.zeros(c.size, dtype=np.int64)
-    live = np.flatnonzero(~is_one(h))
-    h = h[..., live]
+    live = np.flatnonzero(h != one)
+    h = h[live]
     while live.size:
         t = c[live]
         over = np.flatnonzero(steps[live] >= e[t])
@@ -143,10 +183,10 @@ def _orders(g: np.ndarray, p: np.ndarray, n: np.ndarray, rows: Rows,
             t = t[over[0]]
             raise ArithmeticError(f"descent for q = {int(q[t])} at p = {int(p[i[t]])} "
                                   f"exceeds e = {int(e[t])} steps")
-        h = _pow_array(h, q[t], p[i[t]], None if d is None else d[i[t]])
+        h = step(h, q[t], p[i[t]])
         steps[live] += 1
-        keep = ~is_one(h)
-        live, h = live[keep], h[..., keep]
+        keep = h != one
+        live, h = live[keep], h[keep]
     np.multiply.at(sizes, i[r], q[r] ** steps.reshape(len(g), r.size).max(axis=0, initial=0))
     return np.minimum(sizes, cap)
 
@@ -159,9 +199,9 @@ def order_arrays(
     describes.  p is int64 with every prime below 2**31, or an object array
     of Python ints; c0, c1 and d = delta mod p are reduced mod p in the same
     dtype, and the orders come out in it.  minus and plus are the (i, q, e)
-    rows of p - 1 and p + 1.  chain_ok is False where alpha^(2L) != 1 or
-    any divisibility of the order chain fails.  Raises ValueError where p
-    divides the norm, and on int64 primes from 2**31 on, whose F_p^2
+    rows of p - 1 and p + 1.  chain_ok is False where the alpha^L test
+    fails or any divisibility of the order chain does.  Raises ValueError
+    where p divides the norm, and on int64 primes from 2**31 on, whose
     products would wrap."""
     if p.dtype != object and p.size and p.max() >= POWMOD_LIMIT:
         raise ValueError(f"p = {int(p.max())} needs Python ints: int64 products would wrap")
@@ -169,18 +209,28 @@ def order_arrays(
     if not nrm.all():
         raise ValueError(f"p = {int(p[np.argmin(nrm)])} divides the norm")
     ord_n = _orders(nrm[None], p, p - 1, minus)
-    # conjugate ratio: (c0 - c1 s) / (c0 + c1 s) = (c0 - c1 s)^2 / norm
-    s0, s1 = _mul_array(c0, -c1 % p, c0, -c1 % p, p, d)
-    ninv = powmod(nrm, p - 2, p)
-    m = np.stack([s0 * ninv % p, s1 * ninv % p])
-    ord_m = _orders(m[None], p, p + 1, plus, d)
+    # t = tr M = 2 (c0^2 + delta c1^2) / N
+    t = 2 * ((c0 * c0 + d * c1 % p * c1) % p) % p * powmod(nrm, p - 2, p) % p
+    ord_m = _orders(t[None], p, p + 1, plus, torus=True)
     lcm = np.lcm(ord_n, ord_m)
-    t0, t1 = _pow_array(np.stack([c0, c1]), lcm, p, d)
-    at_l = (t0 == 1) & (t1 == 0)
+    odd = lcm % 2 == 1
+    # N^(L/2) for even L, N^L for odd L
+    sn = powmod(nrm, np.where(odd, lcm, lcm // 2) % (p - 1), p)
+    ev, od = np.flatnonzero(~odd), np.flatnonzero(odd)
+    at_l, sign_ok = np.zeros(p.size, dtype=bool), np.empty(p.size, dtype=bool)
+    # even L: N^(L/2) and M^(L/2) are +-1 of opposite signs, so alpha^L = -1
+    pe, se = p[ev], sn[ev]
+    vm = lucas_v(t[ev], lcm[ev] // 2 % (pe + 1), pe)
+    sign_ok[ev] = ((se == 1) & (vm == pe - 2)) | ((se == pe - 1) & (vm == 2))
+    # odd L: V_L(2 c0, N) = 2 alpha^L = +-2, with N^L = 1
+    po = p[od]
+    va = lucas_v(2 * c0[od] % po, lcm[od], po, nrm[od])
+    at_l[od] = va == 2
+    sign_ok[od] = (sn[od] == 1) & ((va == 2) | (va == po - 2))
     ord_alpha = np.where(at_l, lcm, 2 * lcm)
     n = p * p - 1
     chain_ok = (
-        (at_l | _is_one_fp2(_mul_array(t0, t1, t0, t1, p, d)))
+        sign_ok
         & (n % ord_alpha == 0)
         & ((p - 1) % ord_n == 0)
         & ((p + 1) % ord_m == 0)

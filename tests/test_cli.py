@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadartin
-from quadartin import experiments, fp2
+from quadartin import cli, experiments, fp2
 from quadartin.arith import factorize, is_prime, jacobi, primes_up_to
 from quadartin.cli import CONFIG_SCHEMA, BadConfig, main, validate_config
 
@@ -212,13 +212,52 @@ def test_scan_broken_chain_exits_3(tmp_path, monkeypatch, capsys, workers):
     # put the 155 primes past the pool's one-block threshold); scan.csv is
     # written only after the whole pass, so none is left behind
     orders = fp2._orders
-    monkeypatch.setattr(fp2, "_orders", lambda g, p, n, rows, d=None, cap=None: (
-        np.ones_like(n) if d is None else orders(g, p, n, rows, d, cap)))
+    monkeypatch.setattr(fp2, "_orders", lambda g, p, n, rows, torus=False, cap=None: (
+        orders(g, p, n, rows, torus, cap) if torus else np.ones_like(n)))
     monkeypatch.setattr(experiments, "PRIME_BLOCK", 64)
     code, out = run(tmp_path, "scan", SCAN_CFG, extra=("--workers", workers))
     assert code == 3
     assert "order chain broken" in capsys.readouterr().err
     assert not (out / "scan.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "workers",
+    [
+        "1",
+        pytest.param(
+            "2",
+            marks=pytest.mark.skipif(
+                multiprocessing.get_start_method() != "fork",
+                reason="the patched kernel reaches pool workers only through fork",
+            ),
+        ),
+    ],
+)
+@pytest.mark.parametrize("lo", [3, 2**31], ids=["int64", "object"])
+def test_scan_understated_ord_m_exits_3(tmp_path, monkeypatch, capsys, workers, lo):
+    # the mirror case: an understated ord_M from the torus call leaves the
+    # alpha^L test unmet, on int64 blocks and on Python-int blocks (past
+    # 2**31) alike, also from a pool worker; either window holds more than
+    # one 64-prime block
+    orders = fp2._orders
+    monkeypatch.setattr(fp2, "_orders", lambda g, p, n, rows, torus=False, cap=None: (
+        np.ones_like(n) if torus else orders(g, p, n, rows, torus, cap)))
+    monkeypatch.setattr(experiments, "PRIME_BLOCK", 64)
+    cfg = dict(SCAN_CFG, prime_min=lo, prime_max=lo + 4000)
+    code, out = run(tmp_path, "scan", cfg, extra=("--workers", workers))
+    assert code == 3
+    assert "order chain broken" in capsys.readouterr().err
+    assert not (out / "scan.csv").exists()
+
+
+def test_write_json_failed_encode_leaves_no_file(tmp_path):
+    # an artifact is streamed to its file: an encode that fails part way
+    # (NaN is not JSON) removes what it wrote and re-raises
+    path = tmp_path / "doc.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._write_json(path, {"a": list(range(10**4)), "b": math.nan})
+    assert not path.exists()
 
 
 # Digests of scan.csv and scan_summary.json written by the scalar per-prime

@@ -417,25 +417,53 @@ def _primes_below(n: int, count: int):
     return out
 
 
-# the largest primes the kernel takes, and small ones
+# the largest primes the int64 kernel takes, and small ones; and moduli
+# past 2**63, which only Python ints hold
 LADDER_PRIMES = [3, 5, 7, 13] + _primes_below(2**31, 4)
+BIG_LADDER_PRIMES = _primes_below(2**64, 3) + [2**89 - 1, 2**127 - 1]
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(data=st.data())
-def test_pow_array_is_pow_raw(data):
-    # the int64 F_p^2 ladder against the exact Python-int one, for p up to
-    # 2**31 - 1 and exponents up to 2**62, several rows at once
-    n = data.draw(st.integers(1, 4))
+def test_lucas_v_is_trace_of_pow_raw(data):
+    # V_k(P, Q) = a^k + conj(a)^k for a = (P + s)/2 in F_p[s]/(s^2 - (P^2 -
+    # 4Q)), whose trace is P and norm Q: the ladder against twice the first
+    # coordinate of the exact Python-int power, with Q = 1 and a general Q,
+    # several rows at once.  int64 rows have p up to 2**31 - 1 and
+    # exponents up to 2**62; Python-int rows add primes past 2**63 and
+    # exponents up to 2**130
+    big, general = data.draw(st.booleans()), data.draw(st.booleans())
+    prime = st.sampled_from(LADDER_PRIMES) | st.integers(3, 2**31 - 1).map(
+        lambda t: next(q for q in range(t, 1, -1) if is_prime(q)))
+    if big:
+        prime |= st.sampled_from(BIG_LADDER_PRIMES)
     rows = []
-    for _ in range(n):
-        p = data.draw(st.sampled_from(LADDER_PRIMES) | st.integers(3, 2**31 - 1).map(
-            lambda t: next(q for q in range(t, 1, -1) if is_prime(q))))
-        c0, c1, d = (data.draw(st.integers(0, p - 1)) for _ in range(3))
-        rows.append((c0, c1, data.draw(st.integers(0, 2**62)), p, d))
-    c0, c1, e, p, d = (np.array(t, dtype=np.int64) for t in zip(*rows))
-    got = fp2._pow_array(np.stack([c0, c1]), e, p, d)
-    assert [tuple(t) for t in got.T.tolist()] == [_pow_raw(*r) for r in rows]
+    for _ in range(data.draw(st.integers(1, 4))):
+        p = data.draw(prime)
+        P = data.draw(st.integers(0, p - 1))
+        Q = data.draw(st.integers(0, p - 1)) if general else 1
+        rows.append((P, Q, data.draw(st.integers(0, 2**130 if big else 2**62)), p))
+    P, Q, k, p = (np.array(t, dtype=object if big else np.int64) for t in zip(*rows))
+    got = fp2.lucas_v(P, k, p, Q if general else None)
+    assert got.dtype == p.dtype
+    want = []
+    for P, Q, k, p in rows:
+        half = (p + 1) // 2
+        want.append(2 * _pow_raw(P * half % p, half, k, p, (P * P - 4 * Q) % p)[0] % p)
+    assert got.tolist() == want
+
+
+def test_alpha_l_branches_on_the_pinned_delta5_scan():
+    # the scan test_cli pins as delta5: every even L = lcm(ord_N, ord_M)
+    # has ord_alpha = 2L, and an odd L takes both branches, ord_alpha = L
+    # and 2L
+    family = AlphaFamily.from_coords(5, [(2, 1), (1, 1), (3, 2)])
+    blocks, _ = order_scan(family, inert_primes_under(5, 20000))
+    branches = Counter()
+    for b in blocks:
+        lcm = np.lcm(b.ord_n, b.ord_m)
+        branches.update(zip((lcm % 2).ravel().tolist(), (b.ord_alpha // lcm).ravel().tolist()))
+    assert branches == {(0, 2): 2855, (1, 1): 287, (1, 2): 272}
 
 
 def test_order_arrays_rejects_norm_divisible_by_p():
@@ -447,7 +475,7 @@ def test_order_arrays_rejects_norm_divisible_by_p():
 
 
 def test_order_arrays_rejects_int64_primes_past_2_31():
-    # the int64 F_p^2 ladder would wrap at these primes; as Python ints the
+    # the int64 ladders would wrap at these primes; as Python ints the
     # same inputs give order_record's orders
     field = FieldContext(5)
     a = field.integer(3, 2)
