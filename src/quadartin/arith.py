@@ -78,9 +78,10 @@ def is_prime(n: int) -> bool:
 # segmented sieve (Bays & Hudson, BIT 17 (1977)): bounds the flags, primes
 # and rows a segment holds, whatever the range is.
 SEGMENT = 2**17
-# powmod and residues run in int64 on int64 moduli below this bound, where a
-# product of two residues stays below 2**62; past it they are exact on
-# Python ints, one element at a time
+# The array kernels compute in int64 on values below this bound, where a
+# product of two stays below 2**62, and on Python ints past it: exact_ints
+# casts their inputs by it, and powmod and residues choose their route by
+# it.  No other module reads it.
 POWMOD_LIMIT = 2**31
 # Every sieve here strikes with the primes up to BASE only.  A survivor
 # below BASE**2 is then prime; past it is_prime decides a survivor, and
@@ -260,12 +261,25 @@ def _integers(x) -> np.ndarray:
     return x if x.dtype == object else x.astype(np.int64, copy=False)
 
 
+def _fits(x: np.ndarray) -> bool:
+    """Whether every |x| is below POWMOD_LIMIT."""
+    return not x.size or (-POWMOD_LIMIT < x.min() and x.max() < POWMOD_LIMIT)
+
+
+def exact_ints(x) -> np.ndarray:
+    """The integers x, an array or a list of Python ints, in the dtype the
+    array kernels compute on: int64 when every |x| is below POWMOD_LIMIT,
+    else an object array of Python ints, so that no product wraps."""
+    x = x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
+    return x.astype(np.int64 if _fits(x) else object, copy=False)
+
+
 def _int64_route(mod: np.ndarray) -> bool:
     """Whether the moduli are int64 below POWMOD_LIMIT; raises ValueError
     on a modulus below 1."""
     if mod.size and mod.min() < 1:
         raise ValueError("need every modulus >= 1")
-    return mod.dtype != object and not (mod.size and mod.max() >= POWMOD_LIMIT)
+    return mod.dtype != object and _fits(mod)
 
 
 def powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:

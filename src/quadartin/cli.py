@@ -47,6 +47,12 @@ class BadConfig(Exception):
     pass
 
 
+# The exit code of each failure main reports in one line
+_EXIT_CODES = {BadConfig: EXIT_BAD_CONFIG, SeedNotFoundError: EXIT_NOT_FOUND,
+               DependentGenerators: EXIT_DEPENDENT, InvariantError: EXIT_INVARIANT,
+               RemarkViolation: EXIT_INVARIANT}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # not argparse's exit 2, which means "nothing found"
         raise BadConfig(message)
@@ -147,7 +153,9 @@ CONFIG_SCHEMA: Dict[str, Dict[str, _Key]] = {
     },
     "lemma42": {
         "gens": _Key("a non-empty list of nonzero integers", _each(_nonzero)),
-        "prime_max": _Key("an integer in [2, 2**31)", partial(_int, lo=2, hi=arith.POWMOD_LIMIT)),
+        # a run-time bound: lemma42 always starts at 2, a run to 2**31 takes
+        # minutes, and past it every segment's kernel would run on Python ints
+        "prime_max": _Key("an integer in [2, 2**31)", partial(_int, lo=2, hi=2**31)),
         "y_grid": _Key("a non-empty list of positive finite numbers",
                        _each(partial(_number, lo=0)), None),
     },
@@ -449,18 +457,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             raise BadConfig(f"{args.command} needs '--workers' to be an integer in [1, {cpus}]")
         cfg = validate_config(args.command, _load_config(args.config))
         return _COMMANDS[args.command](cfg, out, args.workers)
-    except BadConfig as e:
+    except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except SeedNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NOT_FOUND
-    except DependentGenerators as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DEPENDENT
-    except (InvariantError, RemarkViolation) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVARIANT
+        return next(_EXIT_CODES[c] for c in type(e).__mro__ if c in _EXIT_CODES)
 
 
 def entrypoint() -> None:

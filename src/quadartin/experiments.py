@@ -18,14 +18,7 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequenc
 import numpy as np
 
 from . import arith
-from .arith import (
-    POWMOD_LIMIT,
-    _segments,
-    factorize,
-    powmod,
-    residues,
-    sieve_rows,
-)
+from .arith import _segments, exact_ints, factorize, powmod, residues, sieve_rows
 from .errors import DependentGenerators, InvariantError, RemarkViolation
 from .fp2 import Rows, _orders, order_arrays
 from .quadfield import FieldContext, QuadElem, norm
@@ -128,8 +121,7 @@ class OrderBlock(NamedTuple):
     """Orders at the usable primes of one block of a scan.  p holds those
     primes; ord_alpha, ord_n, ord_m and attained have one row per prime and
     one column per member; skipped counts the block's other primes.  p and
-    the orders are int64 when the block's largest prime is below 2**31, and
-    object arrays of Python ints otherwise."""
+    the orders take the dtype arith.exact_ints gives the block's primes."""
 
     p: np.ndarray
     ord_alpha: np.ndarray
@@ -141,14 +133,11 @@ class OrderBlock(NamedTuple):
 
 def _order_pass(family: AlphaFamily, plist: List[int]) -> Iterator[OrderBlock]:
     """The one pass behind every scan, over the ascending primes plist in
-    blocks of PRIME_BLOCK, each through the array kernel: as int64 when its
-    largest prime is below 2**31, as Python ints otherwise.  A broken order
-    chain raises RemarkViolation at the first failing (p, member) in (p,
-    member) order."""
+    blocks of PRIME_BLOCK, each through the array kernel in the dtype
+    arith.exact_ints gives it.  A broken order chain raises RemarkViolation
+    at the first failing (p, member) in (p, member) order."""
     for lo in range(0, len(plist), PRIME_BLOCK):
-        block = plist[lo : lo + PRIME_BLOCK]
-        dtype = np.int64 if block[-1] < POWMOD_LIMIT else object
-        yield _kernel_block(family, np.array(block, dtype=dtype))
+        yield _kernel_block(family, exact_ints(plist[lo : lo + PRIME_BLOCK]))
 
 
 def _kernel_block(family: AlphaFamily, ps: np.ndarray) -> OrderBlock:
@@ -187,6 +176,18 @@ def _scan_blocks(args) -> List[OrderBlock]:
     return list(_order_pass(*args))
 
 
+def _map(fn, items: list, workers: int) -> list:
+    """[fn(t) for t in items], inline for at most one item, else on a pool
+    of workers processes, imported here: the pool's modules cost every run
+    set-up time and memory, and only these runs use them."""
+    if len(items) < 2:
+        return [fn(t) for t in items]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def order_scan(
     family: AlphaFamily,
     primes: Iterable[int],
@@ -200,18 +201,11 @@ def order_scan(
     """
     plist = sorted(set(int(p) for p in primes))
     # Measured on dense scans: two workers lose on one block of primes (to
-    # 1e5) and win on several (to 1e6).
-    if workers > 1 and len(plist) > PRIME_BLOCK:
-        # imported here: the pool's modules cost every run set-up time and
-        # memory, and only these runs use them
-        from concurrent.futures import ProcessPoolExecutor
-
-        size = -(-len(plist) // workers)
-        args = [(family, plist[i : i + size]) for i in range(0, len(plist), size)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = [b for part in pool.map(_scan_blocks, args) for b in part]
-    else:
-        blocks = list(_order_pass(family, plist))
+    # 1e5) and win on several (to 1e6).  Each worker takes one contiguous part.
+    parts = workers if len(plist) > PRIME_BLOCK else 1
+    size = -(-len(plist) // parts) or 1
+    args = [(family, plist[i : i + size]) for i in range(0, len(plist), size)]
+    blocks = [b for part in _map(_scan_blocks, args, workers) for b in part]
     per_member = np.zeros(len(family.labels), dtype=np.int64)
     prime_count = skipped = family_attained = 0
     histogram: Counter = Counter()
@@ -412,14 +406,9 @@ def lemma42_scan(
     y_max = y_grid[-1]
     cap = math.ceil(y_max) if y_max < x else None
     # whole segments are dealt round-robin, so every worker sieves its own
-    if workers > 1 and x >= 2 + arith.SEGMENT:
-        from concurrent.futures import ProcessPoolExecutor
-
-        args = [(tuple(gens), bad, x, y_grid, cap, w, workers) for w in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_growth_counts, args))
-    else:
-        parts = [_growth_counts((tuple(gens), bad, x, y_grid, cap, 0, 1))]
+    shares = workers if x >= 2 + arith.SEGMENT else 1
+    parts = _map(_growth_counts, [(tuple(gens), bad, x, y_grid, cap, w, shares)
+                                  for w in range(shares)], workers)
     counts = np.sum([c for c, _ in parts], axis=0).tolist()
     prime_count = sum(n for _, n in parts)
 
@@ -462,11 +451,11 @@ def _growth_counts(args) -> Tuple[np.ndarray, int]:
 
 def subgroup_sizes(ps: np.ndarray, gens: Sequence[int], rows: Rows,
                    cap: Optional[int] = None) -> np.ndarray:
-    """min(|<gens> mod p|, cap) for every prime p in the int64 array ps
-    (each p < 2**31), from the prime-power rows (i, q, e) of ps - 1, by the
-    fp2 order routine on all primes at once; cap None keeps the sizes
-    exact, and cap must be >= 1."""
-    ps = np.asarray(ps, dtype=np.int64)
+    """min(|<gens> mod p|, cap) for every prime p of ps, in the dtype
+    arith.exact_ints gives ps, from the prime-power rows (i, q, e) of
+    ps - 1, by the fp2 order routine on all primes at once; cap None keeps
+    the sizes exact, and cap must be >= 1."""
+    ps = exact_ints(ps)
     res = np.stack([residues(g, ps) for g in gens])
     hit = np.flatnonzero((res == 0).any(axis=0))
     if hit.size:
@@ -480,10 +469,10 @@ def subgroup_sizes(ps: np.ndarray, gens: Sequence[int], rows: Rows,
 # pigeonhole bookkeeping
 
 def _rows_of(n: np.ndarray) -> Rows:
-    """The (i, q, e) rows of the ascending n: by sieve_rows for int64 n, by
-    factorize for Python ints, whose primes q stay Python ints."""
-    if n.dtype != object:
-        return sieve_rows(n)
+    """The (i, q, e) rows of the ascending n: by sieve_rows while every n
+    fits int64, else by factorize, whose primes q stay Python ints."""
+    if n.dtype != object or n.max(initial=0) < 2**63:
+        return sieve_rows(n.astype(np.int64, copy=False))
     flat = [(i, q, e) for i, x in enumerate(n.tolist()) for q, e in factorize(x).factors]
     i, q, e = zip(*flat) if flat else ((), (), ())
     return np.array(i, dtype=np.int64), np.array(q, dtype=object), np.array(e, dtype=np.int64)

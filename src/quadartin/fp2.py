@@ -41,10 +41,10 @@ generators spans in a cyclic group whose order has been factored (Cohen,
 GTM 138, Alg. 1.4.3), optionally capped, with rows filled largest q first
 and the open ones descended.  order_arrays runs it for ord N in F_p and
 for ord M on the torus, and the lemma42 subgroup sizes run it in F_p.  Its
-arrays are int64 for primes below 2**31, where no product passes p^2 <
-2**62, and object arrays of Python ints past it; every accumulator takes
-the dtype of p.  The tests keep the scalar order_record and the full
-p^2 - 1 descent as the references it is checked against.
+primes come through arith.exact_ints: int64 below 2**31, where no product
+passes p^2 < 2**62, and object arrays of Python ints past it; every
+accumulator takes the dtype of p.  The tests keep the scalar order_record
+and the full p^2 - 1 descent as the references it is checked against.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .arith import POWMOD_LIMIT, powmod
+from .arith import exact_ints, powmod
 
 
 Rows = Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -196,15 +196,13 @@ def order_arrays(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(ord_alpha, ord_n, ord_m, attained, chain_ok) for alpha = c0 + c1*s at
     every inert prime p[j] at once, by the derivation the module docstring
-    describes.  p is int64 with every prime below 2**31, or an object array
-    of Python ints; c0, c1 and d = delta mod p are reduced mod p in the same
-    dtype, and the orders come out in it.  minus and plus are the (i, q, e)
-    rows of p - 1 and p + 1.  chain_ok is False where the alpha^L test
-    fails or any divisibility of the order chain does.  Raises ValueError
-    where p divides the norm, and on int64 primes from 2**31 on, whose
-    products would wrap."""
-    if p.dtype != object and p.size and p.max() >= POWMOD_LIMIT:
-        raise ValueError(f"p = {int(p.max())} needs Python ints: int64 products would wrap")
+    describes.  c0, c1 and d = delta mod p are reduced mod p; p goes through
+    arith.exact_ints, they are cast to its dtype, and the orders come out in
+    it.  minus and plus are the (i, q, e) rows of p - 1 and p + 1.  chain_ok
+    is False where the alpha^L test fails or any divisibility of the order
+    chain does.  Raises ValueError where p divides the norm."""
+    p = exact_ints(p)
+    c0, c1, d = (x.astype(p.dtype, copy=False) for x in (c0, c1, d))
     nrm = (c0 * c0 - d * c1 % p * c1) % p
     if not nrm.all():
         raise ValueError(f"p = {int(p[np.argmin(nrm)])} divides the norm")

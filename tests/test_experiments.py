@@ -259,6 +259,22 @@ def test_order_scan_past_2_31_matches_scalar_route(monkeypatch):
     assert records_of(blocks, fam.labels) == scalar_order_scan(fam, straddle)[0]
 
 
+def test_far_scan_rows_come_from_the_row_sieve(monkeypatch):
+    # a Python-int block whose p -+ 1 fit int64 takes its rows from
+    # sieve_rows, with no per-element factorize, and its records are the
+    # scalar route's
+    def boom(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(experiments, "factorize", boom)
+    fam = AlphaFamily.from_coords(5, [(3, 2), (2, 1), (7, 7)])
+    ps = _primes_from(10**12 + 1, 2, 20, 5, -1)
+    blocks, s = order_scan(fam, ps)
+    assert [b.p.dtype for b in blocks] == [object]
+    want, skipped = scalar_order_scan(fam, ps)
+    assert records_of(blocks, fam.labels) == want and s.skipped == skipped == 0
+
+
 def test_scan_summary_validates():
     with pytest.raises(ValueError):
         ScanSummary(10, 0, ("a",), (5,), 3, {})  # family < best member
@@ -589,6 +605,22 @@ def test_subgroup_kernel_cap_is_min_with_oracle(gens):
     assert subgroup_sizes(ps, gens, rows).tolist() == exact
     with pytest.raises(ValueError):
         subgroup_sizes(ps, gens, rows, 0)
+
+
+@pytest.mark.parametrize("lo", [2**31 - 3000, 2**32 + 1, 10**12, 2**62 - 6000],
+                         ids=["2^31", "2^32", "1e12", "2^62"])
+def test_subgroup_kernel_exact_on_int64_primes_past_2_31(lo):
+    # int64 primes from 2**31 on go onto Python ints, where int64 products
+    # would wrap (from 2**32 on the descent overran): the sizes, capped and
+    # exact, are the oracle's
+    ps = primes_in_class(1, 1, lo, lo + 6000)
+    gens = [2, 3]
+    rows = sieve_rows(ps - 1)
+    exact = [subgroup_size(p, gens) for p in ps.tolist()]
+    for cap in (None, 1, 10**4, 2**40):
+        sizes = subgroup_sizes(ps, gens, rows, cap)
+        assert sizes.dtype == object and ps.dtype == np.int64 and ps.max() >= 2**31
+        assert sizes.tolist() == [s if cap is None else min(s, cap) for s in exact], cap
 
 
 def test_lemma42_cap_skips_most_powers(monkeypatch):

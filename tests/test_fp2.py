@@ -381,16 +381,18 @@ def test_pow_raw_is_repeated_mul_raw(data):
 
 
 # inert primes for delta = 5 past 2**31, where the scan runs the kernel on
-# Python ints
+# Python ints, and past 2**63, where it factors p -+ 1 one at a time
 BIG_INERT = [2147483693, 2147483713]
+HUGE_INERT = [9223372036854775837, 9223372036854775907]
 
 
 @pytest.mark.parametrize(
     "module, target, primes",
     [
         pytest.param(experiments, "sieve_rows", [7, 13], id="sieve_rows"),
+        pytest.param(experiments, "sieve_rows", BIG_INERT, id="sieve_rows_object"),
         pytest.param(fp2, "_orders", [7, 13], id="_orders_int64"),
-        pytest.param(experiments, "factorize", BIG_INERT, id="factorize"),
+        pytest.param(experiments, "factorize", HUGE_INERT, id="factorize"),
         pytest.param(fp2, "_orders", BIG_INERT, id="_orders_object"),
     ],
 )
@@ -474,23 +476,23 @@ def test_order_arrays_rejects_norm_divisible_by_p():
         fp2.order_arrays(c, c, p, 5 % p, trial_rows(p - 1), trial_rows(p + 1))
 
 
-def test_order_arrays_rejects_int64_primes_past_2_31():
-    # the int64 ladders would wrap at these primes; as Python ints the
-    # same inputs give order_record's orders
+def test_order_arrays_int64_past_2_31_gives_the_object_orders():
+    # the int64 ladders would wrap at these primes: int64 input goes through
+    # exact_ints onto Python ints, and gives the object input's orders,
+    # which are order_record's
     field = FieldContext(5)
     a = field.integer(3, 2)
     p = np.array(BIG_INERT, dtype=np.int64)
     c0, c1, d = (np.array([t % q for q in BIG_INERT], dtype=np.int64) for t in (3, 2, 5))
-    with pytest.raises(ValueError, match="needs Python ints"):
-        fp2.order_arrays(c0, c1, p, d, trial_rows(p - 1), trial_rows(p + 1))
-    big = p.astype(object)
-    ord_alpha, ord_n, ord_m, attained, chain_ok = fp2.order_arrays(
-        c0.astype(object), c1.astype(object), big, d.astype(object),
-        experiments._rows_of(big - 1), experiments._rows_of(big + 1))
     want = [order_record(a, Fp2Context.for_prime(q, field)) for q in BIG_INERT]
-    assert list(zip(ord_alpha.tolist(), ord_n.tolist(), ord_m.tolist(), attained.tolist())) == [
-        (r.ord_alpha, r.ord_n, r.ord_m, r.attained) for r in want]
-    assert chain_ok.all()
+    for dtype in (np.int64, object):
+        ord_alpha, ord_n, ord_m, attained, chain_ok = fp2.order_arrays(
+            *(x.astype(dtype) for x in (c0, c1, p, d)), trial_rows(p - 1), trial_rows(p + 1))
+        assert ord_alpha.dtype == object
+        assert list(zip(ord_alpha.tolist(), ord_n.tolist(), ord_m.tolist(),
+                        attained.tolist())) == [
+            (r.ord_alpha, r.ord_n, r.ord_m, r.attained) for r in want]
+        assert chain_ok.all()
 
 
 @pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])

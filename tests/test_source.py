@@ -107,14 +107,13 @@ def test_no_global_statement_but_the_rho_seed():
     assert found == {("arith.py", "set_rho_seed", "_rho_seed")}, found
 
 
-# Where POWMOD_LIMIT may be read outside arith, which owns it: the scan's
-# choice of int64 or Python-int blocks, the F_p^2 kernel's guard against
-# wrapping int64 products, and the CLI's bound on lemma42's prime_max.
-# Every other bound follows from the data (lemma42's sizes are at most
-# p - 1, so their cap is clamped by the group orders).  Each of these reads
-# must be found, so a walker that sees none cannot pass.
-POWMOD_LIMIT_READERS = {("experiments.py", "_order_pass"), ("fp2.py", "order_arrays"),
-                        ("cli.py", "lemma42")}
+# arith owns POWMOD_LIMIT: exact_ints casts every array kernel's inputs by
+# it, and powmod and residues choose their int64 route by it, so a later
+# change of the bound is made in arith alone.  No kernel chooses or guards
+# a dtype itself, and the CLI's bound on lemma42's prime_max is a run-time
+# policy with its own literal.  arith's definition (scope None) and its
+# read must be found, so a walker that sees none cannot pass.
+POWMOD_LIMIT_READERS = {("arith.py", None), ("arith.py", "_fits")}
 
 
 def _reads(node, name, scope=None):
@@ -137,9 +136,8 @@ def _reads(node, name, scope=None):
 def test_powmod_limit_read_only_where_int64_is_chosen():
     found = set()
     for path in sorted(SRC.glob("*.py")):
-        if path.name != "arith.py":
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            found |= {(path.name, scope) for scope in _reads(tree, "POWMOD_LIMIT")}
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= {(path.name, scope) for scope in _reads(tree, "POWMOD_LIMIT")}
     assert found == POWMOD_LIMIT_READERS, found
 
 
