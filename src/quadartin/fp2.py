@@ -9,8 +9,8 @@ p - 1, ord M over the primes of p + 1.
 
 The torus.  M and 1/M are the roots of x^2 - t*x + 1, t = M + 1/M =
 (conj(alpha)^2 + alpha^2)/N = 2*(c0^2 + delta*c1^2)/N, so M^k + M^-k =
-V_k(t), the Lucas sequence V_0 = 2, V_1 = P, V_(k+1) = P*V_k - Q*V_(k-1) at
-P = t, Q = 1.  As V_k(t) - 2 = (M^k - 1)^2 / M^k, M^k = 1 exactly when
+V_k(t), the Lucas sequence V_0 = 2, V_1 = P, V_(k+1) = P*V_k - V_(k-1) at
+P = t.  As V_k(t) - 2 = (M^k - 1)^2 / M^k, M^k = 1 exactly when
 V_k(t) = 2, and M^k = -1 exactly when V_k(t) = -2.  A power of M is held
 by its trace, and V_q(V_k(t)) = V_qk(t) is a descent step.
 
@@ -21,20 +21,23 @@ so v_q(L) = v_q(A) for odd q, and v_2(L) = max(v_2(A) - 1, 0): each of ord N
 and ord M loses at least one factor 2 of A, and one of them exactly one.
 So A is L or 2L, and A = 2L whenever L is even.  And alpha^L = +-1, since
 alpha^2 = N/M gives alpha^(2L) = N^L * M^-L = 1.
-- Even L: alpha^L = (alpha^2)^(L/2) = N^(L/2) * M^(-L/2), with N^(L/2) = +-1
-  from one power in F_p and M^(L/2) = +-1 from V_(L/2)(t) = +-2.  A = 2L
-  makes their signs multiply to -1.
-- Odd L: alpha and -alpha share N and M, so alpha's own trace decides.
-  alpha and conj(alpha) are the roots of x^2 - 2*c0*x + N, so alpha^L +
-  conj(alpha)^L = V_L(2*c0, N), which alpha^L = e = +-1 makes 2e, with
-  N^L = 1.  Conversely, V_L = 2e and N^L = alpha^L * conj(alpha)^L = 1 make
-  both roots of x^2 - 2e*x + 1 = (x - e)^2, so alpha^L = e; A = L when e = 1.
+- Even L: alpha^L = (alpha^2)^(L/2) = N^(L/2) * M^(-L/2), with h =
+  N^(L/2) = +-1 from one power in F_p and M^(L/2) = +-1 from V_(L/2)(t) =
+  +-2.  A = 2L makes their signs multiply to -1.
+- Odd L: alpha and -alpha share N and M, so alpha's own trace decides, on
+  the torus.  h = N^((L+1)/2) has h^2 = N^L * N = N exactly when N^L = 1.
+  Then beta = alpha/h has norm N/h^2 = 1 and trace tau = 2*c0*h/N, and
+  beta^L = alpha^L, as h^L = (N^L)^((L+1)/2) = 1.  So alpha^L = e = +-1
+  exactly when V_L(tau) = 2e, by the same ladder as M's, with L reduced
+  mod p + 1 since beta^(p+1) = 1; A = L when e = 1.
+Either way the test is one power h in F_p and one ladder at Q = 1.
 
 chain_ok.  Either test implies alpha^(2L) = 1, the even one through
-alpha^L = -1 and the odd one through alpha^L = +-1.  The odd test is
-equivalent to alpha^(2L) = 1, which makes alpha^L = +-1 and conj(alpha)^L
-the same sign; the even test asks alpha^L = -1, which the 2-adic count
-gives for every correct ord N and ord M.  A too small L fails them.
+alpha^L = -1 and the odd one through alpha^L = beta^L = +-1.  The odd test
+is equivalent to alpha^(2L) = 1, which makes alpha^L = +-1, so N^L =
+alpha^L * conj(alpha)^L = 1 and h^2 = N; the even test asks alpha^L = -1,
+which the 2-adic count gives for every correct ord N and ord M.  A too
+small L fails them.
 
 _orders is the one order routine: the size of the subgroup a stack of
 generators spans in a cyclic group whose order has been factored (Cohen,
@@ -76,38 +79,29 @@ def _pow_array(x: np.ndarray, k: np.ndarray, p: np.ndarray) -> np.ndarray:
     return r
 
 
-def lucas_v(P: np.ndarray, k: np.ndarray, p: np.ndarray,
-            Q: Optional[np.ndarray] = None) -> np.ndarray:
-    """V_k(P, Q) mod p elementwise for k >= 0, Q = 1 when None: the Lucas
-    sequence V_0 = 2, V_1 = P, V_(j+1) = P*V_j - Q*V_(j-1).  P and Q are
-    reduced mod p in p's dtype, all int64 with p < 2**31 or all Python ints.
+def lucas_v(P: np.ndarray, k: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """V_k(P) mod p elementwise for k >= 0: the Lucas sequence V_0 = 2,
+    V_1 = P, V_(j+1) = P*V_j - V_(j-1) at Q = 1, so V_k(x + 1/x) = x^k +
+    x^-k.  P is reduced mod p in p's dtype, all int64 with p < 2**31 or all
+    Python ints.
 
     The ladder holds V_j and V_(j+1) and, from the top bit of the largest k,
-    steps to j -> 2j + b, b the next bit, by V_2j = V_j^2 - 2Q^j and
-    V_(2j+1) = V_j*V_(j+1) - P*Q^j (Joye & Quisquater, Electronics Letters
-    32, 1996): two products per bit for Q = 1, five with Q^j carried along.
-    It keeps the pair as sq = V_(j+b)^2 - 2Q^(j+b) and x = V_j*V_(j+1) -
-    P*Q^j, unordered: the next step squares sq when its bit equals b and x
-    otherwise, a test on k ^ (k >> 1), and only the end puts them in order.
-    It starts at j = 0, which a zero bit keeps at (2, P), so every k shares
-    the one loop."""
+    steps to j -> 2j + b, b the next bit, by V_2j = V_j^2 - 2 and
+    V_(2j+1) = V_j*V_(j+1) - P (Joye & Quisquater, Electronics Letters 32,
+    1996): two products per bit.  It keeps the pair as sq = V_(j+b)^2 - 2
+    and x = V_j*V_(j+1) - P, unordered: the next step squares sq when its
+    bit equals b and x otherwise, a test on k ^ (k >> 1), and only the end
+    puts them in order.  It starts at j = 0, which a zero bit keeps at
+    (2, P), so every k shares the one loop."""
     sq, x = np.full_like(p, 2), P
-    w = None if Q is None else np.ones_like(p)
     flips = k ^ (k >> 1)
     top = int(k.max()).bit_length() if k.size else 0
     for s in range(top - 1, -1, -1):
         y = np.where(flips & (1 << s), x, sq)  # V_(j+b)
         x = x * sq
-        if w is None:
-            x -= P
-            sq = y * y
-            sq -= 2
-        else:
-            r = np.where(k & (1 << s), w * Q % p, w)  # Q^(j+b)
-            x -= P * w
-            sq = y * y
-            sq -= 2 * r
-            w = w * r % p
+        x -= P
+        sq = y * y
+        sq -= 2
         x %= p
         sq %= p
     return np.where(k & 1, x, sq)
@@ -207,24 +201,22 @@ def order_arrays(
     if not nrm.all():
         raise ValueError(f"p = {int(p[np.argmin(nrm)])} divides the norm")
     ord_n = _orders(nrm[None], p, p - 1, minus)
+    inv = powmod(nrm, p - 2, p)
     # t = tr M = 2 (c0^2 + delta c1^2) / N
-    t = 2 * ((c0 * c0 + d * c1 % p * c1) % p) % p * powmod(nrm, p - 2, p) % p
+    t = 2 * ((c0 * c0 + d * c1 % p * c1) % p) % p * inv % p
     ord_m = _orders(t[None], p, p + 1, plus, torus=True)
     lcm = np.lcm(ord_n, ord_m)
-    odd = lcm % 2 == 1
-    # N^(L/2) for even L, N^L for odd L
-    sn = powmod(nrm, np.where(odd, lcm, lcm // 2) % (p - 1), p)
-    ev, od = np.flatnonzero(~odd), np.flatnonzero(odd)
-    at_l, sign_ok = np.zeros(p.size, dtype=bool), np.empty(p.size, dtype=bool)
-    # even L: N^(L/2) and M^(L/2) are +-1 of opposite signs, so alpha^L = -1
-    pe, se = p[ev], sn[ev]
-    vm = lucas_v(t[ev], lcm[ev] // 2 % (pe + 1), pe)
-    sign_ok[ev] = ((se == 1) & (vm == pe - 2)) | ((se == pe - 1) & (vm == 2))
-    # odd L: V_L(2 c0, N) = 2 alpha^L = +-2, with N^L = 1
-    po = p[od]
-    va = lucas_v(2 * c0[od] % po, lcm[od], po, nrm[od])
-    at_l[od] = va == 2
-    sign_ok[od] = (sn[od] == 1) & ((va == 2) | (va == po - 2))
+    par = lcm % 2
+    odd = par == 1
+    # h = N^(L/2) for even L, and v = V_(L/2)(t) = +-2 must meet h = -+1.
+    # h = N^((L+1)/2) for odd L, and v is the trace of beta^L = alpha^L,
+    # beta = alpha/h of trace 2 c0 h / N, on the torus when h^2 = N
+    h = powmod(nrm, (lcm + par) // 2 % (p - 1), p)
+    v = lucas_v(np.where(odd, 2 * c0 % p * h % p * inv % p, t),
+                np.where(odd, lcm, lcm // 2) % (p + 1), p)
+    at_l = odd & (v == 2)
+    sign_ok = np.where(odd, (h * h % p == nrm) & ((v == 2) | (v == p - 2)),
+                       ((h == 1) & (v == p - 2)) | ((h == p - 1) & (v == 2)))
     ord_alpha = np.where(at_l, lcm, 2 * lcm)
     n = p * p - 1
     chain_ok = (

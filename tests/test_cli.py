@@ -251,6 +251,27 @@ def test_scan_understated_ord_m_exits_3(tmp_path, monkeypatch, capsys, workers, 
     assert not (out / "scan.csv").exists()
 
 
+@pytest.mark.parametrize("lo", [3, 2**31], ids=["int64", "object"])
+def test_scan_odd_l_broken_chain_exits_3(tmp_path, monkeypatch, capsys, lo):
+    # ord_N understated to 1 and ord_M to its odd part: every L is odd, and
+    # where N^L != 1 the alpha^L test on the torus must fail, though every
+    # divisibility of the chain holds, on int64 and Python-int blocks alike
+    orders = fp2._orders
+
+    def odd_orders(g, p, n, rows, torus=False, cap=None):
+        if not torus:
+            return np.ones_like(n)
+        m = orders(g, p, n, rows, torus, cap)
+        return m // (m & -m)
+
+    monkeypatch.setattr(fp2, "_orders", odd_orders)
+    cfg = dict(SCAN_CFG, prime_min=lo, prime_max=lo + 4000)
+    code, out = run(tmp_path, "scan", cfg)
+    assert code == 3
+    assert "order chain broken" in capsys.readouterr().err
+    assert not (out / "scan.csv").exists()
+
+
 def test_write_json_failed_encode_leaves_no_file(tmp_path):
     # an artifact is streamed to its file: an encode that fails part way
     # (NaN is not JSON) removes what it wrote and re-raises

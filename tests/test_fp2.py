@@ -428,13 +428,12 @@ BIG_LADDER_PRIMES = _primes_below(2**64, 3) + [2**89 - 1, 2**127 - 1]
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(data=st.data())
 def test_lucas_v_is_trace_of_pow_raw(data):
-    # V_k(P, Q) = a^k + conj(a)^k for a = (P + s)/2 in F_p[s]/(s^2 - (P^2 -
-    # 4Q)), whose trace is P and norm Q: the ladder against twice the first
-    # coordinate of the exact Python-int power, with Q = 1 and a general Q,
-    # several rows at once.  int64 rows have p up to 2**31 - 1 and
-    # exponents up to 2**62; Python-int rows add primes past 2**63 and
-    # exponents up to 2**130
-    big, general = data.draw(st.booleans()), data.draw(st.booleans())
+    # V_k(P) = a^k + conj(a)^k for a = (P + s)/2 in F_p[s]/(s^2 - (P^2 -
+    # 4)), whose trace is P and norm 1: the ladder against twice the first
+    # coordinate of the exact Python-int power, several rows at once.
+    # int64 rows have p up to 2**31 - 1 and exponents up to 2**62;
+    # Python-int rows add primes past 2**63 and exponents up to 2**130
+    big = data.draw(st.booleans())
     prime = st.sampled_from(LADDER_PRIMES) | st.integers(3, 2**31 - 1).map(
         lambda t: next(q for q in range(t, 1, -1) if is_prime(q)))
     if big:
@@ -443,15 +442,14 @@ def test_lucas_v_is_trace_of_pow_raw(data):
     for _ in range(data.draw(st.integers(1, 4))):
         p = data.draw(prime)
         P = data.draw(st.integers(0, p - 1))
-        Q = data.draw(st.integers(0, p - 1)) if general else 1
-        rows.append((P, Q, data.draw(st.integers(0, 2**130 if big else 2**62)), p))
-    P, Q, k, p = (np.array(t, dtype=object if big else np.int64) for t in zip(*rows))
-    got = fp2.lucas_v(P, k, p, Q if general else None)
+        rows.append((P, data.draw(st.integers(0, 2**130 if big else 2**62)), p))
+    P, k, p = (np.array(t, dtype=object if big else np.int64) for t in zip(*rows))
+    got = fp2.lucas_v(P, k, p)
     assert got.dtype == p.dtype
     want = []
-    for P, Q, k, p in rows:
+    for P, k, p in rows:
         half = (p + 1) // 2
-        want.append(2 * _pow_raw(P * half % p, half, k, p, (P * P - 4 * Q) % p)[0] % p)
+        want.append(2 * _pow_raw(P * half % p, half, k, p, (P * P - 4) % p)[0] % p)
     assert got.tolist() == want
 
 
@@ -466,6 +464,84 @@ def test_alpha_l_branches_on_the_pinned_delta5_scan():
         lcm = np.lcm(b.ord_n, b.ord_m)
         branches.update(zip((lcm % 2).ravel().tolist(), (b.ord_alpha // lcm).ravel().tolist()))
     assert branches == {(0, 2): 2855, (1, 1): 287, (1, 2): 272}
+
+
+def _member_block(primes, members, dtype):
+    """(c0, c1, p, d) for delta = 5, every member at every prime, stacked
+    member by member, as arrays of dtype."""
+    rows = [(x % q, y % q, q, 5 % q) for x, y in members for q in primes]
+    return tuple(np.array(t, dtype=dtype) for t in zip(*rows))
+
+
+def _alpha_l_run(monkeypatch, c0, c1, p, d):
+    """order_arrays twice, the second time with _orders returning the first
+    run's orders, so that every lucas_v call of the second run is the
+    alpha^L test's.  Returns the orders and those calls as (args, value)."""
+    minus, plus = trial_rows(p - 1), trial_rows(p + 1)
+    first = fp2.order_arrays(c0, c1, p, d, minus, plus)
+    monkeypatch.setattr(fp2, "_orders", lambda g, p, n, rows, torus=False, cap=None: (
+        first[2] if torus else first[1]))
+    calls, lucas_v = [], fp2.lucas_v
+
+    def spy(*args):
+        calls.append((args, lucas_v(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(fp2, "lucas_v", spy)
+    second = fp2.order_arrays(c0, c1, p, d, minus, plus)
+    assert [x.tolist() for x in second] == [x.tolist() for x in first]
+    return first, calls
+
+
+@pytest.mark.parametrize("primes, members, dtype", [
+    pytest.param(inert_primes_under(5, 20000), [(2, 1), (1, 1), (3, 2)], np.int64,
+                 id="delta5_scan"),
+    pytest.param(BIG_INERT, [(2, 1), (1, 1), (3, 2), (4, 1), (7, 2)], object,
+                 id="big_inert"),
+])
+def test_alpha_l_is_one_torus_ladder(monkeypatch, primes, members, dtype):
+    # odd and even L alike take one lucas_v call at Q = 1 outside _orders;
+    # on odd L it is V_(L mod (p+1))(tau) for beta = alpha/N^((L+1)/2),
+    # which equals alpha's own trace V_L(2 c0, N), and ord_alpha is
+    # order_record's
+    c0, c1, p, d = _member_block(primes, members, dtype)
+    (ord_alpha, ord_n, ord_m, _, chain_ok), calls = _alpha_l_run(monkeypatch, c0, c1, p, d)
+    assert len(calls) == 1
+    (_, k, _), v = calls[0]
+    lcm = np.lcm(ord_n, ord_m)
+    odd = np.flatnonzero(lcm % 2 == 1)
+    assert chain_ok.all()
+    # 287 + 272 odd-L pairs in the pinned scan above
+    assert odd.size == (559 if dtype is np.int64 else 3)
+    assert (lcm % 2 == 0).any()
+    assert (ord_alpha[odd] == lcm[odd]).any() and (ord_alpha[odd] == 2 * lcm[odd]).any()
+    field = FieldContext(5)
+    for j in odd.tolist():
+        q, L = int(p[j]), int(lcm[j])
+        assert int(k[j]) == L % (q + 1)
+        assert int(v[j]) == 2 * _pow_raw(int(c0[j]), int(c1[j]), L, q, 5 % q)[0] % q
+        a = field.integer(*members[j // len(primes)])
+        assert int(ord_alpha[j]) == order_record(a, Fp2Context.for_prime(q, field)).ord_alpha
+
+
+@pytest.mark.parametrize("primes, members, dtype", [
+    pytest.param(inert_primes_under(5, 2000), [(2, 1), (1, 1), (3, 2)], np.int64, id="int64"),
+    pytest.param(BIG_INERT, [(1, 1), (7, 2)], object, id="object"),
+])
+def test_order_arrays_odd_l_broken_chain(monkeypatch, primes, members, dtype):
+    # an understated ord_N = 1 leaves L = ord_M; where that is odd and
+    # N^L != 1, the alpha^L test must fail, though every divisibility of
+    # the chain holds
+    c0, c1, p, d = _member_block(primes, members, dtype)
+    minus, plus = trial_rows(p - 1), trial_rows(p + 1)
+    _, ord_n, ord_m, _, _ = fp2.order_arrays(c0, c1, p, d, minus, plus)
+    bad = np.flatnonzero((ord_m % 2 == 1) & (ord_m % ord_n != 0))
+    assert bad.size
+    orders = fp2._orders
+    monkeypatch.setattr(fp2, "_orders", lambda g, p, n, rows, torus=False, cap=None: (
+        orders(g, p, n, rows, torus, cap) if torus else np.ones_like(n)))
+    *_, chain_ok = fp2.order_arrays(c0, c1, p, d, minus, plus)
+    assert not chain_ok[bad].any()
 
 
 def test_order_arrays_rejects_norm_divisible_by_p():
