@@ -20,10 +20,11 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, NamedTuple, Optional, TextIO
 
 import numpy as np
 
@@ -199,18 +200,24 @@ def _load_config(path: str):
         raise BadConfig(f"cannot read config {path}: {e}")
 
 
-def _write_json(path: Path, obj) -> None:
-    # streamed to the file, so the text is never held whole; allow_nan=False:
-    # NaN and infinities are not JSON, and an encode that fails on one
-    # leaves no truncated artifact behind
-    fh = open(path, "w", encoding="utf-8")
+@contextmanager
+def _artifact(path: Path) -> Iterator[TextIO]:
+    """path open for writing, removed on any exception while it is written."""
+    fh = open(path, "w", newline="", encoding="utf-8")
     try:
         with fh:
-            json.dump(obj, fh, sort_keys=True, indent=2, allow_nan=False)
-            fh.write("\n")
+            yield fh
     except BaseException:
         path.unlink()
         raise
+
+
+def _write_json(path: Path, obj) -> None:
+    # streamed to the file, so the text is never held whole; allow_nan=False:
+    # NaN and infinities are not JSON, and _artifact removes a failed encode
+    with _artifact(path) as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2, allow_nan=False)
+        fh.write("\n")
 
 
 def _congruence_json(c: Congruence, report) -> Dict:
@@ -221,8 +228,8 @@ def _congruence_json(c: Congruence, report) -> Dict:
         "residues": {str(m): r for m, r in c.residues.items()},
         "verified_to": report.bound,
         "failures": [[p, why] for p, why in report.failures],
-        "v2_minus": {str(k): n for k, n in sorted(report.v2_minus.items())},
-        "v2_plus": {str(k): n for k, n in sorted(report.v2_plus.items())},
+        "v2_minus": {str(k): n for k, n in report.v2_minus.items()},
+        "v2_plus": {str(k): n for k, n in report.v2_plus.items()},
     }
 
 
@@ -251,6 +258,22 @@ def _checked_class(a: int, delta: int, p0_bound: int) -> Congruence:
     return cong
 
 
+def _scan_rows(fh: TextIO, labels: List[str], b) -> None:
+    """The scan.csv rows of the block b, one per (p, member), written from
+    its arrays in runs of 512 primes, each run one format of its cells
+    filled column by column, so the cell list stays small; no label holds a
+    comma or a quote, so no cell needs CSV quoting."""
+    for lo in range(0, b.p.size, 512):
+        run = slice(lo, lo + 512)
+        rows = b.p[run].size * len(labels)
+        cells = [None] * (6 * rows)
+        cells[0::6] = np.repeat(b.p[run], len(labels)).tolist()
+        cells[1::6] = labels * b.p[run].size
+        for c, a in enumerate((b.ord_alpha, b.ord_n, b.ord_m, b.attained), 2):
+            cells[c::6] = a[run].ravel().tolist()
+        fh.write("%d,%s,%d,%d,%d,%d\n" * rows % tuple(cells))
+
+
 def cmd_scan(cfg: Dict, out: Path, workers: int) -> int:
     from .experiments import AlphaFamily, inert_primes, mult_indep_rational, order_scan
 
@@ -266,27 +289,12 @@ def cmd_scan(cfg: Dict, out: Path, workers: int) -> int:
     else:
         plist = inert_primes(family.ctx, lo, hi)
 
-    # The order chain is checked inside the scan pass: a violation raises
-    # RemarkViolation, which exits 3.
-    blocks, summary = order_scan(family, plist, workers=workers)
-
-    labels = list(family.labels)
-    with open(out / "scan.csv", "w", newline="", encoding="utf-8") as fh:
+    # each block is written as the pass yields it; a broken order chain
+    # raises RemarkViolation there, which removes scan.csv and exits 3
+    with _artifact(out / "scan.csv") as fh:
         fh.write("p,member,ord_alpha,ord_N,ord_M,attained\n")
-        # one row per (p, member), written from the block arrays in runs of
-        # 512 primes, each run one format of its cells filled column by
-        # column, so the cell list stays small; no label holds a comma or a
-        # quote, so no cell needs CSV quoting
-        for b in blocks:
-            for lo in range(0, b.p.size, 512):
-                run = slice(lo, lo + 512)
-                rows = b.p[run].size * len(labels)
-                cells = [None] * (6 * rows)
-                cells[0::6] = np.repeat(b.p[run], len(labels)).tolist()
-                cells[1::6] = labels * b.p[run].size
-                for c, a in enumerate((b.ord_alpha, b.ord_n, b.ord_m, b.attained), 2):
-                    cells[c::6] = a[run].ravel().tolist()
-                fh.write("%d,%s,%d,%d,%d,%d\n" * rows % tuple(cells))
+        summary = order_scan(family, plist, workers=workers,
+                             sink=partial(_scan_rows, fh, list(family.labels)))
 
     indep = mult_indep_rational([Fraction(n) for n in family.norms])
     summary_json = {
@@ -302,7 +310,7 @@ def cmd_scan(cfg: Dict, out: Path, workers: int) -> int:
             lab: frac for lab, frac in zip(summary.labels, summary.fractions)
         },
         "family_fraction": summary.family_fraction,
-        "index_histogram": {str(k): n for k, n in sorted(summary.index_histogram.items())},
+        "index_histogram": {str(k): n for k, n in summary.index_histogram.items()},
         "norms_independent": indep.independent,
         "square_guard": {
             lab: square_guard(a) for lab, a in zip(family.labels, family.members)
@@ -330,7 +338,7 @@ def cmd_sieve(cfg: Dict, out: Path, workers: int) -> int:
                                   c3=cfg["c3"], a_exp=cfg["A"])
 
     rows = sieve.ledger(sieve_cfg, d_max)
-    with open(out / "sieve.csv", "w", newline="", encoding="utf-8") as fh:
+    with _artifact(out / "sieve.csv") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["d", "rho", "Ad", "main", "Rd"])
         for r in rows:

@@ -9,11 +9,11 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from functools import cached_property, partial
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,15 +78,15 @@ def _ramified_split(delta: int, ps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
     return ramified, split
 
 
-def inert_primes(ctx: FieldContext, lo: int, hi: int) -> List[int]:
-    """Odd inert primes in [lo, hi] for the field, filtered segment by
-    segment.  Ramified primes have (delta|p) = 0 and are left out with the
-    split ones."""
-    out: List[int] = []
+def inert_primes(ctx: FieldContext, lo: int, hi: int) -> np.ndarray:
+    """Odd inert primes in [lo, hi] for the field, ascending, as a new int64
+    array, filtered segment by segment.  Ramified primes have (delta|p) = 0
+    and are left out with the split ones."""
+    keep = [np.zeros(0, dtype=np.int64)]
     for ps in _segments(max(lo, 3), hi):
         ramified, split = _ramified_split(ctx.delta, ps)
-        out += ps[~(ramified | split)].tolist()
-    return out
+        keep.append(ps[~(ramified | split)])
+    return np.concatenate(keep)
 
 
 @dataclass(frozen=True)
@@ -131,17 +131,9 @@ class OrderBlock(NamedTuple):
     skipped: int
 
 
-def _order_pass(family: AlphaFamily, plist: List[int]) -> Iterator[OrderBlock]:
-    """The one pass behind every scan, over the ascending primes plist in
-    blocks of PRIME_BLOCK, each through the array kernel in the dtype
-    arith.exact_ints gives it.  A broken order chain raises RemarkViolation
-    at the first failing (p, member) in (p, member) order."""
-    for lo in range(0, len(plist), PRIME_BLOCK):
-        yield _kernel_block(family, exact_ints(plist[lo : lo + PRIME_BLOCK]))
-
-
 def _kernel_block(family: AlphaFamily, ps: np.ndarray) -> OrderBlock:
-    """One block of primes through the array kernel, in the block's dtype."""
+    """One block of primes through the array kernel, in exact_ints' dtype."""
+    ps = exact_ints(ps)
     ramified, split = _ramified_split(family.ctx.delta, ps)
     divides = ~(ramified | split) & np.any(
         [residues(n, ps) == 0 for n in family.norms], axis=0
@@ -172,58 +164,58 @@ def _kernel_block(family: AlphaFamily, ps: np.ndarray) -> OrderBlock:
     return OrderBlock(p, ord_alpha, ord_n, ord_m, attained, int(skip.sum()))
 
 
-def _scan_blocks(args) -> List[OrderBlock]:
-    return list(_order_pass(*args))
-
-
-def _map(fn, items: list, workers: int) -> list:
-    """[fn(t) for t in items], inline for at most one item, else on a pool
-    of workers processes, imported here: the pool's modules cost every run
-    set-up time and memory, and only these runs use them."""
-    if len(items) < 2:
-        return [fn(t) for t in items]
+def _map(fn, items: list, workers: int) -> Iterator:
+    """fn(t) for each t of items, yielded in order: inline when workers is 1
+    or there is at most one item, else on a pool of workers processes with
+    at most 2 * workers tasks submitted ahead; the pool is imported here, as
+    its modules cost every run set-up time and memory and only pool runs use them."""
+    if workers == 1 or len(items) < 2:
+        yield from map(fn, items)
+        return
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        ahead: deque = deque()
+        for t in items:
+            ahead.append(pool.submit(fn, t))
+            if len(ahead) == 2 * workers:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
 
 
 def order_scan(
     family: AlphaFamily,
-    primes: Iterable[int],
+    primes: Sequence[int],
     workers: int = 1,
-) -> Tuple[List[OrderBlock], ScanSummary]:
-    """Order profile of every family member at every usable prime, as the
-    blocks of the scan pass in ascending order of p, and their summary.
+    sink: Optional[Callable[[OrderBlock], None]] = None,
+) -> ScanSummary:
+    """Summary of the order profile of every family member at every usable
+    prime of primes, ascending and distinct (an int64 array, or a list),
+    else ValueError.  One pass runs the kernel on blocks of PRIME_BLOCK
+    primes, hands each to sink, if given, in ascending order of p and drops it.
 
     Primes that are not inert, ramify, or divide some member's norm are
-    skipped (logged and counted), not fatal.
+    skipped (logged and counted), not fatal.  A broken order chain raises
+    RemarkViolation at the first failing (p, member) in (p, member) order.
     """
-    plist = sorted(set(int(p) for p in primes))
-    # Measured on dense scans: two workers lose on one block of primes (to
-    # 1e5) and win on several (to 1e6).  Each worker takes one contiguous part.
-    parts = workers if len(plist) > PRIME_BLOCK else 1
-    size = -(-len(plist) // parts) or 1
-    args = [(family, plist[i : i + size]) for i in range(0, len(plist), size)]
-    blocks = [b for part in _map(_scan_blocks, args, workers) for b in part]
+    ps = primes if isinstance(primes, np.ndarray) else np.array(primes, dtype=object)
+    if not (ps[1:] > ps[:-1]).all():
+        raise ValueError("order_scan needs ascending, distinct primes")
     per_member = np.zeros(len(family.labels), dtype=np.int64)
     prime_count = skipped = family_attained = 0
     histogram: Counter = Counter()
-    for b in blocks:
+    blocks = [ps[lo : lo + PRIME_BLOCK] for lo in range(0, ps.size, PRIME_BLOCK)]
+    for b in _map(partial(_kernel_block, family), blocks, workers):
         prime_count += b.p.size
         skipped += b.skipped
         per_member += b.attained.sum(axis=0)
         family_attained += int(b.attained.any(axis=1).sum())
         histogram.update(((b.p * b.p - 1)[:, None] // b.ord_alpha).ravel().tolist())
-    summary = ScanSummary(
-        prime_count,
-        skipped,
-        family.labels,
-        tuple(per_member.tolist()),
-        family_attained,
-        dict(histogram),
-    )
-    return blocks, summary
+        if sink is not None:
+            sink(b)
+    return ScanSummary(prime_count, skipped, family.labels, tuple(per_member.tolist()),
+                       family_attained, dict(histogram))
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +399,8 @@ def lemma42_scan(
     cap = math.ceil(y_max) if y_max < x else None
     # whole segments are dealt round-robin, so every worker sieves its own
     shares = workers if x >= 2 + arith.SEGMENT else 1
-    parts = _map(_growth_counts, [(tuple(gens), bad, x, y_grid, cap, w, shares)
-                                  for w in range(shares)], workers)
+    parts = list(_map(_growth_counts, [(tuple(gens), bad, x, y_grid, cap, w, shares)
+                                       for w in range(shares)], workers))
     counts = np.sum([c for c, _ in parts], axis=0).tolist()
     prime_count = sum(n for _, n in parts)
 
@@ -519,15 +511,15 @@ class PigeonholeReport:
 
 def pigeonhole_report(
     family: AlphaFamily,
-    primes: Iterable[int],
+    primes: Sequence[int],
     x: Optional[int] = None,
     delta1: float = 0.01,
     v_excluded: int = 24,
 ) -> PigeonholeReport:
-    """Tabulate, for each usable prime, the side parameters d_- and d_+
-    (4 and 6, or 12 and 2, by p mod 3), the number of prime factors above
-    the trial threshold on each side, and which members attain the
-    component and full thresholds.
+    """Tabulate, for each usable prime of the ascending primes, the side
+    parameters d_- and d_+ (4 and 6, or 12 and 2, by p mod 3), the number
+    of prime factors above the trial threshold on each side, and which
+    members attain the component and full thresholds, in one order_scan.
 
     Survivors (p^2 - 1 free of primes up to the threshold outside
     v_excluded) must have at most 7 large factors per side, else
@@ -536,17 +528,16 @@ def pigeonhole_report(
     # imported here: no scan or lemma42 run needs the sieve module
     from .sieve import sieving_limit, survivor_mask
 
-    plist = sorted(set(int(p) for p in primes))
     if x is None:
-        x = max(plist) if plist else 2
+        x = int(primes[-1]) if len(primes) else 2
     threshold = sieving_limit(x, delta1)
     rows: List[PigeonholeRow] = []
-    k = len(family.members)
-    minus_att = np.zeros(k, dtype=np.int64)
-    plus_att = np.zeros(k, dtype=np.int64)
-    full_att = np.zeros(k, dtype=np.int64)
+    # minus and plus attainment counts per member
+    attained = np.zeros((2, len(family.members)), dtype=np.int64)
     max_m = 0
-    for b in _order_pass(family, plist):
+
+    def tally(b: OrderBlock) -> None:
+        nonlocal max_m
         p = b.p
         # prime factors above the threshold, with multiplicity, per side
         m_minus, m_plus = (
@@ -565,16 +556,17 @@ def pigeonhole_report(
         d_plus = np.where(one_mod_3, 2, 6)
         cols = (p, survivor, d_minus, d_plus, m_minus, m_plus,
                 (p - 1) % d_minus == 0, (p + 1) % d_plus == 0)
-        rows += [PigeonholeRow(*r) for r in zip(*(c.tolist() for c in cols))]
-        minus_att += (b.ord_n * d_minus[:, None] >= (p - 1)[:, None]).astype(bool).sum(axis=0)
-        plus_att += (b.ord_m * d_plus[:, None] >= (p + 1)[:, None]).astype(bool).sum(axis=0)
-        full_att += b.attained.sum(axis=0)
+        rows.extend(PigeonholeRow(*r) for r in zip(*(c.tolist() for c in cols)))
+        attained[0] += (b.ord_n * d_minus[:, None] >= (p - 1)[:, None]).astype(bool).sum(axis=0)
+        attained[1] += (b.ord_m * d_plus[:, None] >= (p + 1)[:, None]).astype(bool).sum(axis=0)
+
+    summary = order_scan(family, primes, sink=tally)
     return PigeonholeReport(
         threshold,
         tuple(rows),
         family.labels,
-        tuple(minus_att.tolist()),
-        tuple(plus_att.tolist()),
-        tuple(full_att.tolist()),
+        tuple(attained[0].tolist()),
+        tuple(attained[1].tolist()),
+        summary.attained_per_member,
         max_m,
     )

@@ -5,7 +5,7 @@ computes one way: prime counts by progression, the scalar order route on
 Python ints (Fp2Context, order_record and its raw F_p^2 kernels, which
 fp2.order_arrays replaced for every prime), the F_p^2 element API with the
 full p^2 - 1 order descent, the inertness test, the remark-12 chain
-counts, the scalar order scan, the record list of a scan's blocks, the
+counts, the scalar order scan, a scan's blocks and their record list, the
 scalar subgroup size, the whole-range prime sieve, class filter,
 smallest-factor table and table-route growth counts the segmented sieve
 replaced, the trial-division rows of p -+ 1 the row sieve replaced,
@@ -33,7 +33,13 @@ from quadartin.arith import (
     primes_up_to,
     totient,
 )
-from quadartin.experiments import AlphaFamily, OrderBlock, order_scan, subgroup_sizes
+from quadartin.experiments import (
+    AlphaFamily,
+    OrderBlock,
+    ScanSummary,
+    order_scan,
+    subgroup_sizes,
+)
 from quadartin.quadfield import FieldContext, QuadElem
 from quadartin.sieve import SieveConfig
 
@@ -415,7 +421,7 @@ def mult_order(a: Fp2Elem) -> int:
 # ---------------------------------------------------------------------------
 # experiments
 
-def remark12_verify(family: AlphaFamily, primes: Iterable[int]) -> Dict[str, int]:
+def remark12_verify(family: AlphaFamily, primes: Sequence[int]) -> Dict[str, int]:
     """Check the order-chain identities at every usable (p, member) pair:
     the norm's order divides p - 1, the conjugate ratio's order divides
     p + 1, both divide the element's order, and their product divides twice
@@ -423,9 +429,18 @@ def remark12_verify(family: AlphaFamily, primes: Iterable[int]) -> Dict[str, int
     this is that pass with its counts returned.  Any failure raises
     RemarkViolation.
     """
-    blocks, summary = order_scan(family, primes)
+    blocks, summary = scan_blocks(family, primes)
     records = records_of(blocks, family.labels)
     return {"checked": len(records), "skipped": summary.skipped, "violations": 0}
+
+
+def scan_blocks(
+    family: AlphaFamily, primes: Sequence[int], workers: int = 1
+) -> Tuple[List[OrderBlock], ScanSummary]:
+    """order_scan's blocks, kept in a list by its sink, and its summary."""
+    blocks: List[OrderBlock] = []
+    summary = order_scan(family, primes, workers, sink=blocks.append)
+    return blocks, summary
 
 
 def records_of(blocks: Iterable[OrderBlock], labels: Sequence[str]) -> List[Tuple[str, OrderRecord]]:

@@ -20,6 +20,7 @@ import quadartin
 from quadartin import cli, experiments, fp2
 from quadartin.arith import factorize, is_prime, jacobi, primes_up_to
 from quadartin.cli import CONFIG_SCHEMA, BadConfig, main, validate_config
+from quadartin.quadfield import FieldContext
 
 
 def run(tmp_path, command, cfg, outdir="out", extra=()):
@@ -209,8 +210,8 @@ def test_scan_negative_norms(tmp_path):
 def test_scan_broken_chain_exits_3(tmp_path, monkeypatch, capsys, workers):
     # an understated ord_N leaves alpha^(2L) != 1, which the scan pass must
     # report as a chain violation, also from a pool worker (64-prime blocks
-    # put the 155 primes past the pool's one-block threshold); scan.csv is
-    # written only after the whole pass, so none is left behind
+    # put the 155 primes past the pool's one-block threshold); the failed
+    # scan removes its scan.csv
     orders = fp2._orders
     monkeypatch.setattr(fp2, "_orders", lambda g, p, n, rows, torus=False, cap=None: (
         orders(g, p, n, rows, torus, cap) if torus else np.ones_like(n)))
@@ -272,6 +273,40 @@ def test_scan_odd_l_broken_chain_exits_3(tmp_path, monkeypatch, capsys, lo):
     assert not (out / "scan.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "workers",
+    [
+        "1",
+        pytest.param(
+            "2",
+            marks=pytest.mark.skipif(
+                multiprocessing.get_start_method() != "fork",
+                reason="the patched kernel reaches pool workers only through fork",
+            ),
+        ),
+    ],
+)
+def test_scan_chain_broken_late_removes_partial_csv(tmp_path, monkeypatch, capsys, workers):
+    # ord_N understated only from the 11th 64-prime block on: the ten
+    # blocks before it are written to scan.csv before the violation comes,
+    # and the failed scan removes the partial file
+    monkeypatch.setattr(experiments, "PRIME_BLOCK", 64)
+    cfg = dict(SCAN_CFG, prime_max=20000)
+    first_bad = int(experiments.inert_primes(FieldContext(5), 3, 20000)[10 * 64])
+    orders = fp2._orders
+    monkeypatch.setattr(fp2, "_orders", lambda g, p, n, rows, torus=False, cap=None: (
+        orders(g, p, n, rows, torus, cap) if torus
+        else np.where(p >= first_bad, 1, orders(g, p, n, rows, torus, cap))))
+    written, scan_rows = [], cli._scan_rows
+    monkeypatch.setattr(cli, "_scan_rows", lambda fh, labels, b: (
+        written.append(int(b.p[0])), scan_rows(fh, labels, b)))
+    code, out = run(tmp_path, "scan", cfg, extra=("--workers", workers))
+    assert code == 3
+    assert "order chain broken" in capsys.readouterr().err
+    assert len(written) == 10 and max(written) < first_bad
+    assert not (out / "scan.csv").exists()
+
+
 def test_write_json_failed_encode_leaves_no_file(tmp_path):
     # an artifact is streamed to its file: an encode that fails part way
     # (NaN is not JSON) removes what it wrote and re-raises
@@ -310,6 +345,24 @@ PINNED_SCANS = {
 def test_scan_artifacts_pinned(tmp_path, cfg, csv_sha, summary_sha):
     code, out = run(tmp_path, "scan", cfg)
     assert code == 0
+    assert hashlib.sha256((out / "scan.csv").read_bytes()).hexdigest() == csv_sha
+    assert hashlib.sha256((out / "scan_summary.json").read_bytes()).hexdigest() == summary_sha
+
+
+@pytest.mark.parametrize(
+    "cfg, csv_sha, summary_sha", PINNED_SCANS.values(), ids=list(PINNED_SCANS)
+)
+def test_scan_artifacts_pinned_with_two_workers(tmp_path, monkeypatch, cfg, csv_sha,
+                                                summary_sha):
+    # 64-prime blocks, cut in the parent and run two processes wide with
+    # more blocks than the pool takes ahead, give the same bytes
+    monkeypatch.setattr(experiments, "PRIME_BLOCK", 64)
+    written, scan_rows = [], cli._scan_rows
+    monkeypatch.setattr(cli, "_scan_rows", lambda fh, labels, b: (
+        written.append(b.p.size), scan_rows(fh, labels, b)))
+    code, out = run(tmp_path, "scan", cfg, extra=("--workers", "2"))
+    assert code == 0
+    assert len(written) > 4
     assert hashlib.sha256((out / "scan.csv").read_bytes()).hexdigest() == csv_sha
     assert hashlib.sha256((out / "scan_summary.json").read_bytes()).hexdigest() == summary_sha
 

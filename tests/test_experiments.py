@@ -3,6 +3,7 @@
 import math
 import pickle
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -40,6 +41,7 @@ from oracles import (
     records_of,
     remark12_verify,
     scalar_order_scan,
+    scan_blocks,
     subgroup_size,
     survivors_by_trial_division,
     table_growth_counts,
@@ -72,7 +74,7 @@ def test_family_validation():
 
 def test_inert_primes_delta5():
     ctx = FieldContext(5)
-    got = inert_primes(ctx, 3, 50)
+    got = inert_primes(ctx, 3, 50).tolist()
     assert got == [3, 7, 13, 17, 23, 37, 43, 47]
     for p in got:
         assert jacobi(5, p) == -1
@@ -88,7 +90,7 @@ def test_inert_primes_delta5():
 def test_order_scan_rational_one():
     fam = AlphaFamily.from_coords(5, [(1, 0)])
     ps = inert_primes(fam.ctx, 3, 100)
-    blocks, summary = order_scan(fam, ps)
+    blocks, summary = scan_blocks(fam, ps)
     records = records_of(blocks, fam.labels)
     for _, rec in records:
         assert rec.ord_alpha == 1
@@ -99,7 +101,7 @@ def test_order_scan_rational_one():
 def test_order_scan_frozen_baseline(fam3):
     ps = inert_primes(fam3.ctx, 3, 10**4)
     assert len(ps) == 618
-    blocks, s = order_scan(fam3, ps)
+    blocks, s = scan_blocks(fam3, ps)
     records = records_of(blocks, fam3.labels)
     assert s.prime_count == 618
     assert s.skipped == 0
@@ -110,7 +112,7 @@ def test_order_scan_frozen_baseline(fam3):
 
 def test_order_scan_family_count_dominates_members(fam3):
     ps = inert_primes(fam3.ctx, 3, 2000)
-    _, s = order_scan(fam3, ps)
+    s = order_scan(fam3, ps)
     assert s.attained_family >= max(s.attained_per_member)
     assert s.attained_family <= s.prime_count
     assert s.family_fraction >= max(s.fractions)
@@ -121,16 +123,64 @@ def test_order_scan_workers_merge_identical(fam3, monkeypatch):
     monkeypatch.setattr(experiments, "PRIME_BLOCK", 64)
     ps = inert_primes(fam3.ctx, 3, 3000)
     assert len(ps) > 3 * experiments.PRIME_BLOCK
-    (b1, s1), (b2, s2) = order_scan(fam3, ps), order_scan(fam3, ps, workers=3)
+    (b1, s1), (b2, s2) = scan_blocks(fam3, ps), scan_blocks(fam3, ps, workers=3)
     r1, r2 = records_of(b1, fam3.labels), records_of(b2, fam3.labels)
     assert r1 == r2
     assert s1 == s2
 
 
+@pytest.mark.parametrize("as_array", [False, True], ids=["list", "int64"])
+@pytest.mark.parametrize("ps", [
+    pytest.param([3, 7, 13, 13, 17], id="repeated"),
+    pytest.param([3, 7, 17, 13, 23], id="descending"),
+    pytest.param([3, 7, 13, 17, 17, 23, 37, 43], id="repeated_across_blocks"),
+    pytest.param([3, 7, 13, 23, 17, 37, 43, 47], id="descending_across_blocks"),
+])
+def test_order_scan_refuses_unordered_primes(fam3, monkeypatch, ps, as_array):
+    # 4-prime blocks: the last two lists break the order where one block
+    # ends and the next begins; no block reaches the sink
+    monkeypatch.setattr(experiments, "PRIME_BLOCK", 4)
+    seen = []
+    with pytest.raises(ValueError, match="ascending, distinct"):
+        order_scan(fam3, np.array(ps, dtype=np.int64) if as_array else ps, sink=seen.append)
+    assert seen == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_order_scan_drops_each_block(fam3, monkeypatch, workers):
+    # 64-prime blocks over more than 20 of them: the sink sees every block
+    # in ascending order of p, and at most 2 * workers + 2 blocks are alive
+    # at once or on their way (taken for the kernel, not yet handed over),
+    # where a scan that kept its blocks would hold them all
+    monkeypatch.setattr(experiments, "PRIME_BLOCK", 64)
+    ps = inert_primes(fam3.ctx, 3, 30000)
+    assert ps.size > 20 * 64
+    taken, refs, alive, firsts = [], [], [], []
+
+    class Taken(list):
+        def __iter__(self):
+            for t in list.__iter__(self):
+                taken.append(t)
+                yield t
+
+    map_ = experiments._map
+    monkeypatch.setattr(experiments, "_map", lambda fn, items, w: map_(fn, Taken(items), w))
+
+    def sink(b):
+        refs.append(weakref.ref(b.p))
+        alive.append(sum(r() is not None for r in refs) + len(taken) - len(refs))
+        firsts.append(int(b.p[0]))
+
+    s = order_scan(fam3, ps, workers, sink=sink)
+    assert len(refs) == -(-ps.size // 64) and s.prime_count == ps.size
+    assert firsts == ps[::64].tolist()
+    assert max(alive) <= 2 * workers + 2, alive
+
+
 def test_order_scan_skips_unusable_primes():
     # 7*(1 + sqrt(5)) has norm divisible by the inert prime 7; 11 splits
     fam = AlphaFamily.from_coords(5, [(7, 7)])
-    blocks, s = order_scan(fam, [7, 11, 13])
+    blocks, s = scan_blocks(fam, [7, 11, 13])
     records = records_of(blocks, fam.labels)
     assert s.prime_count == 1
     assert s.skipped == 2
@@ -139,7 +189,7 @@ def test_order_scan_skips_unusable_primes():
 
 def test_order_scan_index_histogram(fam3):
     ps = inert_primes(fam3.ctx, 3, 500)
-    blocks, s = order_scan(fam3, ps)
+    blocks, s = scan_blocks(fam3, ps)
     records = records_of(blocks, fam3.labels)
     assert sum(s.index_histogram.values()) == len(records)
     for label, rec in records:
@@ -169,7 +219,7 @@ def test_order_kernel_matches_scalar_route(monkeypatch, delta):
     fam = AlphaFamily.from_coords(delta, KERNEL_MEMBERS[delta])
     assert abs(norm(fam.members[2])) == 1
     ps = primes_up_to(2 * 10**4)
-    blocks, summary = order_scan(fam, ps)
+    blocks, summary = scan_blocks(fam, ps)
     records = records_of(blocks, fam.labels)
     want, skipped = scalar_order_scan(fam, ps)
     assert records == want
@@ -183,7 +233,7 @@ def test_order_kernel_matches_scalar_route(monkeypatch, delta):
 def test_order_kernel_skip_count():
     # 2, the ramified 5 and the split 11, 19 and 29 are skipped
     fam = AlphaFamily.from_coords(5, [(2, 1), (3, 2)])
-    blocks, s = order_scan(fam, [2, 5, 7, 11, 13, 19, 29])
+    blocks, s = scan_blocks(fam, [2, 5, 7, 11, 13, 19, 29])
     records = records_of(blocks, fam.labels)
     assert (s.prime_count, s.skipped) == (2, 5)
     assert [r.p for _, r in records] == [7, 7, 13, 13]
@@ -203,9 +253,9 @@ def test_order_kernel_exact_below_2_31():
     # takes; there 3 + 2 sqrt 5 has index 8, where 24 * ord_alpha would
     # wrap int64
     fam = AlphaFamily.from_coords(5, [(3, 2), (2, 1), (4, 0), (0, 1), (7, 7)])
-    ps = _primes_from(2**31 - 1, -2, 6, 5, -1)
-    assert ps[0] == 2**31 - 1
-    blocks, _ = order_scan(fam, ps)
+    ps = _primes_from(2**31 - 1, -2, 6, 5, -1)[::-1]
+    assert ps[-1] == 2**31 - 1
+    blocks, _ = scan_blocks(fam, ps)
     records = records_of(blocks, fam.labels)
     assert records == scalar_order_scan(fam, ps)[0]
     label, top = records[-5]
@@ -220,7 +270,7 @@ def test_order_scan_rows_of_a_block_far_apart():
     # come out as from the scalar route alone
     fam = AlphaFamily.from_coords(5, [(3, 2), (2, 1), (7, 7)])
     ps = primes_up_to(300) + _primes_from(2**31 - 1, -2, 6, 5, -1)[::-1]
-    blocks, s = order_scan(fam, ps)
+    blocks, s = scan_blocks(fam, ps)
     assert [b.p.dtype for b in blocks] == [np.int64]
     want, skipped = scalar_order_scan(fam, ps)
     assert records_of(blocks, fam.labels) == want and s.skipped == skipped
@@ -233,11 +283,12 @@ def test_order_scan_past_2_31_matches_scalar_route(monkeypatch):
     # 2**63 p itself does.  Each list is one block, the last one of
     # consecutive inert primes around 2**31.
     fam = AlphaFamily.from_coords(5, [(3, 2), (2, 1), (7, 7)])
-    lists = [primes_up_to(300) + _primes_from(start, 2, 3, 5, -1) + _primes_from(start, 2, 1, 5, 1)
+    lists = [sorted(primes_up_to(300) + _primes_from(start, 2, 3, 5, -1)
+                    + _primes_from(start, 2, 1, 5, 1))
              for start in (2**31 + 1, 2**32 + 1, 2**63 + 1)]
     straddle = _primes_from(2**31 - 1, -2, 9, 5, -1)[::-1] + _primes_from(2**31 + 1, 2, 9, 5, -1)
     for ps in lists + [straddle]:
-        blocks, s = order_scan(fam, ps)
+        blocks, s = scan_blocks(fam, ps)
         records = records_of(blocks, fam.labels)
         want, skipped = scalar_order_scan(fam, ps)
         assert records == want and s.skipped == skipped
@@ -254,7 +305,7 @@ def test_order_scan_past_2_31_matches_scalar_route(monkeypatch):
         )
     # in 8-prime blocks the same scan mixes int64 and Python-int blocks
     monkeypatch.setattr(experiments, "PRIME_BLOCK", 8)
-    blocks, _ = order_scan(fam, straddle)
+    blocks, _ = scan_blocks(fam, straddle)
     assert [b.p.dtype for b in blocks] == [np.int64, object, object]
     assert records_of(blocks, fam.labels) == scalar_order_scan(fam, straddle)[0]
 
@@ -269,7 +320,7 @@ def test_far_scan_rows_come_from_the_row_sieve(monkeypatch):
     monkeypatch.setattr(experiments, "factorize", boom)
     fam = AlphaFamily.from_coords(5, [(3, 2), (2, 1), (7, 7)])
     ps = _primes_from(10**12 + 1, 2, 20, 5, -1)
-    blocks, s = order_scan(fam, ps)
+    blocks, s = scan_blocks(fam, ps)
     assert [b.p.dtype for b in blocks] == [object]
     want, skipped = scalar_order_scan(fam, ps)
     assert records_of(blocks, fam.labels) == want and s.skipped == skipped == 0

@@ -28,6 +28,7 @@ from oracles import (
     mult_order,
     order_record,
     reduce_elem,
+    scan_blocks,
     trial_rows,
 )
 
@@ -458,7 +459,7 @@ def test_alpha_l_branches_on_the_pinned_delta5_scan():
     # has ord_alpha = 2L, and an odd L takes both branches, ord_alpha = L
     # and 2L
     family = AlphaFamily.from_coords(5, [(2, 1), (1, 1), (3, 2)])
-    blocks, _ = order_scan(family, inert_primes_under(5, 20000))
+    blocks, _ = scan_blocks(family, inert_primes_under(5, 20000))
     branches = Counter()
     for b in blocks:
         lcm = np.lcm(b.ord_n, b.ord_m)
