@@ -178,8 +178,9 @@ def sieve_rows(n: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     strikes its multiples there: every k if q divides g and x0, none if q
     divides g only, else every q-th k from its first hit.  Slots are indexed
     by k, one occupied window of SEGMENT k at a time, whatever the span."""
-    idx = np.flatnonzero(n > 1)
-    x = n[idx]
+    # n ascends, so its values > 1 are n[lo:]
+    lo = int(np.searchsorted(n, 2))
+    x = n[lo:]
     if not x.size:
         return tuple(np.zeros((3, 0), dtype=np.int64))
     x0 = int(x[0])
@@ -222,7 +223,7 @@ def sieve_rows(n: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         # each window after the first starts the run of q over
         order = np.argsort(q, kind="stable")
         i, q = i[order], q[order]
-    # exponents, and what is left of each value once every q**e is out
+    # exponents by repeated division
     m = x[i] // q
     e = np.ones(i.size, dtype=np.int8)
     r = np.flatnonzero(m % q == 0)
@@ -231,10 +232,13 @@ def sieve_rows(n: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         e[r] += 1
         r = r[m[r] % q[r] == 0]
     del m, r
-    # the 2-part from the lowest set bit
+    # the 2-part from the lowest set bit, and what is left of each value
+    # once it and every q**e are out
     low = x & -x
-    rest = x // low
-    np.floor_divide.at(rest, i, q**e)
+    part = low.copy()
+    np.multiply.at(part, i, q**e)
+    rest = x // part
+    del part
     two, cof = np.flatnonzero(low > 1), np.flatnonzero(rest > 1)
     split = np.zeros((0, 3), dtype=np.int64)
     if x[-1] >= BASE**2:
@@ -248,10 +252,11 @@ def sieve_rows(n: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     rows = i_rows, q_rows, e_rows = tuple(
         np.empty(two.size + i.size + cof.size + len(split), dtype=np.int64) for _ in range(3))
     a, b, c = two.size, two.size + i.size, two.size + i.size + cof.size
-    i_rows[:a], q_rows[:a], e_rows[:a] = idx[two], 2, np.bitwise_count(low[two] - 1)
-    i_rows[a:b], q_rows[a:b], e_rows[a:b] = idx[i], q, e
-    i_rows[b:c], q_rows[b:c], e_rows[b:c] = idx[cof], rest[cof], 1
-    i_rows[c:], q_rows[c:], e_rows[c:] = idx[split[:, 0]], split[:, 1], split[:, 2]
+    i_rows[:a], q_rows[:a], e_rows[:a] = two, 2, np.bitwise_count(low[two] - 1)
+    i_rows[a:b], q_rows[a:b], e_rows[a:b] = i, q, e
+    i_rows[b:c], q_rows[b:c], e_rows[b:c] = cof, rest[cof], 1
+    i_rows[c:], q_rows[c:], e_rows[c:] = split[:, 0], split[:, 1], split[:, 2]
+    i_rows += lo
     return rows
 
 
@@ -285,10 +290,14 @@ def _int64_route(mod: np.ndarray) -> bool:
 def powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
     """Elementwise base**exp % mod (broadcast), exact for every modulus >= 1
     and exponent >= 0.  On int64 arrays with every modulus below
-    POWMOD_LIMIT it is int64 left-to-right square-and-multiply over 2-bit
-    windows of the exponent, each product of two residues below 2**62;
-    otherwise Python's pow, element by element, in the inputs' dtype (an
-    object array as soon as one input is)."""
+    POWMOD_LIMIT it is an int64 left-to-right square-and-multiply ladder,
+    no product past 2**63: when every base is one integer b >= 2 and some
+    k >= 1 has b**(2**k - 1) * max(mod)**2 < 2**63, _scalar_ladder's k-bit
+    windows, one reduction per exponent bit; otherwise 2-bit windows over a
+    per-element table of base**0 .. base**3, each product of two residues
+    below 2**62.  Any other input goes through Python's pow, element by
+    element, in the inputs' dtype (an object array as soon as one input
+    is)."""
     base, exp, mod = np.broadcast_arrays(_integers(base), _integers(exp), _integers(mod))
     if exp.size and exp.min() < 0:
         raise ValueError("powmod needs nonnegative exponents")
@@ -299,6 +308,16 @@ def powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
         return np.array(out, dtype=dtype).reshape(mod.shape)
     shape = mod.shape
     base, exp, mod = base.ravel(), exp.ravel(), mod.ravel()
+    top = max(int(exp.max(initial=0)).bit_length() - 1, 0)
+    b = int(base[0]) if base.size else 0
+    k = 0
+    if b > 1 and (base == b).all():
+        # the widest window whose folded product stays below 2**63
+        square = int(mod.max()) ** 2
+        while b ** (2 ** (k + 1) - 1) * square < 2**63:
+            k += 1
+    if k:
+        return _scalar_ladder(b, k, exp, mod, top).reshape(shape)
     # row t of the table holds base**0 .. base**3 mod t's modulus, each
     # below POWMOD_LIMIT, so in int32
     table = np.empty((mod.size, 4), dtype=np.int32)
@@ -312,7 +331,6 @@ def powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
     # the ladder starts from the table, at the window of the top bit of the
     # largest exponent; every window after it is two squarings and a
     # product, its table index built in one buffer
-    top = int(exp.max()).bit_length() - 1 if exp.size else 0
     top -= top % 2
     w = (exp >> top) & 3
     w += row
@@ -328,6 +346,29 @@ def powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
         out *= flat[w]
         out %= mod
     return out.reshape(shape)
+
+
+def _scalar_ladder(b: int, k: int, exp: np.ndarray, mod: np.ndarray, top: int) -> np.ndarray:
+    """b**exp % mod for one integer b >= 2 over flat int64 exponents and
+    moduli, top the top bit of the largest exponent (0 when every one is
+    0), by k-bit windows over the one table b**0 .. b**(2**k - 1), unreduced:
+    each window is k squarings, the last one's product times the table
+    entry before its reduction, which b**(2**k - 1) * max(mod)**2 < 2**63
+    keeps exact."""
+    table = np.array([b**j for j in range(2**k)], dtype=np.int64)
+    top -= top % k
+    w = exp >> top
+    out = table[w] % mod
+    for s in range(top - k, -1, -k):
+        for _ in range(k - 1):
+            out *= out
+            out %= mod
+        out *= out
+        np.right_shift(exp, s, out=w)
+        w &= 2**k - 1
+        out *= table[w]
+        out %= mod
+    return out
 
 
 def residues(g: int, mod: np.ndarray) -> np.ndarray:

@@ -430,14 +430,17 @@ def _segment_sizes(gens: Sequence[int], bad: Sequence[int], x: int,
 def _growth_counts(args) -> Tuple[np.ndarray, int]:
     """N(y) for each y of y_grid, and the number of primes, over one share
     of the segments, from sizes capped at cap: no size from cap on moves a
-    count."""
+    count, as every y is at most cap, so only the sizes below it are
+    sorted."""
     gens, bad, x, y_grid, cap, first, step = args
     counts = np.zeros(len(y_grid), dtype=np.int64)
     prime_count = 0
     for sizes in _segment_sizes(gens, bad, x, cap, first, step):
+        prime_count += sizes.size
+        if cap is not None:
+            sizes = sizes[sizes < cap]
         sizes.sort()
         counts += np.searchsorted(sizes, y_grid, side="left")
-        prime_count += sizes.size
     return counts, prime_count
 
 

@@ -67,15 +67,13 @@ def _pow_array(x: np.ndarray, k: np.ndarray, p: np.ndarray) -> np.ndarray:
     p < 2**31 or all Python ints.  Left to right square and multiply from
     the top bit of the largest k, the multiply only on the elements whose
     bit is set, so no table of powers is held."""
-    r = np.ones_like(p)
     top = int(k.max()).bit_length() - 1 if k.size else -1
-    for s in range(top, -1, -1):
+    r = np.where((k >> top) & 1, x, 1) if top >= 0 else np.ones_like(p)
+    for s in range(top - 1, -1, -1):
+        r = r * r % p
         j = np.flatnonzero((k >> s) & 1)
-        if s < top:
-            r = r * r % p
+        if j.size:
             r[j] = r[j] * x[j] % p[j]
-        else:
-            r[j] = x[j]
     return r
 
 
@@ -130,10 +128,13 @@ def _orders(g: np.ndarray, p: np.ndarray, n: np.ndarray, rows: Rows,
     k q-th powers, and the q-part is q**max(k) (Cohen, GTM 138, Alg. 1.4.3);
     a descent past e steps raises ArithmeticError, not a wrong size.  Only
     the first generator goes band by band; each later one fills what is
-    left in one power, and the descent steps of every generator share one
-    array.  In F_p the fill powers are powmod's and the descent steps
-    _pow_array's, with no call to powmod; on the torus both are lucas_v's,
-    and the identity is the trace 2."""
+    left in one power, the descent starts in one power per generator, and
+    the descent steps of every generator share one array.  In F_p the fill
+    and start powers are powmod's, which raise one integer b >= 2 by its
+    scalar ladder when every element of a generator is b, as lemma42's
+    generators are at the primes past them; the descent steps are
+    _pow_array's, with no call to powmod.  On the torus all of them are
+    lucas_v's, and the identity is the trace 2."""
     power, step, one = (lucas_v, lucas_v, 2) if torus else (powmod, _pow_array, 1)
     i, q, e = rows
     top = int(n.max(initial=1))
@@ -146,9 +147,9 @@ def _orders(g: np.ndarray, p: np.ndarray, n: np.ndarray, rows: Rows,
         band += q >= t
 
     def fill(x, r):
-        # x is powered on those of the rows r still open: unfilled, of an
-        # element that has not settled
-        r = r[~full[r] & (sizes < cap)[i[r]]]
+        # x is powered on those of the unfilled rows r whose element has
+        # not settled
+        r = r[(sizes < cap)[i[r]]]
         j = i[r]
         full[r] = power(x[j], n[j] // q[r], p[j]) != one
         f = r[full[r]]
@@ -166,7 +167,8 @@ def _orders(g: np.ndarray, p: np.ndarray, n: np.ndarray, rows: Rows,
     # of h is generator c // r.size at row r[c % r.size]
     r = np.flatnonzero(~full & (e > 1) & (sizes < cap)[i])
     c = np.tile(r, len(g))
-    h = power(np.concatenate([x[i[r]] for x in g]), n[i[c]] // q[c] ** e[c], p[i[c]])
+    j = i[r]
+    h = np.concatenate([power(x[j], n[j] // q[r] ** e[r], p[j]) for x in g])
     steps = np.zeros(c.size, dtype=np.int64)
     live = np.flatnonzero(h != one)
     h = h[live]

@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -370,6 +371,54 @@ def test_powmod_exact_past_int32(m, e, big):
     got = powmod(bases, np.array([e, e, big], dtype=object), np.array([m, big, big], dtype=object))
     assert got.dtype == object
     assert got.tolist() == [pow(3, e, m), pow(-(2**70), e, big), pow(big - 1, big, big)]
+
+
+def _scalar_window(b, m):
+    """The window powmod's scalar ladder takes for the one base b and the
+    largest modulus m: the largest k with b**(2**k - 1) * m**2 < 2**63, or
+    0 when no k >= 1 has it."""
+    k = 0
+    while b ** (2 ** (k + 1) - 1) * m * m < 2**63:
+        k += 1
+    return k
+
+
+def _window_edges(b):
+    """For each window k >= 1 of base b: the largest modulus m with
+    b**(2**k - 1) * m**2 < 2**63, and m + 1, where the window narrows."""
+    edges, k = [], 1
+    while (m := math.isqrt((2**63 - 1) // b ** (2**k - 1))) >= 1:
+        edges += [m, m + 1]
+        k += 1
+    return edges
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 7, 11, 2**16 + 1]), st.data())
+def test_powmod_scalar_base_matches_builtin_pow(b, data):
+    # One base b >= 2 against many moduli: the largest modulus sits where a
+    # window narrows, or at 1, 2 or 2**31 - 1, and the others include b - 1,
+    # b and b + 1 when they fit below it, so bases from p on are covered.
+    # Every result is Python's pow, so no int64 product wrapped, and the
+    # scalar ladder runs exactly when some window fits below 2**31.
+    top = data.draw(st.sampled_from([1, 2, 2**31 - 1] + _window_edges(b)))
+    mods = [top, 1] + [m for m in (b - 1, b, b + 1) if m <= top]
+    mods += data.draw(st.lists(st.integers(1, top), max_size=6))
+    exps = data.draw(st.lists(st.one_of(st.sampled_from([0, 1, 2**62]), st.integers(0, 2**62)),
+                              min_size=len(mods), max_size=len(mods)))
+    want = [pow(b, e, m) for e, m in zip(exps, mods)]
+    e, m = np.array(exps, dtype=np.int64), np.array(mods, dtype=np.int64)
+    with mock.patch.object(arith, "_scalar_ladder", wraps=arith._scalar_ladder) as spy:
+        got = powmod(b, e, m)
+    assert got.tolist() == want
+    assert spy.called == (top < arith.POWMOD_LIMIT and _scalar_window(b, top) >= 1)
+    # mixed, negative and object-array bases keep the other routes
+    for bases in (np.array([b] * (len(mods) - 1) + [b + 1]), np.full(len(mods), -b),
+                  np.full(len(mods), b, dtype=object)):
+        with mock.patch.object(arith, "_scalar_ladder", wraps=arith._scalar_ladder) as spy:
+            got = powmod(bases, e, m)
+        assert got.tolist() == [pow(int(t), x, y) for t, x, y in zip(bases.tolist(), exps, mods)]
+        assert not spy.called
 
 
 @pytest.mark.parametrize("dtype", [np.int64, object])

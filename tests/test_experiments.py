@@ -5,9 +5,12 @@ import pickle
 import tracemalloc
 import weakref
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadartin import arith, experiments, fp2
 from quadartin.construction import InvariantError
@@ -594,9 +597,9 @@ def test_subgroup_kernel_matches_scalar_oracle(monkeypatch, gens):
 
 def test_lemma42_powmod_calls_per_segment_are_bounded(monkeypatch):
     # A count, not a timing: each segment powers the first generator once
-    # per band, the second once, and the descent's start once; the descent
-    # steps are multiplied out.  Every segment reaches powmod, and the
-    # counts are the exact ones.
+    # per band, the second once, and the descent's start once per
+    # generator; the descent steps are multiplied out.  Every segment
+    # reaches powmod, and the counts are the exact ones.
     calls = []
     real = fp2.powmod
 
@@ -608,7 +611,7 @@ def test_lemma42_powmod_calls_per_segment_are_bounded(monkeypatch):
     x = 2 * 10**6
     fit = lemma42_scan([2, 3], x)
     segments = -(-(x - 1) // arith.SEGMENT)
-    assert segments <= len(calls) <= segments * (len(fp2.Q_EDGES) + 1 + 2)
+    assert segments <= len(calls) <= segments * (len(fp2.Q_EDGES) + 1 + 1 + 2)
     assert fit.prime_count == 148931
     assert [n for _, n in fit.samples] == [2, 6, 10, 18, 28, 53, 84, 136, 238, 401, 661,
                                            1105, 1858]
@@ -672,6 +675,66 @@ def test_subgroup_kernel_exact_on_int64_primes_past_2_31(lo):
         sizes = subgroup_sizes(ps, gens, rows, cap)
         assert sizes.dtype == object and ps.dtype == np.int64 and ps.max() >= 2**31
         assert sizes.tolist() == [s if cap is None else min(s, cap) for s in exact], cap
+
+
+def test_subgroup_sizes_fill_through_the_scalar_ladder(monkeypatch):
+    # One segment of primes past both generators, so every generator
+    # residue is the generator itself: the first generator's fill in each
+    # band, the second's one fill and the descent's start for each
+    # generator all go through powmod's scalar ladder, one call each
+    ps = prime_array(arith.SEGMENT)
+    ps = ps[ps > 3]
+    rows = sieve_rows(ps - 1)
+    powered, scalar = [], []
+    real_powmod, real_ladder = fp2.powmod, arith._scalar_ladder
+
+    def counted_powmod(base, exp, mod):
+        powered.append(np.broadcast(base, exp, mod).size)
+        return real_powmod(base, exp, mod)
+
+    def counted_ladder(b, k, exp, mod, top):
+        scalar.append(b)
+        return real_ladder(b, k, exp, mod, top)
+
+    monkeypatch.setattr(fp2, "powmod", counted_powmod)
+    monkeypatch.setattr(arith, "_scalar_ladder", counted_ladder)
+    sizes = subgroup_sizes(ps, [2, 3], rows)
+    bands = len(fp2.Q_EDGES) + 1
+    assert len(powered) == bands + 1 + 2 and all(powered)
+    assert scalar == [2] * bands + [3] + [2, 3]
+    assert sizes[::97].tolist() == [subgroup_size(p, [2, 3]) for p in ps[::97].tolist()]
+
+
+@pytest.mark.parametrize("lo", [2**26, 2**31 - 6000], ids=["2^26", "below 2^31"])
+def test_subgroup_kernel_exact_where_the_scalar_window_narrows(lo):
+    # near 2**26 the scalar ladder takes 3-bit windows for 2 and 2-bit ones
+    # for 3; just below 2**31 it takes 1-bit windows for 2, and 3 goes
+    # through the table ladder
+    ps = primes_in_class(1, 1, lo, min(lo + 6000, 2**31 - 1))
+    rows = sieve_rows(ps - 1)
+    exact = [subgroup_size(p, [2, 3]) for p in ps.tolist()]
+    for cap in (None, 10**4):
+        sizes = subgroup_sizes(ps, [2, 3], rows, cap)
+        assert sizes.dtype == np.int64
+        assert sizes.tolist() == [s if cap is None else min(s, cap) for s in exact], cap
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(1, 80), max_size=40), min_size=1, max_size=4),
+       st.lists(st.floats(0.5, 60.0), min_size=1, max_size=6), st.booleans(), st.booleans())
+def test_growth_counts_below_cap_equal_unfiltered(segments, grid, capped, at_cap):
+    # _growth_counts keeps only the sizes below cap: with every y at most
+    # cap, y = cap included, and with no cap, the counts are those of the
+    # uncapped sizes, unfiltered
+    cap = math.ceil(max(grid)) if capped else None
+    y_grid = sorted(grid + [float(cap)] if capped and at_cap else grid)
+    sizes = [np.array([s if cap is None else min(s, cap) for s in seg], dtype=np.int64)
+             for seg in segments]
+    with mock.patch.object(experiments, "_segment_sizes", lambda *args: iter(sizes)):
+        counts, prime_count = experiments._growth_counts(((2, 3), (2, 3), 100, y_grid, cap, 0, 1))
+    flat = [s for seg in segments for s in seg]
+    assert prime_count == len(flat)
+    assert counts.tolist() == [sum(s < y for s in flat) for y in y_grid]
 
 
 def test_lemma42_cap_skips_most_powers(monkeypatch):
