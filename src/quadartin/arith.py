@@ -266,9 +266,9 @@ def _integers(x) -> np.ndarray:
     return x if x.dtype == object else x.astype(np.int64, copy=False)
 
 
-def _fits(x: np.ndarray) -> bool:
-    """Whether every |x| is below POWMOD_LIMIT."""
-    return not x.size or (-POWMOD_LIMIT < x.min() and x.max() < POWMOD_LIMIT)
+def _fits(lo: int, hi: int) -> bool:
+    """Whether every x in [lo, hi] has |x| below POWMOD_LIMIT."""
+    return -POWMOD_LIMIT < lo and hi < POWMOD_LIMIT
 
 
 def exact_ints(x) -> np.ndarray:
@@ -276,20 +276,25 @@ def exact_ints(x) -> np.ndarray:
     array kernels compute on: int64 when every |x| is below POWMOD_LIMIT,
     else an object array of Python ints, so that no product wraps."""
     x = x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
-    return x.astype(np.int64 if _fits(x) else object, copy=False)
+    fits = not x.size or _fits(x.min(), x.max())
+    return x.astype(np.int64 if fits else object, copy=False)
 
 
-def _int64_route(mod: np.ndarray) -> bool:
-    """Whether the moduli are int64 below POWMOD_LIMIT; raises ValueError
-    on a modulus below 1."""
-    if mod.size and mod.min() < 1:
+def _int64_max(mod: np.ndarray) -> int:
+    """The largest modulus where powmod and residues take their int64
+    route, nonempty int64 moduli below POWMOD_LIMIT, else 0; raises
+    ValueError on a modulus below 1."""
+    if not mod.size:
+        return 0
+    lo, hi = mod.min(), int(mod.max())
+    if lo < 1:
         raise ValueError("need every modulus >= 1")
-    return mod.dtype != object and _fits(mod)
+    return hi if mod.dtype != object and _fits(lo, hi) else 0
 
 
 def powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
     """Elementwise base**exp % mod (broadcast), exact for every modulus >= 1
-    and exponent >= 0.  On int64 arrays with every modulus below
+    and exponent >= 0.  On nonempty int64 arrays with every modulus below
     POWMOD_LIMIT it is an int64 left-to-right square-and-multiply ladder,
     no product past 2**63: when every base is one integer b >= 2 and some
     k >= 1 has b**(2**k - 1) * max(mod)**2 < 2**63, _scalar_ladder's k-bit
@@ -297,24 +302,27 @@ def powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
     per-element table of base**0 .. base**3, each product of two residues
     below 2**62.  Any other input goes through Python's pow, element by
     element, in the inputs' dtype (an object array as soon as one input
-    is)."""
-    base, exp, mod = np.broadcast_arrays(_integers(base), _integers(exp), _integers(mod))
+    is).  Each bound of mod and exp is read once, and the inputs are
+    broadcast only when their shapes differ."""
+    base, exp, mod = _integers(base), _integers(exp), _integers(mod)
+    if not base.shape == exp.shape == mod.shape:
+        base, exp, mod = np.broadcast_arrays(base, exp, mod)
+    hi = _int64_max(mod)
     if exp.size and exp.min() < 0:
         raise ValueError("powmod needs nonnegative exponents")
-    if not (_int64_route(mod) and base.dtype == exp.dtype == np.int64):
+    if not (hi and base.dtype == exp.dtype == np.int64):
         dtype = np.result_type(base, exp, mod)
         out = [pow(*t) for t in zip(base.ravel().tolist(), exp.ravel().tolist(),
                                     mod.ravel().tolist())]
         return np.array(out, dtype=dtype).reshape(mod.shape)
     shape = mod.shape
     base, exp, mod = base.ravel(), exp.ravel(), mod.ravel()
-    top = max(int(exp.max(initial=0)).bit_length() - 1, 0)
-    b = int(base[0]) if base.size else 0
+    top = max(int(exp.max()).bit_length() - 1, 0)
+    b = int(base[0])
     k = 0
     if b > 1 and (base == b).all():
         # the widest window whose folded product stays below 2**63
-        square = int(mod.max()) ** 2
-        while b ** (2 ** (k + 1) - 1) * square < 2**63:
+        while b ** (2 ** (k + 1) - 1) * hi * hi < 2**63:
             k += 1
     if k:
         return _scalar_ladder(b, k, exp, mod, top).reshape(shape)
@@ -377,7 +385,7 @@ def residues(g: int, mod: np.ndarray) -> np.ndarray:
     limbs, so no intermediate passes 2**62; otherwise Python's %, element
     by element."""
     mod = _integers(mod)
-    if not _int64_route(mod):
+    if not _int64_max(mod):
         return np.array([g % m for m in mod.ravel().tolist()], dtype=mod.dtype).reshape(mod.shape)
     a = abs(g)
     r = np.zeros(mod.shape, dtype=np.int64)

@@ -43,11 +43,13 @@ _orders is the one order routine: the size of the subgroup a stack of
 generators spans in a cyclic group whose order has been factored (Cohen,
 GTM 138, Alg. 1.4.3), optionally capped, with rows filled largest q first
 and the open ones descended.  order_arrays runs it for ord N in F_p and
-for ord M on the torus, and the lemma42 subgroup sizes run it in F_p.  Its
-primes come through arith.exact_ints: int64 below 2**31, where no product
-passes p^2 < 2**62, and object arrays of Python ints past it; every
-accumulator takes the dtype of p.  The tests keep the scalar order_record
-and the full p^2 - 1 descent as the references it is checked against.
+for ord M on the torus, and the lemma42 subgroup sizes run it in F_p.  Each
+of its powers, fills and descent steps alike, is one call: arith.powmod in
+F_p, lucas_v on the torus.  Its primes come through arith.exact_ints: int64
+below 2**31, where no product passes p^2 < 2**62, and object arrays of
+Python ints past it; every accumulator takes the dtype of p.  The tests keep
+the scalar order_record and the full p^2 - 1 descent as the references it
+is checked against.
 """
 
 from __future__ import annotations
@@ -60,21 +62,6 @@ from .arith import exact_ints, powmod
 
 
 Rows = Tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _pow_array(x: np.ndarray, k: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """x ** k % p elementwise for k >= 0, x reduced mod p, all int64 with
-    p < 2**31 or all Python ints.  Left to right square and multiply from
-    the top bit of the largest k, the multiply only on the elements whose
-    bit is set, so no table of powers is held."""
-    top = int(k.max()).bit_length() - 1 if k.size else -1
-    r = np.where((k >> top) & 1, x, 1) if top >= 0 else np.ones_like(p)
-    for s in range(top - 1, -1, -1):
-        r = r * r % p
-        j = np.flatnonzero((k >> s) & 1)
-        if j.size:
-            r[j] = r[j] * x[j] % p[j]
-    return r
 
 
 def lucas_v(P: np.ndarray, k: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -129,13 +116,12 @@ def _orders(g: np.ndarray, p: np.ndarray, n: np.ndarray, rows: Rows,
     a descent past e steps raises ArithmeticError, not a wrong size.  Only
     the first generator goes band by band; each later one fills what is
     left in one power, the descent starts in one power per generator, and
-    the descent steps of every generator share one array.  In F_p the fill
-    and start powers are powmod's, which raise one integer b >= 2 by its
-    scalar ladder when every element of a generator is b, as lemma42's
-    generators are at the primes past them; the descent steps are
-    _pow_array's, with no call to powmod.  On the torus all of them are
-    lucas_v's, and the identity is the trace 2."""
-    power, step, one = (lucas_v, lucas_v, 2) if torus else (powmod, _pow_array, 1)
+    the descent steps of every generator share one array.  Every power is
+    one call: powmod's in F_p, which raises one integer b >= 2 by its
+    scalar ladder when every element is b, as lemma42's generators are at
+    the primes past them, and lucas_v's on the torus, where the identity is
+    the trace 2."""
+    power, one = (lucas_v, 2) if torus else (powmod, 1)
     i, q, e = rows
     top = int(n.max(initial=1))
     cap = top if cap is None else min(int(cap), top)
@@ -179,7 +165,7 @@ def _orders(g: np.ndarray, p: np.ndarray, n: np.ndarray, rows: Rows,
             t = t[over[0]]
             raise ArithmeticError(f"descent for q = {int(q[t])} at p = {int(p[i[t]])} "
                                   f"exceeds e = {int(e[t])} steps")
-        h = step(h, q[t], p[i[t]])
+        h = power(h, q[t], p[i[t]])
         steps[live] += 1
         keep = h != one
         live, h = live[keep], h[keep]

@@ -361,6 +361,32 @@ def test_powmod_matches_builtin_pow(b, e, m):
     assert powmod(bases, e, m).tolist() == [pow(t, e, m) for t in bases.tolist()]
 
 
+_DESCENT_EXPONENTS = st.one_of(st.sampled_from([0, 1] + list(sympy.primerange(2, 98))),
+                               st.integers(0, 2**62))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-(2**63), 2**63 - 1), _DESCENT_EXPONENTS,
+                          st.integers(1, 2**31 - 1)), min_size=1, max_size=12))
+def test_powmod_per_element_matches_builtin_pow(triples):
+    # The shape of fp2._orders' descent steps: a base, an exponent and a
+    # modulus per element, with no broadcast
+    b, e, m = (np.array(t, dtype=np.int64) for t in zip(*triples))
+    got = powmod(b, e, m)
+    assert got.dtype == np.int64 and got.shape == m.shape
+    assert got.tolist() == [pow(*t) for t in triples]
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3)])
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_powmod_and_residues_on_empty_inputs(dtype, shape):
+    # _orders powers empty rows: nothing is read from the empty arrays, and
+    # the result keeps their dtype and shape
+    empty = np.zeros(shape, dtype=dtype)
+    for got in (powmod(empty, empty, empty), powmod(3, empty, empty), residues(5, empty)):
+        assert got.dtype == empty.dtype and got.shape == shape
+
+
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(st.integers(2**31, 2**63 - 1), st.integers(0, 2**63 - 1), st.integers(2**63, 2**200))
 def test_powmod_exact_past_int32(m, e, big):

@@ -597,8 +597,9 @@ def test_subgroup_kernel_matches_scalar_oracle(monkeypatch, gens):
 
 def test_lemma42_powmod_calls_per_segment_are_bounded(monkeypatch):
     # A count, not a timing: each segment powers the first generator once
-    # per band, the second once, and the descent's start once per
-    # generator; the descent steps are multiplied out.  Every segment
+    # per band, the second once, the descent's start once per generator,
+    # and then takes one step per round of the descent, at most e <=
+    # floor(log2 x) of them, however many primes it holds.  Every segment
     # reaches powmod, and the counts are the exact ones.
     calls = []
     real = fp2.powmod
@@ -611,7 +612,8 @@ def test_lemma42_powmod_calls_per_segment_are_bounded(monkeypatch):
     x = 2 * 10**6
     fit = lemma42_scan([2, 3], x)
     segments = -(-(x - 1) // arith.SEGMENT)
-    assert segments <= len(calls) <= segments * (len(fp2.Q_EDGES) + 1 + 1 + 2)
+    steps = x.bit_length() - 1
+    assert segments <= len(calls) <= segments * (len(fp2.Q_EDGES) + 1 + 1 + 2 + steps)
     assert fit.prime_count == 148931
     assert [n for _, n in fit.samples] == [2, 6, 10, 18, 28, 53, 84, 136, 238, 401, 661,
                                            1105, 1858]
@@ -626,8 +628,11 @@ def test_subgroup_kernel_rejects_vanishing_generator():
 def test_subgroup_kernel_descent_overrun_raises(monkeypatch):
     # A power routine that claims every g^((p-1)/q) is 1 and then never lets
     # the descent reach 1: the kernel must raise, not return a size, capped
-    # or not.  The fill test is the one power whose exponent is (p-1)/q for
-    # a prime q; every other power returns 2.
+    # or not.  The stub answers the fills, the descent's starts and its
+    # steps: it returns 1 where the exponent k has (p-1)/k prime, as each
+    # fill's (p-1)/q has, and 2 elsewhere.  The one row with e > 1 is q = 2
+    # at p = 13, whose start g^3 and steps g^2 have cofactors 4 and 6, so
+    # they stay at 2 until the descent passes e.
     def broken(base, exp, mod):
         exp, mod = np.broadcast_arrays(exp, mod)[:2]
         fill_test = [(m - 1) % k == 0 and is_prime((m - 1) // k)
@@ -681,7 +686,10 @@ def test_subgroup_sizes_fill_through_the_scalar_ladder(monkeypatch):
     # One segment of primes past both generators, so every generator
     # residue is the generator itself: the first generator's fill in each
     # band, the second's one fill and the descent's start for each
-    # generator all go through powmod's scalar ladder, one call each
+    # generator all go through powmod's scalar ladder, one call each.
+    # Every later call is a descent step, raising the rows' h to their
+    # primes q; it takes the scalar ladder only if its h happen to be one
+    # integer.
     ps = prime_array(arith.SEGMENT)
     ps = ps[ps > 3]
     rows = sieve_rows(ps - 1)
@@ -689,19 +697,24 @@ def test_subgroup_sizes_fill_through_the_scalar_ladder(monkeypatch):
     real_powmod, real_ladder = fp2.powmod, arith._scalar_ladder
 
     def counted_powmod(base, exp, mod):
-        powered.append(np.broadcast(base, exp, mod).size)
+        powered.append(np.broadcast_arrays(base, exp))
         return real_powmod(base, exp, mod)
 
     def counted_ladder(b, k, exp, mod, top):
-        scalar.append(b)
+        scalar.append((len(powered) - 1, b))
         return real_ladder(b, k, exp, mod, top)
 
     monkeypatch.setattr(fp2, "powmod", counted_powmod)
     monkeypatch.setattr(arith, "_scalar_ladder", counted_ladder)
     sizes = subgroup_sizes(ps, [2, 3], rows)
     bands = len(fp2.Q_EDGES) + 1
-    assert len(powered) == bands + 1 + 2 and all(powered)
-    assert scalar == [2] * bands + [3] + [2, 3]
+    starts = bands + 1 + 2
+    assert len(powered) > starts and all(x.size for _, x in powered)
+    assert scalar[:starts] == list(enumerate([2] * bands + [3] + [2, 3]))
+    _, q, e = rows
+    descended = set(q[e > 1].tolist())
+    assert all(set(x.tolist()) <= descended for _, x in powered[starts:])
+    assert all(c >= starts and (powered[c][0] == b).all() for c, b in scalar[starts:])
     assert sizes[::97].tolist() == [subgroup_size(p, [2, 3]) for p in ps[::97].tolist()]
 
 
