@@ -346,7 +346,6 @@ def cmd_sieve(cfg: Dict, out: Path, workers: int) -> int:
 
     rem = sieve.remainder_sum(sieve_cfg)
     bound = sieve.sieve_bound_report(sieve_cfg)
-    prod = sieve.product_lower(z, v)
     report = {
         "x": x,
         "u": u,
@@ -360,8 +359,8 @@ def cmd_sieve(cfg: Dict, out: Path, workers: int) -> int:
         "threshold_ok": bound.threshold_ok,
         "t0": sieve.T0_THRESHOLD,
         "mertens_2_to_z": sieve.mertens_check(2, z),
-        "product": prod.product,
-        "product_ratio": prod.ratio,
+        "product": bound.product.product,
+        "product_ratio": bound.product.ratio,
         "remainder_total": rem.total,
         "remainder_ceiling": rem.ceiling,
         "remainder_within": rem.within,

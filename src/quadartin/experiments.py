@@ -473,103 +473,63 @@ def _rows_of(n: np.ndarray) -> Rows:
     return np.array(i, dtype=np.int64), np.array(q, dtype=object), np.array(e, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class PigeonholeRow:
-    """Per-prime split of p^2 - 1 into its two sides."""
+class PigeonholeTally:
+    """How the two sides of p^2 - 1 carry the order threshold, tallied on
+    order_scan's one pass: pass update as its sink.  Only counters are kept.
 
-    p: int
-    survivor: bool
-    d_minus: int
-    d_plus: int
-    m_minus: int
-    m_plus: int
-    d_minus_divides: bool
-    d_plus_divides: bool
+    threshold is floor(x^(1/8 + 0.01)).  A survivor is a prime whose p^2 - 1
+    has no prime factor up to threshold outside 24.  by_factors counts the
+    survivors by the number of prime factors above threshold, with
+    multiplicity, on the p - 1 side (row 0) and on the p + 1 side (row 1);
+    more than 7 on a side raises InvariantError.  attained counts, per
+    member, the primes where ord_n * d_minus >= p - 1 (row 0, norm side),
+    ord_m * d_plus >= p + 1 (row 1, ratio side) and 24 * ord_alpha >=
+    p^2 - 1 (row 2, full), with d_minus and d_plus 12 and 2 for p = 1
+    (mod 3), else 4 and 6; none of the three is derived from another.
 
-
-@dataclass(frozen=True)
-class PigeonholeReport:
-    """How the two sides of p^2 - 1 carry the order threshold.
-
-    Component attainment asks for ord_n * d_minus >= p - 1 (norm side) and
-    ord_m * d_plus >= p + 1 (ratio side); full attainment is the usual
-    24 * ord_alpha >= p^2 - 1.  All three are tabulated per member, none is
-    derived from another.
+    members_needed = 6 * max_side_factors + 1 counts the worst single side,
+    so it never exceeds 6 * 7 + 1 = 43.  The abstract's 85 = 6 * (7 + 7) + 1
+    counts both sides of p^2 - 1 together.
     """
 
-    threshold: int
-    rows: Tuple[PigeonholeRow, ...]
-    labels: Tuple[str, ...]
-    minus_attained: Tuple[int, ...]
-    plus_attained: Tuple[int, ...]
-    full_attained: Tuple[int, ...]
-    max_side_factors: int
+    def __init__(self, family: AlphaFamily, x: int):
+        # imported here: no scan or lemma42 run needs the sieve module
+        from .sieve import sieving_limit, survivor_mask
 
-    @property
-    def members_needed(self) -> int:
-        """Pigeonhole demand implied by the observed worst split: six
-        holes per large prime factor, one spare."""
-        return 6 * self.max_side_factors + 1
+        self.threshold = sieving_limit(x, 0.01)
+        self._survivor_mask = partial(survivor_mask, z=self.threshold + 1, v=24)
+        self.by_factors = np.zeros((2, 8), dtype=np.int64)
+        self.attained = np.zeros((3, len(family.members)), dtype=np.int64)
 
-
-def pigeonhole_report(
-    family: AlphaFamily,
-    primes: Sequence[int],
-    x: Optional[int] = None,
-    delta1: float = 0.01,
-    v_excluded: int = 24,
-) -> PigeonholeReport:
-    """Tabulate, for each usable prime of the ascending primes, the side
-    parameters d_- and d_+ (4 and 6, or 12 and 2, by p mod 3), the number
-    of prime factors above the trial threshold on each side, and which
-    members attain the component and full thresholds, in one order_scan.
-
-    Survivors (p^2 - 1 free of primes up to the threshold outside
-    v_excluded) must have at most 7 large factors per side, else
-    InvariantError; everything else is only measured.
-    """
-    # imported here: no scan or lemma42 run needs the sieve module
-    from .sieve import sieving_limit, survivor_mask
-
-    if x is None:
-        x = int(primes[-1]) if len(primes) else 2
-    threshold = sieving_limit(x, delta1)
-    rows: List[PigeonholeRow] = []
-    # minus and plus attainment counts per member
-    attained = np.zeros((2, len(family.members)), dtype=np.int64)
-    max_m = 0
-
-    def tally(b: OrderBlock) -> None:
-        nonlocal max_m
+    def update(self, b: OrderBlock) -> None:
         p = b.p
-        # prime factors above the threshold, with multiplicity, per side
-        m_minus, m_plus = (
-            np.bincount(i, e * (q > threshold), minlength=p.size).astype(np.int64)
-            for i, q, e in (_rows_of(p - 1), _rows_of(p + 1))
-        )
-        survivor = survivor_mask(p, threshold + 1, v_excluded)
-        worst = np.maximum(m_minus, m_plus)
+        survivor = self._survivor_mask(p)
+        # prime factors above threshold, with multiplicity, per side
+        large = [np.bincount(i, e * (q > self.threshold), minlength=p.size).astype(np.int64)
+                 for i, q, e in (_rows_of(n) for n in (p - 1, p + 1))]
+        worst = np.maximum(*large)
         over = np.flatnonzero(survivor & (worst > 7))
         if over.size:
             j = over[0]
             raise InvariantError(f"survivor p = {p[j]} has {worst[j]} large factors on one side")
-        max_m = max(max_m, int(worst[survivor].max(initial=0)))
-        one_mod_3 = (p % 3 == 1).astype(bool)
-        d_minus = np.where(one_mod_3, 12, 4)
-        d_plus = np.where(one_mod_3, 2, 6)
-        cols = (p, survivor, d_minus, d_plus, m_minus, m_plus,
-                (p - 1) % d_minus == 0, (p + 1) % d_plus == 0)
-        rows.extend(PigeonholeRow(*r) for r in zip(*(c.tolist() for c in cols)))
-        attained[0] += (b.ord_n * d_minus[:, None] >= (p - 1)[:, None]).astype(bool).sum(axis=0)
-        attained[1] += (b.ord_m * d_plus[:, None] >= (p + 1)[:, None]).astype(bool).sum(axis=0)
+        for side, m in enumerate(large):
+            self.by_factors[side] += np.bincount(m[survivor], minlength=8)
+        one_mod_3 = (p % 3 == 1)[:, None]
+        self.attained[0] += (b.ord_n * np.where(one_mod_3, 12, 4) >= (p - 1)[:, None]).sum(axis=0)
+        self.attained[1] += (b.ord_m * np.where(one_mod_3, 2, 6) >= (p + 1)[:, None]).sum(axis=0)
+        self.attained[2] += b.attained.sum(axis=0)
 
-    summary = order_scan(family, primes, sink=tally)
-    return PigeonholeReport(
-        threshold,
-        tuple(rows),
-        family.labels,
-        tuple(attained[0].tolist()),
-        tuple(attained[1].tolist()),
-        summary.attained_per_member,
-        max_m,
-    )
+    @property
+    def survivors(self) -> int:
+        return int(self.by_factors[0].sum())
+
+    @property
+    def max_side_factors(self) -> int:
+        """The most large factors on one side of any survivor's p^2 - 1."""
+        return int(np.flatnonzero(self.by_factors.any(axis=0)).max(initial=0))
+
+    @property
+    def members_needed(self) -> int:
+        """Pigeonhole demand implied by the observed worst side: six holes
+        per large prime factor, one spare."""
+        return 6 * self.max_side_factors + 1

@@ -224,7 +224,7 @@ def survivor_mask(ps: np.ndarray, z: int, v: int) -> np.ndarray:
     when p = +-1 (mod q), so each block of q is one residue table over the
     primes not yet struck out."""
     qs = prime_array(z - 1)
-    qs = qs[np.fromiter((v % q != 0 for q in qs.tolist()), bool, qs.size)]
+    qs = qs[v % qs.astype(object) != 0]  # v may pass int64
     alive = np.arange(ps.size)
     lo = 0
     while lo < qs.size and alive.size:
@@ -246,15 +246,17 @@ def survivor_count(cfg: SieveConfig) -> int:
 @dataclass(frozen=True)
 class SieveBoundReport:
     """Everything the lower-bound inequality needs at a glance: the survivor
-    count, the untruncated main term X * prod(1 - omega(q)/q), and where the
-    level-vs-sifting ratio log(X)/(2 log z) sits against the 4.42 threshold
-    (below it the bracket in the bound is not positive and the main term
-    cannot be trusted; at X = 0, for x = 2, it is None and notes say why)."""
+    count, the untruncated main term X * prod(1 - omega(q)/q) with the
+    product_lower bound it came from, and where the level-vs-sifting ratio
+    log(X)/(2 log z) sits against the 4.42 threshold (below it the bracket
+    in the bound is not positive and the main term cannot be trusted; at
+    X = 0, for x = 2, it is None and notes say why)."""
 
     config: SieveConfig
     survivors: int
     big_x: float
     main_term: float
+    product: ProductBound
     threshold: Optional[float]
     threshold_ok: bool
     notes: Tuple[str, ...] = field(default_factory=tuple)
@@ -264,7 +266,8 @@ def sieve_bound_report(cfg: SieveConfig) -> SieveBoundReport:
     surv = survivor_count(cfg)
     big_x = cfg.big_x
     excluded = [q for q in primes_up_to(min(3, cfg.z - 1)) if cfg.v % q != 0]
-    main = big_x * product_lower(cfg.z, cfg.v).product
+    prod = product_lower(cfg.z, cfg.v)
+    main = big_x * prod.product
     for q in excluded:
         main *= 1.0 - 2.0 / (q - 1)
     t = math.log(big_x) / (2.0 * math.log(cfg.z)) if big_x > 0 else None
@@ -275,4 +278,5 @@ def sieve_bound_report(cfg: SieveConfig) -> SieveBoundReport:
     )
     if t is None:
         notes += ("X = li(x)/phi(v) = 0: the threshold log(X)/(2 log z) is undefined",)
-    return SieveBoundReport(cfg, surv, big_x, main, t, t is not None and t > T0_THRESHOLD, notes)
+    return SieveBoundReport(cfg, surv, big_x, main, prod, t,
+                            t is not None and t > T0_THRESHOLD, notes)

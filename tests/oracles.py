@@ -538,3 +538,29 @@ def survivors_by_trial_division(ps: Iterable[int], z: int, v: int) -> List[bool]
         else:
             out.append(True)
     return out
+
+
+def pigeonhole_counts(
+    family: AlphaFamily, ps: Iterable[int], x: int
+) -> Tuple[int, List[List[int]], List[List[int]]]:
+    """PigeonholeTally's threshold, by_factors and attained for an
+    order_scan of ps at bound x, by the scalar route alone: the records of
+    scalar_order_scan, survivors by trial division, large factors by
+    factorize, and d_minus, d_plus by p mod 3."""
+    threshold = math.floor(x ** (0.125 + 0.01))
+    records, _ = scalar_order_scan(family, ps)
+    k = len(family.members)
+    by_factors = [[0] * 8, [0] * 8]
+    attained = [[0] * k for _ in range(3)]
+    for j in range(0, len(records), k):
+        p = records[j][1].p
+        if survivors_by_trial_division([p], threshold + 1, 24)[0]:
+            for side, n in enumerate((p - 1, p + 1)):
+                large = sum(e for q, e in factorize(n).factors if q > threshold)
+                by_factors[side][large] += 1
+        d_minus, d_plus = (12, 2) if p % 3 == 1 else (4, 6)
+        for m, (_, r) in enumerate(records[j : j + k]):
+            attained[0][m] += r.ord_n * d_minus >= p - 1
+            attained[1][m] += r.ord_m * d_plus >= p + 1
+            attained[2][m] += r.attained
+    return threshold, by_factors, attained

@@ -28,6 +28,7 @@ from quadartin.experiments import (
     AlphaFamily,
     DependentGenerators,
     GrowthFit,
+    PigeonholeTally,
     RemarkViolation,
     ScanSummary,
     inert_primes,
@@ -35,18 +36,17 @@ from quadartin.experiments import (
     mult_indep_norm_one,
     mult_indep_rational,
     order_scan,
-    pigeonhole_report,
     subgroup_sizes,
 )
 from quadartin.quadfield import FieldContext, conjugate, m_ratio, norm
 
 from oracles import (
+    pigeonhole_counts,
     records_of,
     remark12_verify,
     scalar_order_scan,
     scan_blocks,
     subgroup_size,
-    survivors_by_trial_division,
     table_growth_counts,
 )
 
@@ -54,6 +54,17 @@ from oracles import (
 @pytest.fixture
 def fam3():
     return AlphaFamily.from_coords(5, [(2, 1), (1, 1), (3, 2)])
+
+
+def tallied(family, ps, x):
+    """A PigeonholeTally fed by one order_scan of ps, and the scan's summary."""
+    tally = PigeonholeTally(family, x)
+    return tally, order_scan(family, ps, sink=tally.update)
+
+
+def counts_of(tally):
+    """The tally's counters, in the shape pigeonhole_counts gives them."""
+    return tally.threshold, tally.by_factors.tolist(), tally.attained.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +292,7 @@ def test_order_scan_rows_of_a_block_far_apart():
 
 def test_order_scan_past_2_31_matches_scalar_route(monkeypatch):
     # a block whose largest prime is 2**31 or more runs the kernel on Python
-    # ints; the records and the pigeonhole rows come out as from the scalar
+    # ints; the records and the pigeonhole counts come out as from the scalar
     # route alone.  Past 2**32 p**2 - 1 and ord_alpha exceed int64, past
     # 2**63 p itself does.  Each list is one block, the last one of
     # consecutive inert primes around 2**31.
@@ -298,14 +309,8 @@ def test_order_scan_past_2_31_matches_scalar_route(monkeypatch):
         assert [b.p.dtype for b in blocks] == [object] and min(ps) < 2**31 < max(ps)
         if max(ps) > 2**32:
             assert max(r.ord_alpha for _, r in records) > 2**63 and max(ps) ** 2 - 1 > 2**64
-        rep = pigeonhole_report(fam, ps)
-        assert [r.p for r in rep.rows] == [r.p for _, r in records[::3]]
-        for row in rep.rows:
-            for m, n in ((row.m_minus, row.p - 1), (row.m_plus, row.p + 1)):
-                assert m == sum(e for q, e in factorize(n).factors if q > rep.threshold)
-        assert rep.full_attained == tuple(
-            sum(r.attained for _, r in records[i::3]) for i in range(3)
-        )
+        tally, _ = tallied(fam, ps, max(ps))
+        assert counts_of(tally) == pigeonhole_counts(fam, ps, max(ps))
     # in 8-prime blocks the same scan mixes int64 and Python-int blocks
     monkeypatch.setattr(experiments, "PRIME_BLOCK", 8)
     blocks, _ = scan_blocks(fam, straddle)
@@ -820,58 +825,70 @@ def test_lemma42_memory_is_bounded():
 # pigeonhole bookkeeping
 
 def test_pigeonhole_side_selection(fam3):
-    ps = primes_in_class(547, 720, 3, 10**5)
-    rep = pigeonhole_report(fam3, ps)
-    for row in rep.rows:
-        if row.p % 3 == 1:
-            assert (row.d_minus, row.d_plus) == (12, 2)
-        else:
-            assert (row.d_minus, row.d_plus) == (4, 6)
+    # inert primes of both classes mod 3 take d_minus, d_plus = 12, 2 or
+    # 4, 6 by the class, as the scalar route does
+    ps = inert_primes(fam3.ctx, 3, 2 * 10**4)
+    assert {1, 2} <= set((ps % 3).tolist())
+    tally, _ = tallied(fam3, ps, int(ps[-1]))
+    assert counts_of(tally) == pigeonhole_counts(fam3, ps.tolist(), int(ps[-1]))
 
 
 def test_pigeonhole_survivor_factor_bound(fam3):
     ps = primes_in_class(547, 720, 3, 10**5)
-    rep = pigeonhole_report(fam3, ps)
+    tally, summary = tallied(fam3, ps, int(ps[-1]))
     # every class prime survives: all small primes divide 24 here
-    assert all(r.survivor for r in rep.rows)
-    for r in rep.rows:
-        assert r.m_minus <= 7 and r.m_plus <= 7
-    assert rep.members_needed == 6 * rep.max_side_factors + 1
+    assert tally.survivors == summary.prime_count
+    assert counts_of(tally) == pigeonhole_counts(fam3, ps.tolist(), int(ps[-1]))
+    assert tally.max_side_factors <= 7
+    assert tally.members_needed == 6 * tally.max_side_factors + 1
 
 
 def test_pigeonhole_frozen_counts(fam3):
     ps = primes_in_class(547, 720, 3, 10**5)
-    rep = pigeonhole_report(fam3, ps)
-    assert len(rep.rows) == 50
-    assert rep.threshold == 4
-    assert rep.max_side_factors == 4
-    assert rep.minus_attained == (0, 46, 49)
-    assert rep.plus_attained == (46, 46, 38)
-    assert rep.full_attained == (0, 47, 49)
+    tally, summary = tallied(fam3, ps, int(ps[-1]))
+    assert summary.prime_count == tally.survivors == 50
+    assert tally.threshold == 4
+    assert tally.max_side_factors == 4
+    assert tally.attained.tolist() == [[0, 46, 49], [46, 46, 38], [0, 47, 49]]
 
 
 def test_pigeonhole_counts_bounded_by_rows(fam3):
     ps = primes_in_class(547, 720, 3, 3 * 10**4)
-    rep = pigeonhole_report(fam3, ps)
-    n = len(rep.rows)
-    for c in rep.minus_attained + rep.plus_attained + rep.full_attained:
-        assert 0 <= c <= n
+    tally, summary = tallied(fam3, ps, int(ps[-1]))
+    assert ((0 <= tally.attained) & (tally.attained <= summary.prime_count)).all()
+    assert counts_of(tally) == pigeonhole_counts(fam3, ps.tolist(), int(ps[-1]))
 
 
 def test_pigeonhole_past_int64():
-    # primes from 2**63 on are Python ints all the way: survivor flags and
+    # primes from 2**63 on are Python ints all the way: survivor and
     # large-factor counts equal trial division and factorize
     fam = AlphaFamily.from_coords(5, [(3, 2), (2, 1)])
     ps = [p for p in range(2**63 + 29, 2**63 + 300, 2) if is_prime(p) and jacobi(5, p) == -1]
     assert ps[0] == 2**63 + 29
-    rep = pigeonhole_report(fam, ps)
-    assert [r.p for r in rep.rows] == ps
-    flags = [r.survivor for r in rep.rows]
-    assert flags == survivors_by_trial_division(ps, rep.threshold + 1, 24)
-    assert True in flags and False in flags
-    for row in rep.rows:
-        for m, n in ((row.m_minus, row.p - 1), (row.m_plus, row.p + 1)):
-            assert m == sum(e for q, e in factorize(n).factors if q > rep.threshold)
+    tally, summary = tallied(fam, ps, ps[-1])
+    assert summary.prime_count == len(ps)
+    assert counts_of(tally) == pigeonhole_counts(fam, ps, ps[-1])
+    assert 0 < tally.survivors < len(ps)
+
+
+def test_pigeonhole_tally_memory_is_bounded():
+    # the tally keeps counters, not one object per prime: a scan that feeds
+    # it peaks within 0.5 MB of a plain scan, and returns the same summary
+    fam = AlphaFamily.from_coords(5, [(1, 1), (3, 2), (4, 1)])
+    ps = inert_primes(fam.ctx, 3, 10**6)
+    tallied(fam, ps[:100], 10**6)
+    tally = PigeonholeTally(fam, 10**6)
+    peaks, summaries = [], []
+    for sink in (None, tally.update):
+        tracemalloc.start()
+        try:
+            summaries.append(order_scan(fam, ps, sink=sink))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2**19, peaks
+    assert summaries[0] == summaries[1]
+    assert tuple(tally.attained[2].tolist()) == summaries[1].attained_per_member
 
 
 def test_pigeonhole_too_many_large_factors_raises():
@@ -879,4 +896,4 @@ def test_pigeonhole_too_many_large_factors_raises():
     # 8 factors above it on one side
     fam = AlphaFamily.from_coords(5, [(2, 1), (3, 2)])
     with pytest.raises(InvariantError, match="257"):
-        pigeonhole_report(fam, [257], x=2)
+        tallied(fam, [257], 2)

@@ -314,6 +314,16 @@ def test_survivor_mask_matches_trial_division(x, u, v):
         assert survivor_count(SieveConfig(x, u, v, z)) == int(got.sum())
 
 
+def test_survivor_mask_v_past_int64():
+    # a class modulus v of many odd primes passes 2**63: the primes below z
+    # that divide it are still the ones left unsieved
+    ps = primes_up_to(10**4)[2:]
+    v = 3 * 5 * 7 * 2**70
+    got = survivor_mask(np.array(ps, dtype=np.int64), 100, v)
+    assert got.tolist() == survivors_by_trial_division(ps, 100, v)
+    assert 0 < got.sum() < len(ps)
+
+
 def test_report_threshold_classification():
     cfg = SieveConfig(10**6, 547, 720, 6)
     rep = sieve_bound_report(cfg)
@@ -323,6 +333,7 @@ def test_report_threshold_classification():
     assert rep.threshold_ok == (rep.threshold > T0_THRESHOLD)
     assert T0_THRESHOLD == 4.42
     assert rep.survivors == survivor_count(cfg)
+    assert rep.product == product_lower(6, 720)
     assert len(rep.notes) > 0
 
 

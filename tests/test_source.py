@@ -36,8 +36,8 @@ def test_no_bare_asserts():
 
 
 # Public names kept with no caller in src/: the CLI entry points, and the
-# pigeonhole tabulation, which ROADMAP item 2 wires into scan.
-NO_CALLER_NEEDED = {"main", "entrypoint", "pigeonhole_report", "PigeonholeReport", "PigeonholeRow"}
+# pigeonhole tally, which ROADMAP item 2 wires into scan.
+NO_CALLER_NEEDED = {"main", "entrypoint", "PigeonholeTally"}
 
 
 def test_every_public_definition_has_a_caller():
