@@ -15,7 +15,6 @@ violation, 4 bad config, 5 dependent generators.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -339,10 +338,9 @@ def cmd_sieve(cfg: Dict, out: Path, workers: int) -> int:
 
     rows = sieve.ledger(sieve_cfg, d_max)
     with _artifact(out / "sieve.csv") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["d", "rho", "Ad", "main", "Rd"])
+        fh.write("d,rho,Ad,main,Rd\n")
         for r in rows:
-            w.writerow([r.d, r.rho_d, r.count, repr(r.main), repr(r.remainder)])
+            fh.write("%d,%d,%d,%r,%r\n" % (r.d, r.rho_d, r.count, r.main, r.remainder))
 
     rem = sieve.remainder_sum(sieve_cfg)
     bound = sieve.sieve_bound_report(sieve_cfg)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Tuple
 
 from .arith import (
     crt,
@@ -58,15 +58,6 @@ class SeedPrime:
                     f"({label}|{self.p0}) != -1 for a={self.a}, delta={self.delta}"
                 )
 
-    @property
-    def symbols(self) -> Dict[str, int]:
-        return {
-            "-1": jacobi(-1, self.p0),
-            "5": jacobi(5, self.p0),
-            "a": jacobi(self.a, self.p0),
-            "delta": jacobi(self.delta, self.p0),
-        }
-
 
 def find_p0(a: int, delta: int, bound: int = 10**4) -> SeedPrime:
     """Smallest prime p0 <= bound with all four symbols equal to -1.
@@ -103,19 +94,14 @@ def find_p0(a: int, delta: int, bound: int = 10**4) -> SeedPrime:
     raise SeedNotFoundError(a, delta, bound)
 
 
-def _seed_value(p0: Union[SeedPrime, int]) -> int:
-    return p0.p0 if isinstance(p0, SeedPrime) else int(p0)
-
-
-def residue_for_16_and_9(p0: Union[SeedPrime, int]) -> Tuple[int, int]:
+def residue_for_16_and_9(p: int) -> Tuple[int, int]:
     """Residues (u2 mod 16, u3 mod 9) forcing v_2(p^2-1) = 3 and
-    v_3(p^2-1) = 1 on the whole class.
+    v_3(p^2-1) = 1 on the whole class of the seed p.
 
     The seed's own residue is kept whenever it already qualifies; otherwise
-    the smallest qualifying class compatible with p0 mod 4 (resp. mod 3) is
+    the smallest qualifying class compatible with p mod 4 (resp. mod 3) is
     taken, which keeps every odd-prime Jacobi symbol at p unchanged.
     """
-    p = _seed_value(p0)
     if p % 2 == 0 or p % 3 == 0:
         raise ValueError(f"seed {p} shares a factor with 6")
     if p % 16 in _U2_CLASSES:
@@ -131,14 +117,14 @@ def residue_for_16_and_9(p0: Union[SeedPrime, int]) -> Tuple[int, int]:
     return u2, u3
 
 
-def residue_for_odd_prime(l: int, p0: Union[SeedPrime, int]) -> int:
-    """Residue u_l mod l with l never dividing p^2 - 1 on the class.
+def residue_for_odd_prime(l: int, p: int) -> int:
+    """Residue u_l mod l with l never dividing p^2 - 1 on the class of the
+    seed p.
 
-    Takes p0 itself when l does not divide p0^2 - 1, else 9*p0.  One of the
+    Takes p itself when l does not divide p^2 - 1, else 9*p.  One of the
     two always works for a legitimate seed; the closing check raises
-    ValueError for illegitimate inputs (e.g. l dividing 80*p0^2).
+    ValueError for illegitimate inputs (e.g. l dividing 80*p^2).
     """
-    p = _seed_value(p0)
     if l <= 3 or not is_prime(l):
         raise ValueError(f"need an odd prime l > 3, got {l}")
     if p % l == 0:
@@ -194,10 +180,10 @@ def build_congruence(p0: SeedPrime) -> Congruence:
         for p in factorize(abs(p0.a * p0.delta)).primes
         if p > 3 and p != p0.p0
     ]
-    u2, u3 = residue_for_16_and_9(p0)
+    u2, u3 = residue_for_16_and_9(p0.p0)
     residues: Dict[int, int] = {16: u2, 9: u3}
     for l in ls:
-        residues[l] = residue_for_odd_prime(l, p0)
+        residues[l] = residue_for_odd_prime(l, p0.p0)
     u, v = crt([(r, m) for m, r in residues.items()])
     return Congruence(u, v, residues, p0)
 

@@ -7,7 +7,6 @@ pigeonhole bookkeeping that splits p^2 - 1 into its p - 1 and p + 1 sides.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -22,8 +21,6 @@ from .arith import _segments, exact_ints, factorize, powmod, residues, sieve_row
 from .errors import DependentGenerators, InvariantError, RemarkViolation
 from .fp2 import Rows, _orders, order_arrays
 from .quadfield import FieldContext, QuadElem, norm
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -132,23 +129,22 @@ class OrderBlock(NamedTuple):
 
 
 def _kernel_block(family: AlphaFamily, ps: np.ndarray) -> OrderBlock:
-    """One block of primes through the array kernel, in exact_ints' dtype."""
-    ps = exact_ints(ps)
+    """One block of int64 primes through the array kernel: the skip tests
+    and the rows of p -+ 1 in int64, the orders in exact_ints' dtype."""
     ramified, split = _ramified_split(family.ctx.delta, ps)
     divides = ~(ramified | split) & np.any(
         [residues(n, ps) == 0 for n in family.norms], axis=0
     )
     skip = ramified | split | divides
-    log.debug("skipping %d primes: %d p = 2 or ramified, %d split, %d divide a member norm",
-              skip.sum(), ramified.sum(), split.sum(), divides.sum())
     p = ps[~skip]
+    minus, plus = sieve_rows(p - 1), sieve_rows(p + 1)
+    p = exact_ints(p)
     # the outputs are allocated before the kernel's temporaries, so the
     # heap those used can be given back once they are freed
     shape = (p.size, len(family.members))
     ord_alpha, ord_n, ord_m = (np.empty(shape, dtype=p.dtype) for _ in range(3))
     attained, chain_ok = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
     d = residues(family.ctx.delta, p)
-    minus, plus = _rows_of(p - 1), _rows_of(p + 1)
     for m, a in enumerate(family.members):
         c0, c1 = residues(int(a.x), p), residues(int(a.y), p)
         (ord_alpha[:, m], ord_n[:, m], ord_m[:, m], attained[:, m],
@@ -191,15 +187,19 @@ def order_scan(
     sink: Optional[Callable[[OrderBlock], None]] = None,
 ) -> ScanSummary:
     """Summary of the order profile of every family member at every usable
-    prime of primes, ascending and distinct (an int64 array, or a list),
+    prime of primes, ascending, distinct and below 2**63 (taken as int64),
     else ValueError.  One pass runs the kernel on blocks of PRIME_BLOCK
-    primes, hands each to sink, if given, in ascending order of p and drops it.
+    primes, hands each to sink, if given, in ascending order of p and drops
+    it before the next block is computed.
 
     Primes that are not inert, ramify, or divide some member's norm are
-    skipped (logged and counted), not fatal.  A broken order chain raises
+    skipped (counted), not fatal.  A broken order chain raises
     RemarkViolation at the first failing (p, member) in (p, member) order.
     """
-    ps = primes if isinstance(primes, np.ndarray) else np.array(primes, dtype=object)
+    try:
+        ps = np.asarray(primes, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("order_scan needs primes below 2**63") from None
     if not (ps[1:] > ps[:-1]).all():
         raise ValueError("order_scan needs ascending, distinct primes")
     per_member = np.zeros(len(family.labels), dtype=np.int64)
@@ -214,6 +214,7 @@ def order_scan(
         histogram.update(((b.p * b.p - 1)[:, None] // b.ord_alpha).ravel().tolist())
         if sink is not None:
             sink(b)
+        del b
     return ScanSummary(prime_count, skipped, family.labels, tuple(per_member.tolist()),
                        family_attained, dict(histogram))
 
@@ -463,16 +464,6 @@ def subgroup_sizes(ps: np.ndarray, gens: Sequence[int], rows: Rows,
 # ---------------------------------------------------------------------------
 # pigeonhole bookkeeping
 
-def _rows_of(n: np.ndarray) -> Rows:
-    """The (i, q, e) rows of the ascending n: by sieve_rows while every n
-    fits int64, else by factorize, whose primes q stay Python ints."""
-    if n.dtype != object or n.max(initial=0) < 2**63:
-        return sieve_rows(n.astype(np.int64, copy=False))
-    flat = [(i, q, e) for i, x in enumerate(n.tolist()) for q, e in factorize(x).factors]
-    i, q, e = zip(*flat) if flat else ((), (), ())
-    return np.array(i, dtype=np.int64), np.array(q, dtype=object), np.array(e, dtype=np.int64)
-
-
 class PigeonholeTally:
     """How the two sides of p^2 - 1 carry the order threshold, tallied on
     order_scan's one pass: pass update as its sink.  Only counters are kept.
@@ -493,20 +484,20 @@ class PigeonholeTally:
     """
 
     def __init__(self, family: AlphaFamily, x: int):
-        # imported here: no scan or lemma42 run needs the sieve module
-        from .sieve import sieving_limit, survivor_mask
-
-        self.threshold = sieving_limit(x, 0.01)
-        self._survivor_mask = partial(survivor_mask, z=self.threshold + 1, v=24)
+        # sieve.sieving_limit(x, 0.01), so that no scan loads the sieve module
+        self.threshold = math.floor(x ** (0.125 + 0.01))
         self.by_factors = np.zeros((2, 8), dtype=np.int64)
         self.attained = np.zeros((3, len(family.members)), dtype=np.int64)
 
     def update(self, b: OrderBlock) -> None:
         p = b.p
-        survivor = self._survivor_mask(p)
-        # prime factors above threshold, with multiplicity, per side
-        large = [np.bincount(i, e * (q > self.threshold), minlength=p.size).astype(np.int64)
-                 for i, q, e in (_rows_of(n) for n in (p - 1, p + 1))]
+        # per side, the prime factors above threshold, with multiplicity,
+        # and those in (3, threshold], which strike p out
+        large, struck = [], np.zeros(p.size, dtype=bool)
+        for i, q, e in (sieve_rows(p.astype(np.int64) + s) for s in (-1, 1)):
+            large.append(np.bincount(i, e * (q > self.threshold), minlength=p.size).astype(int))
+            struck[i[(q > 3) & (q <= self.threshold)]] = True
+        survivor = ~struck
         worst = np.maximum(*large)
         over = np.flatnonzero(survivor & (worst > 7))
         if over.size:

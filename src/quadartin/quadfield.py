@@ -3,8 +3,7 @@
 Elements are stored as x + y*sqrt(delta) with Fraction coordinates, so all
 field operations are exact.  Integral elements (integer x, y) form the ring
 Z[sqrt(delta)]; when delta = 1 (mod 4) this is a proper subring of the ring
-of integers of the field, which is fine for everything done here and is
-flagged by FieldContext.is_maximal_order.
+of integers of the field, which is fine for everything done here.
 """
 
 from __future__ import annotations
@@ -59,11 +58,6 @@ class FieldContext:
                 stacklevel=3,
             )
             object.__setattr__(self, "delta", k)
-
-    @property
-    def is_maximal_order(self) -> bool:
-        """Whether Z[sqrt(delta)] is the full ring of integers of the field."""
-        return self.delta % 4 != 1
 
     def element(self, x: Coord, y: Coord) -> "QuadElem":
         return QuadElem(Fraction(x), Fraction(y), self)

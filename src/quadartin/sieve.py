@@ -150,8 +150,6 @@ class ProductBound:
     the same product scaled by log(z)^2 (which should stay bounded away
     from zero)."""
 
-    z: int
-    v: int
     product: float
     ratio: float
 
@@ -170,7 +168,7 @@ def product_lower(z: int, v: int = 1) -> ProductBound:
         if q > 3 and v % q != 0
     ]
     product = math.exp(math.fsum(logs)) if logs else 1.0
-    return ProductBound(z, v, product, product * math.log(z) ** 2)
+    return ProductBound(product, product * math.log(z) ** 2)
 
 
 @dataclass(frozen=True)
@@ -252,9 +250,7 @@ class SieveBoundReport:
     in the bound is not positive and the main term cannot be trusted; at
     X = 0, for x = 2, it is None and notes say why)."""
 
-    config: SieveConfig
     survivors: int
-    big_x: float
     main_term: float
     product: ProductBound
     threshold: Optional[float]
@@ -278,5 +274,5 @@ def sieve_bound_report(cfg: SieveConfig) -> SieveBoundReport:
     )
     if t is None:
         notes += ("X = li(x)/phi(v) = 0: the threshold log(X)/(2 log z) is undefined",)
-    return SieveBoundReport(cfg, surv, big_x, main, prod, t,
+    return SieveBoundReport(surv, main, prod, t,
                             t is not None and t > T0_THRESHOLD, notes)

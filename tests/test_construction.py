@@ -38,7 +38,6 @@ def test_find_p0_example():
     assert s.p0 == 7
     for val in (-1, 5, -4, 5):
         assert jacobi(val, s.p0) == -1
-    assert s.symbols == {"-1": -1, "5": -1, "a": -1, "delta": -1}
 
 
 def test_find_p0_square_a_not_found():

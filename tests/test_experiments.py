@@ -191,6 +191,26 @@ def test_order_scan_drops_each_block(fam3, monkeypatch, workers):
     assert max(alive) <= 2 * workers + 2, alive
 
 
+def test_order_scan_frees_each_block_before_the_next_kernel_call(fam3, monkeypatch):
+    # inline, with 64-prime blocks: each time the kernel starts on a block,
+    # no block it returned before is still alive, so the pass holds one
+    # block's arrays at a time, not two
+    monkeypatch.setattr(experiments, "PRIME_BLOCK", 64)
+    kernel, refs, alive = experiments._kernel_block, [], []
+
+    def tracked(family, ps):
+        alive.append(sum(r() is not None for r in refs))
+        b = kernel(family, ps)
+        refs.append(weakref.ref(b.ord_alpha))
+        return b
+
+    monkeypatch.setattr(experiments, "_kernel_block", tracked)
+    ps = inert_primes(fam3.ctx, 3, 5000)
+    assert ps.size > 4 * 64
+    order_scan(fam3, ps, workers=1)
+    assert len(alive) == -(-ps.size // 64) and alive == [0] * len(alive), alive
+
+
 def test_order_scan_skips_unusable_primes():
     # 7*(1 + sqrt(5)) has norm divisible by the inert prime 7; 11 splits
     fam = AlphaFamily.from_coords(5, [(7, 7)])
@@ -293,13 +313,13 @@ def test_order_scan_rows_of_a_block_far_apart():
 def test_order_scan_past_2_31_matches_scalar_route(monkeypatch):
     # a block whose largest prime is 2**31 or more runs the kernel on Python
     # ints; the records and the pigeonhole counts come out as from the scalar
-    # route alone.  Past 2**32 p**2 - 1 and ord_alpha exceed int64, past
-    # 2**63 p itself does.  Each list is one block, the last one of
-    # consecutive inert primes around 2**31.
+    # route alone.  Past 2**32 p**2 - 1 and ord_alpha exceed int64.  Each
+    # list is one block, the last one of consecutive inert primes around
+    # 2**31.
     fam = AlphaFamily.from_coords(5, [(3, 2), (2, 1), (7, 7)])
     lists = [sorted(primes_up_to(300) + _primes_from(start, 2, 3, 5, -1)
                     + _primes_from(start, 2, 1, 5, 1))
-             for start in (2**31 + 1, 2**32 + 1, 2**63 + 1)]
+             for start in (2**31 + 1, 2**32 + 1)]
     straddle = _primes_from(2**31 - 1, -2, 9, 5, -1)[::-1] + _primes_from(2**31 + 1, 2, 9, 5, -1)
     for ps in lists + [straddle]:
         blocks, s = scan_blocks(fam, ps)
@@ -860,15 +880,19 @@ def test_pigeonhole_counts_bounded_by_rows(fam3):
 
 
 def test_pigeonhole_past_int64():
-    # primes from 2**63 on are Python ints all the way: survivor and
-    # large-factor counts equal trial division and factorize
+    # the inert primes just below 2**63, where p + 1 is the largest value
+    # the row sieve takes: survivor and large-factor counts equal trial
+    # division and factorize.  From 2**63 on order_scan takes no prime.
     fam = AlphaFamily.from_coords(5, [(3, 2), (2, 1)])
-    ps = [p for p in range(2**63 + 29, 2**63 + 300, 2) if is_prime(p) and jacobi(5, p) == -1]
-    assert ps[0] == 2**63 + 29
+    ps = [p for p in range(2**63 - 999, 2**63, 2) if is_prime(p) and jacobi(5, p) == -1]
+    assert ps[-1] == 2**63 - 25
     tally, summary = tallied(fam, ps, ps[-1])
     assert summary.prime_count == len(ps)
     assert counts_of(tally) == pigeonhole_counts(fam, ps, ps[-1])
     assert 0 < tally.survivors < len(ps)
+    for big in ([2**63 + 29], ps + [2**63 + 29], np.array([2**63 + 29], dtype=object)):
+        with pytest.raises(ValueError, match="below 2\\*\\*63"):
+            order_scan(fam, big)
 
 
 def test_pigeonhole_tally_memory_is_bounded():

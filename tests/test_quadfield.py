@@ -69,13 +69,6 @@ def test_context_rejects_degenerate():
         FieldContext(36)
 
 
-def test_is_maximal_order_flag():
-    assert FieldContext(2).is_maximal_order
-    assert FieldContext(3).is_maximal_order
-    assert not FieldContext(5).is_maximal_order
-    assert not FieldContext(13).is_maximal_order
-
-
 def test_integer_constructor_rejects_fractions():
     ctx = FieldContext(5)
     with pytest.raises((ValueError, TypeError)):
