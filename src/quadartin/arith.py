@@ -89,8 +89,7 @@ POWMOD_LIMIT = 2**31
 BASE = 2**16
 
 
-def _segments(lo: int, hi: int, first: int = 0, step: int = 1, *, u: int = 0,
-              v: int = 1) -> Iterator[np.ndarray]:
+def _segments(lo: int, hi: int, *, u: int = 0, v: int = 1) -> Iterator[np.ndarray]:
     """The primes p = u (mod v) in [lo, hi], ascending, as one int64 array
     per segment of SEGMENT members of the progression from its first member
     n0 >= max(lo, 2) (Bays & Hudson, BIT 17 (1977)).  Each base prime q up
@@ -98,8 +97,9 @@ def _segments(lo: int, hi: int, first: int = 0, step: int = 1, *, u: int = 0,
     divide v strikes its multiples from the first member >= q**2 on; a q
     dividing v divides no member, or every member and then only n0 can be
     prime.  In a segment whose top reaches BASE**2, only the survivors
-    is_prime passes are kept.  With first and step, only segments first,
-    first + step, ... are sieved (one worker's share)."""
+    is_prime passes are kept.  The segments are sieved lazily, one per draw:
+    the prime substrate of order_scan and lemma42_scan, whose memory stays
+    one segment's whatever the range."""
     n0 = max(lo, 2) + (u - max(lo, 2)) % v
     if n0 + v > hi or math.gcd(n0, v) > 1:
         # at most n0 can be prime: sieve it alone
@@ -108,7 +108,7 @@ def _segments(lo: int, hi: int, first: int = 0, step: int = 1, *, u: int = 0,
         return
     size = (hi - n0) // v + 1
     base = prime_array(min(math.isqrt(hi), BASE))
-    for j0 in range(first * SEGMENT, size, step * SEGMENT):
+    for j0 in range(0, size, SEGMENT):
         a = n0 + v * j0
         flags = np.ones(min(SEGMENT, size - j0), dtype=bool)
         top = a + v * (flags.size - 1)

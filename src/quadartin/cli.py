@@ -274,7 +274,7 @@ def _scan_rows(fh: TextIO, labels: List[str], b) -> None:
 
 
 def cmd_scan(cfg: Dict, out: Path, workers: int) -> int:
-    from .experiments import AlphaFamily, inert_primes, mult_indep_rational, order_scan
+    from .experiments import AlphaFamily, mult_indep_rational, order_scan
 
     lo, hi = cfg["prime_min"], cfg["prime_max"]
     if lo > hi:
@@ -284,15 +284,14 @@ def cmd_scan(cfg: Dict, out: Path, workers: int) -> int:
     if cfg["use_congruence"]:
         a = family.norms[0] if cfg["a"] is None else cfg["a"]
         cong = _checked_class(a, family.ctx.delta, cfg["p0_bound"])
-        plist = arith.primes_in_class(cong.u, cong.v, lo, hi)
-    else:
-        plist = inert_primes(family.ctx, lo, hi)
+    u, v = (0, 1) if cong is None else (cong.u, cong.v)
 
-    # each block is written as the pass yields it; a broken order chain
-    # raises RemarkViolation there, which removes scan.csv and exits 3
+    # the sieve's segments stream through the pass, and each block is
+    # written as the pass yields it; a broken order chain raises
+    # RemarkViolation there, which removes scan.csv and exits 3
     with _artifact(out / "scan.csv") as fh:
         fh.write("p,member,ord_alpha,ord_N,ord_M,attained\n")
-        summary = order_scan(family, plist, workers=workers,
+        summary = order_scan(family, arith._segments(lo, hi, u=u, v=v), workers=workers,
                              sink=partial(_scan_rows, fh, list(family.labels)))
 
     indep = mult_indep_rational([Fraction(n) for n in family.norms])

@@ -12,11 +12,10 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import arith
 from .arith import _segments, exact_ints, factorize, powmod, residues, sieve_rows
 from .errors import DependentGenerators, InvariantError, RemarkViolation
 from .fp2 import Rows, _orders, order_arrays
@@ -75,17 +74,6 @@ def _ramified_split(delta: int, ps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
     return ramified, split
 
 
-def inert_primes(ctx: FieldContext, lo: int, hi: int) -> np.ndarray:
-    """Odd inert primes in [lo, hi] for the field, ascending, as a new int64
-    array, filtered segment by segment.  Ramified primes have (delta|p) = 0
-    and are left out with the split ones."""
-    keep = [np.zeros(0, dtype=np.int64)]
-    for ps in _segments(max(lo, 3), hi):
-        ramified, split = _ramified_split(ctx.delta, ps)
-        keep.append(ps[~(ramified | split)])
-    return np.concatenate(keep)
-
-
 @dataclass(frozen=True)
 class ScanSummary:
     """Aggregates of one order scan."""
@@ -117,26 +105,19 @@ class ScanSummary:
 class OrderBlock(NamedTuple):
     """Orders at the usable primes of one block of a scan.  p holds those
     primes; ord_alpha, ord_n, ord_m and attained have one row per prime and
-    one column per member; skipped counts the block's other primes.  p and
-    the orders take the dtype arith.exact_ints gives the block's primes."""
+    one column per member.  p and the orders take the dtype arith.exact_ints
+    gives the block's primes."""
 
     p: np.ndarray
     ord_alpha: np.ndarray
     ord_n: np.ndarray
     ord_m: np.ndarray
     attained: np.ndarray
-    skipped: int
 
 
-def _kernel_block(family: AlphaFamily, ps: np.ndarray) -> OrderBlock:
-    """One block of int64 primes through the array kernel: the skip tests
-    and the rows of p -+ 1 in int64, the orders in exact_ints' dtype."""
-    ramified, split = _ramified_split(family.ctx.delta, ps)
-    divides = ~(ramified | split) & np.any(
-        [residues(n, ps) == 0 for n in family.norms], axis=0
-    )
-    skip = ramified | split | divides
-    p = ps[~skip]
+def _kernel_block(family: AlphaFamily, p: np.ndarray) -> OrderBlock:
+    """One block of usable int64 primes through the array kernel: the rows
+    of p -+ 1 in int64, the orders in exact_ints' dtype."""
     minus, plus = sieve_rows(p - 1), sieve_rows(p + 1)
     p = exact_ints(p)
     # the outputs are allocated before the kernel's temporaries, so the
@@ -157,22 +138,25 @@ def _kernel_block(family: AlphaFamily, ps: np.ndarray) -> OrderBlock:
             f"ord_N = {ord_n[j, m]}, ord_M = {ord_m[j, m]} and ord_alpha = "
             f"{ord_alpha[j, m]} break the order chain at p = {p[j]}",
         )
-    return OrderBlock(p, ord_alpha, ord_n, ord_m, attained, int(skip.sum()))
+    return OrderBlock(p, ord_alpha, ord_n, ord_m, attained)
 
 
-def _map(fn, items: list, workers: int) -> Iterator:
-    """fn(t) for each t of items, yielded in order: inline when workers is 1
-    or there is at most one item, else on a pool of workers processes with
-    at most 2 * workers tasks submitted ahead; the pool is imported here, as
-    its modules cost every run set-up time and memory and only pool runs use them."""
-    if workers == 1 or len(items) < 2:
-        yield from map(fn, items)
+def _map(fn, items: Iterable, workers: int) -> Iterator:
+    """fn(t) for each t of items, any iterable, yielded in order and drawn
+    lazily: inline when workers is 1 or items holds fewer than two, else on
+    a pool of workers processes with at most 2 * workers tasks submitted
+    ahead of the consumer.  The pool is imported here, as its modules cost
+    every run set-up time and memory and only pool runs use them."""
+    items = iter(items)
+    head = list(itertools.islice(items, 0 if workers == 1 else 2))
+    if len(head) < 2:
+        yield from map(fn, itertools.chain(head, items))
         return
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         ahead: deque = deque()
-        for t in items:
+        for t in itertools.chain(head, items):
             ahead.append(pool.submit(fn, t))
             if len(ahead) == 2 * workers:
                 yield ahead.popleft().result()
@@ -182,33 +166,52 @@ def _map(fn, items: list, workers: int) -> Iterator:
 
 def order_scan(
     family: AlphaFamily,
-    primes: Sequence[int],
+    segments: Iterable[Sequence[int]],
     workers: int = 1,
     sink: Optional[Callable[[OrderBlock], None]] = None,
 ) -> ScanSummary:
-    """Summary of the order profile of every family member at every usable
-    prime of primes, ascending, distinct and below 2**63 (taken as int64),
-    else ValueError.  One pass runs the kernel on blocks of PRIME_BLOCK
-    primes, hands each to sink, if given, in ascending order of p and drops
-    it before the next block is computed.
+    """Summary of the order profile of every family member at the usable
+    primes of segments, arrays of primes as arith._segments yields them:
+    all of them ascending, distinct and below 2**63, each taken as int64,
+    else ValueError once the pass reaches the segment at fault.
 
-    Primes that are not inert, ramify, or divide some member's norm are
-    skipped (counted), not fatal.  A broken order chain raises
-    RemarkViolation at the first failing (p, member) in (p, member) order.
+    Per segment one mask decides the usable primes: the inert ones that
+    divide no member's norm.  Ramified and split primes, 2 among them, are
+    dropped; the inert ones dividing a norm are skipped (counted).  The
+    usable primes fill blocks of PRIME_BLOCK across segments, and one pass
+    runs the kernel on each block, hands it to sink, if given, in ascending
+    order of p and drops it before the next block is computed, so no array
+    grows with the range.  A broken order chain raises RemarkViolation at
+    the first failing (p, member) in (p, member) order.
     """
-    try:
-        ps = np.asarray(primes, dtype=np.int64)
-    except OverflowError:
-        raise ValueError("order_scan needs primes below 2**63") from None
-    if not (ps[1:] > ps[:-1]).all():
-        raise ValueError("order_scan needs ascending, distinct primes")
     per_member = np.zeros(len(family.labels), dtype=np.int64)
     prime_count = skipped = family_attained = 0
     histogram: Counter = Counter()
-    blocks = [ps[lo : lo + PRIME_BLOCK] for lo in range(0, ps.size, PRIME_BLOCK)]
-    for b in _map(partial(_kernel_block, family), blocks, workers):
+
+    def blocks() -> Iterator[np.ndarray]:
+        nonlocal skipped
+        held, last = np.zeros(0, dtype=np.int64), 0
+        for ps in segments:
+            ps = ps if isinstance(ps, np.ndarray) else np.array(ps, dtype=object)
+            if ps.dtype != np.int64 and ps.size and ps.max() >= 2**63:
+                raise ValueError("order_scan needs primes below 2**63")
+            ps = ps.astype(np.int64, copy=False)
+            if not (np.diff(ps, prepend=last) > 0).all():
+                raise ValueError("order_scan needs ascending, distinct primes")
+            last = ps[-1] if ps.size else last
+            ramified, split = _ramified_split(family.ctx.delta, ps)
+            ps = ps[~(ramified | split)]
+            divides = np.any([residues(n, ps) == 0 for n in family.norms], axis=0)
+            skipped += int(divides.sum())
+            held = np.concatenate([held, ps[~divides]])
+            while held.size >= PRIME_BLOCK:
+                yield held[:PRIME_BLOCK]
+                held = held[PRIME_BLOCK:]
+        if held.size:
+            yield held
+
+    for b in _map(partial(_kernel_block, family), blocks(), workers):
         prime_count += b.p.size
-        skipped += b.skipped
         per_member += b.attained.sum(axis=0)
         family_attained += int(b.attained.any(axis=1).sum())
         histogram.update(((b.p * b.p - 1)[:, None] // b.ord_alpha).ravel().tolist())
@@ -398,12 +401,12 @@ def lemma42_scan(
     # cap is needed from x on, as every p - 1 is below it
     y_max = y_grid[-1]
     cap = math.ceil(y_max) if y_max < x else None
-    # whole segments are dealt round-robin, so every worker sieves its own
-    shares = workers if x >= 2 + arith.SEGMENT else 1
-    parts = list(_map(_growth_counts, [(tuple(gens), bad, x, y_grid, cap, w, shares)
-                                       for w in range(shares)], workers))
-    counts = np.sum([c for c, _ in parts], axis=0).tolist()
-    prime_count = sum(n for _, n in parts)
+    counts, prime_count = np.zeros(len(y_grid), dtype=np.int64), 0
+    for c, n in _map(partial(_segment_counts, tuple(gens), bad, y_grid, cap),
+                     _segments(2, x), workers):
+        counts += c
+        prime_count += n
+    counts = counts.tolist()
 
     samples = tuple(zip(y_grid, counts))
     pts = [(math.log(y), math.log(n)) for y, n in samples if n > 0]
@@ -416,33 +419,19 @@ def lemma42_scan(
     return GrowthFit(x, tuple(gens), samples, slope, prime_count)
 
 
-def _segment_sizes(gens: Sequence[int], bad: Sequence[int], x: int,
-                   cap: Optional[int] = None, first: int = 0,
-                   step: int = 1) -> Iterator[np.ndarray]:
-    """min(|<gens> mod p|, cap) for the primes p <= x of each segment first,
-    first + step, ..., those dividing a generator (bad) left out: the rows
-    of p - 1 come from sieving the same segment.  cap None keeps every size
-    exact."""
-    for ps in _segments(2, x, first, step):
-        ps = ps[~np.isin(ps, bad)]
-        yield subgroup_sizes(ps, gens, sieve_rows(ps - 1), cap)
-
-
-def _growth_counts(args) -> Tuple[np.ndarray, int]:
-    """N(y) for each y of y_grid, and the number of primes, over one share
-    of the segments, from sizes capped at cap: no size from cap on moves a
-    count, as every y is at most cap, so only the sizes below it are
-    sorted."""
-    gens, bad, x, y_grid, cap, first, step = args
-    counts = np.zeros(len(y_grid), dtype=np.int64)
-    prime_count = 0
-    for sizes in _segment_sizes(gens, bad, x, cap, first, step):
-        prime_count += sizes.size
-        if cap is not None:
-            sizes = sizes[sizes < cap]
-        sizes.sort()
-        counts += np.searchsorted(sizes, y_grid, side="left")
-    return counts, prime_count
+def _segment_counts(gens: Tuple[int, ...], bad: Tuple[int, ...], y_grid: List[float],
+                    cap: Optional[int], ps: np.ndarray) -> Tuple[np.ndarray, int]:
+    """N(y) for each y of y_grid over one segment ps of primes, those
+    dividing a generator (bad) left out, and the number of primes counted:
+    the rows of p - 1 come from sieving them, and the sizes are capped at
+    cap (None keeps them exact).  No size from cap on moves a count, as
+    every y is at most cap, so only the sizes below it are sorted."""
+    ps = ps[~np.isin(ps, bad)]
+    sizes = subgroup_sizes(ps, gens, sieve_rows(ps - 1), cap)
+    if cap is not None:
+        sizes = sizes[sizes < cap]
+    sizes.sort()
+    return np.searchsorted(sizes, y_grid, side="left"), ps.size
 
 
 def subgroup_sizes(ps: np.ndarray, gens: Sequence[int], rows: Rows,

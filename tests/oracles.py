@@ -437,9 +437,10 @@ def remark12_verify(family: AlphaFamily, primes: Sequence[int]) -> Dict[str, int
 def scan_blocks(
     family: AlphaFamily, primes: Sequence[int], workers: int = 1
 ) -> Tuple[List[OrderBlock], ScanSummary]:
-    """order_scan's blocks, kept in a list by its sink, and its summary."""
+    """order_scan's blocks of primes, passed as one segment, kept in a list
+    by its sink, and its summary."""
     blocks: List[OrderBlock] = []
-    summary = order_scan(family, primes, workers, sink=blocks.append)
+    summary = order_scan(family, [primes], workers, sink=blocks.append)
     return blocks, summary
 
 
@@ -457,14 +458,15 @@ def scalar_order_scan(
     family: AlphaFamily, primes: Iterable[int]
 ) -> Tuple[List[Tuple[str, OrderRecord]], int]:
     """order_scan's records and skip count by the scalar route alone: the
-    skip rules tested prime by prime, then one Fp2Context and one
-    order_record per usable prime and member."""
+    rules tested prime by prime, then one Fp2Context and one order_record
+    per usable prime and member.  2, ramified and split primes are dropped;
+    inert primes dividing a member's norm are skipped (counted)."""
     delta = family.ctx.delta
     records, skipped = [], 0
     for p in sorted(set(primes)):
-        if p == 2 or delta % p == 0 or jacobi(delta, p) != -1 or any(
-            n % p == 0 for n in family.norms
-        ):
+        if p == 2 or delta % p == 0 or jacobi(delta, p) != -1:
+            continue
+        if any(n % p == 0 for n in family.norms):
             skipped += 1
             continue
         ctx = Fp2Context.for_prime(p, family.ctx)

@@ -289,10 +289,11 @@ def test_scan_odd_l_broken_chain_exits_3(tmp_path, monkeypatch, capsys, lo):
 def test_scan_chain_broken_late_removes_partial_csv(tmp_path, monkeypatch, capsys, workers):
     # ord_N understated only from the 11th 64-prime block on: the ten
     # blocks before it are written to scan.csv before the violation comes,
-    # and the failed scan removes the partial file
+    # and the failed scan removes the partial file.  Every usable prime is
+    # an inert one (jacobi(5, p) = -1), as none divides a member's norm.
     monkeypatch.setattr(experiments, "PRIME_BLOCK", 64)
     cfg = dict(SCAN_CFG, prime_max=20000)
-    first_bad = int(experiments.inert_primes(FieldContext(5), 3, 20000)[10 * 64])
+    first_bad = [p for p in primes_up_to(20000)[1:] if jacobi(5, p) == -1][10 * 64]
     orders = fp2._orders
     monkeypatch.setattr(fp2, "_orders", lambda g, p, n, rows, torus=False, cap=None: (
         orders(g, p, n, rows, torus, cap) if torus

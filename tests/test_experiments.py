@@ -1,10 +1,13 @@
 """Family-level drivers: order scans, chain checks, independence, growth."""
 
 import math
+import os
 import pickle
+import sys
 import tracemalloc
 import weakref
 from fractions import Fraction
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -31,7 +34,6 @@ from quadartin.experiments import (
     PigeonholeTally,
     RemarkViolation,
     ScanSummary,
-    inert_primes,
     lemma42_scan,
     mult_indep_norm_one,
     mult_indep_rational,
@@ -59,7 +61,14 @@ def fam3():
 def tallied(family, ps, x):
     """A PigeonholeTally fed by one order_scan of ps, and the scan's summary."""
     tally = PigeonholeTally(family, x)
-    return tally, order_scan(family, ps, sink=tally.update)
+    return tally, order_scan(family, [ps], sink=tally.update)
+
+
+def inert_up_to(delta, hi):
+    """The odd primes up to hi that are inert for delta, as int64, by the
+    Jacobi symbol prime by prime."""
+    ps = prime_array(hi)[1:]
+    return ps[[jacobi(delta, p) == -1 for p in ps.tolist()]]
 
 
 def counts_of(tally):
@@ -87,9 +96,12 @@ def test_family_validation():
 
 
 def test_inert_primes_delta5():
-    ctx = FieldContext(5)
-    got = inert_primes(ctx, 3, 50).tolist()
-    assert got == [3, 7, 13, 17, 23, 37, 43, 47]
+    # the scan's one mask keeps the inert primes and drops 2, the ramified 5
+    # and the split primes uncounted; 1 divides no prime
+    fam = AlphaFamily.from_coords(5, [(1, 0)])
+    blocks, s = scan_blocks(fam, primes_up_to(50))
+    got = np.concatenate([b.p for b in blocks]).tolist()
+    assert got == [3, 7, 13, 17, 23, 37, 43, 47] and s.skipped == 0
     for p in got:
         assert jacobi(5, p) == -1
     # inert for delta = 5 means p = 2 or 3 mod 5
@@ -103,7 +115,7 @@ def test_inert_primes_delta5():
 
 def test_order_scan_rational_one():
     fam = AlphaFamily.from_coords(5, [(1, 0)])
-    ps = inert_primes(fam.ctx, 3, 100)
+    ps = inert_up_to(5, 100)
     blocks, summary = scan_blocks(fam, ps)
     records = records_of(blocks, fam.labels)
     for _, rec in records:
@@ -113,7 +125,7 @@ def test_order_scan_rational_one():
 
 
 def test_order_scan_frozen_baseline(fam3):
-    ps = inert_primes(fam3.ctx, 3, 10**4)
+    ps = inert_up_to(5, 10**4)
     assert len(ps) == 618
     blocks, s = scan_blocks(fam3, ps)
     records = records_of(blocks, fam3.labels)
@@ -125,8 +137,8 @@ def test_order_scan_frozen_baseline(fam3):
 
 
 def test_order_scan_family_count_dominates_members(fam3):
-    ps = inert_primes(fam3.ctx, 3, 2000)
-    s = order_scan(fam3, ps)
+    ps = inert_up_to(5, 2000)
+    s = order_scan(fam3, [ps])
     assert s.attained_family >= max(s.attained_per_member)
     assert s.attained_family <= s.prime_count
     assert s.family_fraction >= max(s.fractions)
@@ -135,7 +147,7 @@ def test_order_scan_family_count_dominates_members(fam3):
 def test_order_scan_workers_merge_identical(fam3, monkeypatch):
     # 64-prime blocks: the pool splits only a list longer than one block
     monkeypatch.setattr(experiments, "PRIME_BLOCK", 64)
-    ps = inert_primes(fam3.ctx, 3, 3000)
+    ps = inert_up_to(5, 3000)
     assert len(ps) > 3 * experiments.PRIME_BLOCK
     (b1, s1), (b2, s2) = scan_blocks(fam3, ps), scan_blocks(fam3, ps, workers=3)
     r1, r2 = records_of(b1, fam3.labels), records_of(b2, fam3.labels)
@@ -156,8 +168,56 @@ def test_order_scan_refuses_unordered_primes(fam3, monkeypatch, ps, as_array):
     monkeypatch.setattr(experiments, "PRIME_BLOCK", 4)
     seen = []
     with pytest.raises(ValueError, match="ascending, distinct"):
-        order_scan(fam3, np.array(ps, dtype=np.int64) if as_array else ps, sink=seen.append)
+        order_scan(fam3, [np.array(ps, dtype=np.int64) if as_array else ps], sink=seen.append)
     assert seen == []
+
+
+@pytest.mark.parametrize("segments", [
+    pytest.param([[3, 7, 13], [13, 17]], id="repeated"),
+    pytest.param([[3, 7, 17], [13, 23]], id="descending"),
+    pytest.param([[3, 7], [], [7, 13]], id="repeated_past_an_empty_segment"),
+])
+def test_order_scan_refuses_segments_out_of_order(fam3, segments):
+    # the order is checked across segment boundaries as well as within one
+    with pytest.raises(ValueError, match="ascending, distinct"):
+        order_scan(fam3, iter(segments))
+
+
+def test_order_scan_fills_blocks_across_segments(fam3, monkeypatch):
+    # 1000-integer segments and 64-prime blocks: the usable primes fill
+    # every block but the last across segment boundaries, and the records
+    # and summary are those of the same primes passed as one segment
+    monkeypatch.setattr(arith, "SEGMENT", 1000)
+    monkeypatch.setattr(experiments, "PRIME_BLOCK", 64)
+    segments = list(arith._segments(2, 20000))
+    assert len(segments) == 20
+    blocks = []
+    s = order_scan(fam3, iter(segments), sink=blocks.append)
+    want_blocks, want = scan_blocks(fam3, np.concatenate(segments))
+    assert [b.p.size for b in blocks[:-1]] == [64] * (len(blocks) - 1)
+    assert records_of(blocks, fam3.labels) == records_of(want_blocks, fam3.labels)
+    assert s == want
+
+
+def test_order_scan_memory_does_not_grow_with_the_range():
+    # the sieve's segments stream through the pass: from the dense range
+    # [3, 3e5] to one ten times wider, the tracemalloc peak of prime
+    # generation plus the scan grows by 0.22 MB (mostly the index
+    # histogram's new keys), where a scan handed every inert prime of its
+    # range at once grows by 1.0 MB.
+    # No member is a unit, whose histogram would gain a key per prime.
+    fam = AlphaFamily.from_coords(5, [(1, 1), (3, 2), (4, 1)])
+    assert all(abs(n) > 1 for n in fam.norms)
+    order_scan(fam, arith._segments(3, 10**4))
+    peaks = []
+    for hi in (3 * 10**5, 3 * 10**6):
+        tracemalloc.start()
+        try:
+            order_scan(fam, arith._segments(3, hi))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2**19, peaks
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -167,25 +227,24 @@ def test_order_scan_drops_each_block(fam3, monkeypatch, workers):
     # at once or on their way (taken for the kernel, not yet handed over),
     # where a scan that kept its blocks would hold them all
     monkeypatch.setattr(experiments, "PRIME_BLOCK", 64)
-    ps = inert_primes(fam3.ctx, 3, 30000)
+    ps = inert_up_to(5, 30000)
     assert ps.size > 20 * 64
     taken, refs, alive, firsts = [], [], [], []
 
-    class Taken(list):
-        def __iter__(self):
-            for t in list.__iter__(self):
-                taken.append(t)
-                yield t
+    def counted(items):
+        for t in items:
+            taken.append(t.size)
+            yield t
 
     map_ = experiments._map
-    monkeypatch.setattr(experiments, "_map", lambda fn, items, w: map_(fn, Taken(items), w))
+    monkeypatch.setattr(experiments, "_map", lambda fn, items, w: map_(fn, counted(items), w))
 
     def sink(b):
         refs.append(weakref.ref(b.p))
         alive.append(sum(r() is not None for r in refs) + len(taken) - len(refs))
         firsts.append(int(b.p[0]))
 
-    s = order_scan(fam3, ps, workers, sink=sink)
+    s = order_scan(fam3, [ps], workers, sink=sink)
     assert len(refs) == -(-ps.size // 64) and s.prime_count == ps.size
     assert firsts == ps[::64].tolist()
     assert max(alive) <= 2 * workers + 2, alive
@@ -205,30 +264,64 @@ def test_order_scan_frees_each_block_before_the_next_kernel_call(fam3, monkeypat
         return b
 
     monkeypatch.setattr(experiments, "_kernel_block", tracked)
-    ps = inert_primes(fam3.ctx, 3, 5000)
+    ps = inert_up_to(5, 5000)
     assert ps.size > 4 * 64
-    order_scan(fam3, ps, workers=1)
+    order_scan(fam3, [ps], workers=1)
     assert len(alive) == -(-ps.size // 64) and alive == [0] * len(alive), alive
 
 
 def test_order_scan_skips_unusable_primes():
-    # 7*(1 + sqrt(5)) has norm divisible by the inert prime 7; 11 splits
+    # 7*(1 + sqrt(5)) has norm divisible by the inert prime 7, which is
+    # skipped and counted; 11 splits and is dropped uncounted
     fam = AlphaFamily.from_coords(5, [(7, 7)])
     blocks, s = scan_blocks(fam, [7, 11, 13])
     records = records_of(blocks, fam.labels)
     assert s.prime_count == 1
-    assert s.skipped == 2
+    assert s.skipped == 1
     assert records[0][1].p == 13
 
 
 def test_order_scan_index_histogram(fam3):
-    ps = inert_primes(fam3.ctx, 3, 500)
+    ps = inert_up_to(5, 500)
     blocks, s = scan_blocks(fam3, ps)
     records = records_of(blocks, fam3.labels)
     assert sum(s.index_histogram.values()) == len(records)
     for label, rec in records:
         idx = (rec.p**2 - 1) // rec.ord_alpha
         assert idx in s.index_histogram
+
+
+# ---------------------------------------------------------------------------
+# the pool helper
+
+def test_map_runs_inline_without_the_pool(monkeypatch):
+    # one worker, or fewer than two items, run fn in this process and never
+    # import the pool: an import of concurrent.futures would fail here
+    monkeypatch.setitem(sys.modules, "concurrent.futures", None)
+
+    def here(t):
+        return t, os.getpid()
+
+    assert list(experiments._map(here, range(5), 1)) == [(t, os.getpid()) for t in range(5)]
+    assert list(experiments._map(here, iter([7]), 2)) == [(7, os.getpid())]
+    assert list(experiments._map(here, iter([]), 2)) == []
+
+
+def test_map_on_a_pool_yields_in_order_and_draws_little_ahead():
+    # with two workers the results come back in the order of the items, and
+    # no more than 2 * workers + 1 items are drawn ahead of the consumer
+    drawn = []
+
+    def items():
+        for t in range(40):
+            drawn.append(t)
+            yield t
+
+    got = []
+    for out in experiments._map(partial(pow, 3), items(), 2):
+        assert len(drawn) - len(got) <= 2 * 2 + 1, (len(drawn), len(got))
+        got.append(out)
+    assert got == [3**t for t in range(40)] and len(drawn) == 40
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +341,7 @@ KERNEL_MEMBERS = {
 def test_order_kernel_matches_scalar_route(monkeypatch, delta):
     # 500-prime blocks: the 2262 primes below 2e4 span five blocks.  Every
     # prime there is passed, so 2, the ramified and the split primes go
-    # through the skip masks as well as the inert ones through the kernel.
+    # through the scan's mask as well as the inert ones through the kernel.
     monkeypatch.setattr(experiments, "PRIME_BLOCK", 500)
     fam = AlphaFamily.from_coords(delta, KERNEL_MEMBERS[delta])
     assert abs(norm(fam.members[2])) == 1
@@ -257,7 +350,7 @@ def test_order_kernel_matches_scalar_route(monkeypatch, delta):
     records = records_of(blocks, fam.labels)
     want, skipped = scalar_order_scan(fam, ps)
     assert records == want
-    assert (summary.prime_count, summary.skipped) == (len(ps) - skipped, skipped)
+    assert (summary.prime_count, summary.skipped) == (len(want) // len(fam.members), skipped)
     seen = {r.p for _, r in records}
     assert 7 not in seen and (delta == 2 or jacobi(delta, 7) == -1)
     branches = {r.ord_alpha // math.lcm(r.ord_n, r.ord_m) for _, r in records}
@@ -265,12 +358,13 @@ def test_order_kernel_matches_scalar_route(monkeypatch, delta):
 
 
 def test_order_kernel_skip_count():
-    # 2, the ramified 5 and the split 11, 19 and 29 are skipped
-    fam = AlphaFamily.from_coords(5, [(2, 1), (3, 2)])
+    # 2, the ramified 5 and the split 11, 19 and 29 are dropped uncounted;
+    # the inert 7 divides the norm of 7 + 7 sqrt(5) and is skipped (counted)
+    fam = AlphaFamily.from_coords(5, [(2, 1), (3, 2), (7, 7)])
     blocks, s = scan_blocks(fam, [2, 5, 7, 11, 13, 19, 29])
     records = records_of(blocks, fam.labels)
-    assert (s.prime_count, s.skipped) == (2, 5)
-    assert [r.p for _, r in records] == [7, 7, 13, 13]
+    assert (s.prime_count, s.skipped) == (1, 1)
+    assert [r.p for _, r in records] == [13, 13, 13]
 
 
 def _primes_from(start, step, count, delta, symbol):
@@ -339,17 +433,22 @@ def test_order_scan_past_2_31_matches_scalar_route(monkeypatch):
 
 
 def test_far_scan_rows_come_from_the_row_sieve(monkeypatch):
-    # a Python-int block whose p -+ 1 fit int64 takes its rows from
-    # sieve_rows, with no per-element factorize, and its records are the
-    # scalar route's
-    def boom(n):
-        raise AssertionError(f"factorize({n}) called")
+    # a Python-int block whose p -+ 1 fit int64 takes its rows from one
+    # sieve_rows call per side, on exactly the int64 p - 1 and p + 1 of the
+    # block, and its records are the scalar route's
+    calls, real = [], experiments.sieve_rows
 
-    monkeypatch.setattr(experiments, "factorize", boom)
+    def spy(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(experiments, "sieve_rows", spy)
     fam = AlphaFamily.from_coords(5, [(3, 2), (2, 1), (7, 7)])
     ps = _primes_from(10**12 + 1, 2, 20, 5, -1)
     blocks, s = scan_blocks(fam, ps)
     assert [b.p.dtype for b in blocks] == [object]
+    assert [n.dtype for n in calls] == [np.int64, np.int64]
+    assert [n.tolist() for n in calls] == [[p - 1 for p in ps], [p + 1 for p in ps]]
     want, skipped = scalar_order_scan(fam, ps)
     assert records_of(blocks, fam.labels) == want and s.skipped == skipped == 0
 
@@ -372,22 +471,23 @@ def test_remark12_zero_violations_random_members():
         if (x, y) != (0, 0):
             coords.append((x, y))
     fam = AlphaFamily.from_coords(5, coords)
-    out = remark12_verify(fam, inert_primes(fam.ctx, 3, 1000))
+    out = remark12_verify(fam, inert_up_to(5, 1000))
     assert out["violations"] == 0
     assert out["checked"] > 0
 
 
 def test_remark12_sqrt_delta_member():
     fam = AlphaFamily.from_coords(2, [(0, 1)])
-    out = remark12_verify(fam, inert_primes(fam.ctx, 3, 500))
+    out = remark12_verify(fam, inert_up_to(2, 500))
     assert out["violations"] == 0
 
 
 def test_remark12_counts_skipped():
-    fam = AlphaFamily.from_coords(5, [(1, 1)])
-    out = remark12_verify(fam, [7, 11, 13])  # 11 splits
+    # 7 divides the norm of 7 + 7 sqrt(5) and is counted; 11 splits and is not
+    fam = AlphaFamily.from_coords(5, [(7, 7)])
+    out = remark12_verify(fam, [7, 11, 13])
     assert out["skipped"] == 1
-    assert out["checked"] == 2
+    assert out["checked"] == 1
 
 
 def test_remark_violation_pickles():
@@ -607,13 +707,23 @@ def test_lemma42_counts_monotone_in_y():
 def test_subgroup_kernel_matches_scalar_oracle(monkeypatch, gens):
     # 4096-integer segments: the primes below 2e4 span five segments, the
     # last one partial.  (3, 5) keeps p = 2, where p - 1 = 1 and the size is 1.
+    # lemma42_scan with a grid top of x keeps the sizes exact.
     monkeypatch.setattr(arith, "SEGMENT", 4096)
     x = 2 * 10**4
     ps = prime_array(x)
     ps = ps[[all(g % p for g in gens) for p in ps.tolist()]]
     assert x > 2 * arith.SEGMENT
-    bad = [q for g in gens for q in factorize(abs(g)).primes]
-    sizes = np.concatenate(list(experiments._segment_sizes(gens, bad, x)))
+    parts, real = [], experiments.subgroup_sizes
+
+    def spy(*args):
+        # a copy, as the counts sort the sizes in place
+        parts.append(real(*args))
+        return parts[-1].copy()
+
+    monkeypatch.setattr(experiments, "subgroup_sizes", spy)
+    lemma42_scan(gens, x, [float(x)])
+    assert len(parts) == -(-(x - 1) // arith.SEGMENT)
+    sizes = np.concatenate(parts)
     assert sizes.dtype == np.int64
     assert sizes.tolist() == [subgroup_size(p, gens) for p in ps.tolist()]
     if 2 in ps.tolist():
@@ -761,18 +871,21 @@ def test_subgroup_kernel_exact_where_the_scalar_window_narrows(lo):
 @given(st.lists(st.lists(st.integers(1, 80), max_size=40), min_size=1, max_size=4),
        st.lists(st.floats(0.5, 60.0), min_size=1, max_size=6), st.booleans(), st.booleans())
 def test_growth_counts_below_cap_equal_unfiltered(segments, grid, capped, at_cap):
-    # _growth_counts keeps only the sizes below cap: with every y at most
-    # cap, y = cap included, and with no cap, the counts are those of the
-    # uncapped sizes, unfiltered
+    # _segment_counts keeps only the sizes below cap: with every y at most
+    # cap, y = cap included, and with no cap, the counts summed over the
+    # segments are those of the uncapped sizes, unfiltered
     cap = math.ceil(max(grid)) if capped else None
     y_grid = sorted(grid + [float(cap)] if capped and at_cap else grid)
-    sizes = [np.array([s if cap is None else min(s, cap) for s in seg], dtype=np.int64)
-             for seg in segments]
-    with mock.patch.object(experiments, "_segment_sizes", lambda *args: iter(sizes)):
-        counts, prime_count = experiments._growth_counts(((2, 3), (2, 3), 100, y_grid, cap, 0, 1))
+    sizes = iter([np.array([s if cap is None else min(s, cap) for s in seg], dtype=np.int64)
+                  for seg in segments])
+    with mock.patch.object(experiments, "subgroup_sizes", lambda *args: next(sizes)):
+        parts = [experiments._segment_counts((2, 3), (2, 3), y_grid, cap,
+                                             np.arange(5, 5 + len(seg), dtype=np.int64))
+                 for seg in segments]
     flat = [s for seg in segments for s in seg]
-    assert prime_count == len(flat)
-    assert counts.tolist() == [sum(s < y for s in flat) for y in y_grid]
+    assert sum(n for _, n in parts) == len(flat)
+    assert np.sum([c for c, _ in parts], axis=0).tolist() == [sum(s < y for s in flat)
+                                                              for y in y_grid]
 
 
 def test_lemma42_cap_skips_most_powers(monkeypatch):
@@ -798,8 +911,8 @@ def test_lemma42_cap_skips_most_powers(monkeypatch):
 
 
 def test_lemma42_workers_identical(monkeypatch):
-    # 2000-integer segments: the primes to 15000 span eight segments, so the
-    # pool deals them out
+    # 2000-integer segments: the primes to 15000 span eight segments, so
+    # _map runs them on the pool
     monkeypatch.setattr(arith, "SEGMENT", 2000)
     a = lemma42_scan([2, 3], 15000)
     b = lemma42_scan([2, 3], 15000, workers=3)
@@ -847,7 +960,7 @@ def test_lemma42_memory_is_bounded():
 def test_pigeonhole_side_selection(fam3):
     # inert primes of both classes mod 3 take d_minus, d_plus = 12, 2 or
     # 4, 6 by the class, as the scalar route does
-    ps = inert_primes(fam3.ctx, 3, 2 * 10**4)
+    ps = inert_up_to(5, 2 * 10**4)
     assert {1, 2} <= set((ps % 3).tolist())
     tally, _ = tallied(fam3, ps, int(ps[-1]))
     assert counts_of(tally) == pigeonhole_counts(fam3, ps.tolist(), int(ps[-1]))
@@ -882,7 +995,8 @@ def test_pigeonhole_counts_bounded_by_rows(fam3):
 def test_pigeonhole_past_int64():
     # the inert primes just below 2**63, where p + 1 is the largest value
     # the row sieve takes: survivor and large-factor counts equal trial
-    # division and factorize.  From 2**63 on order_scan takes no prime.
+    # division and factorize.  From 2**63 on order_scan takes no prime, as
+    # a list, an object array or a uint64 array, which int64 would wrap.
     fam = AlphaFamily.from_coords(5, [(3, 2), (2, 1)])
     ps = [p for p in range(2**63 - 999, 2**63, 2) if is_prime(p) and jacobi(5, p) == -1]
     assert ps[-1] == 2**63 - 25
@@ -890,23 +1004,24 @@ def test_pigeonhole_past_int64():
     assert summary.prime_count == len(ps)
     assert counts_of(tally) == pigeonhole_counts(fam, ps, ps[-1])
     assert 0 < tally.survivors < len(ps)
-    for big in ([2**63 + 29], ps + [2**63 + 29], np.array([2**63 + 29], dtype=object)):
+    for big in ([2**63 + 29], ps + [2**63 + 29], np.array([2**63 + 29], dtype=object),
+                np.array([2**63 + 29], dtype=np.uint64)):
         with pytest.raises(ValueError, match="below 2\\*\\*63"):
-            order_scan(fam, big)
+            order_scan(fam, [big])
 
 
 def test_pigeonhole_tally_memory_is_bounded():
     # the tally keeps counters, not one object per prime: a scan that feeds
     # it peaks within 0.5 MB of a plain scan, and returns the same summary
     fam = AlphaFamily.from_coords(5, [(1, 1), (3, 2), (4, 1)])
-    ps = inert_primes(fam.ctx, 3, 10**6)
+    ps = inert_up_to(5, 10**6)
     tallied(fam, ps[:100], 10**6)
     tally = PigeonholeTally(fam, 10**6)
     peaks, summaries = [], []
     for sink in (None, tally.update):
         tracemalloc.start()
         try:
-            summaries.append(order_scan(fam, ps, sink=sink))
+            summaries.append(order_scan(fam, [ps], sink=sink))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

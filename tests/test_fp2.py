@@ -403,7 +403,7 @@ def test_kernel_value_error_is_not_a_skipped_prime(monkeypatch, module, target, 
 
     monkeypatch.setattr(module, target, boom)
     with pytest.raises(ValueError, match="boom"):
-        order_scan(AlphaFamily.from_coords(5, [(2, 1)]), primes)
+        order_scan(AlphaFamily.from_coords(5, [(2, 1)]), [primes])
 
 
 # ---------------------------------------------------------------------------
