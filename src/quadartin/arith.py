@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
@@ -261,9 +260,14 @@ def sieve_rows(n: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _integers(x) -> np.ndarray:
-    """x as an int64 array, or as the object array of Python ints it is."""
-    x = np.asarray(x)
-    return x if x.dtype == object else x.astype(np.int64, copy=False)
+    """x as an int64 array, or as an object array of Python ints: an int64
+    or object array as it is, anything else (a list, a scalar, another
+    dtype) built through Python ints and cast to int64 only when every
+    value fits, so that none wraps."""
+    if isinstance(x, np.ndarray) and x.dtype in (np.int64, object):
+        return x
+    x = np.array(x.tolist() if isinstance(x, np.ndarray) else x, dtype=object)
+    return x.astype(np.int64) if not x.size or -2**63 <= x.min() <= x.max() < 2**63 else x
 
 
 def _fits(lo: int, hi: int) -> bool:
@@ -600,7 +604,6 @@ def _adaptive(a, b, fa, fm, fb, whole, eps, depth):
     )
 
 
-@lru_cache(maxsize=None)
 def li(y: float) -> float:
     """Integral of dt/log(t) from 2 to y, by adaptive Simpson quadrature.
 

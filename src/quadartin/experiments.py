@@ -24,11 +24,10 @@ from .quadfield import FieldContext, QuadElem, norm
 
 @dataclass(frozen=True)
 class AlphaFamily:
-    """A labelled family of integral elements, all nonzero with nonzero norm."""
+    """A family of integral elements, all nonzero with nonzero norm."""
 
     ctx: FieldContext
     members: Tuple[QuadElem, ...]
-    labels: Tuple[str, ...] = ()
 
     def __post_init__(self):
         if not self.members:
@@ -40,19 +39,16 @@ class AlphaFamily:
                 raise ValueError(f"non-integral member {a}")
             if a.is_zero() or norm(a) == 0:
                 raise ValueError(f"member {a} is zero or has zero norm")
-        if not self.labels:
-            object.__setattr__(
-                self,
-                "labels",
-                tuple(f"{int(a.x)}+{int(a.y)}r{self.ctx.delta}" for a in self.members),
-            )
-        if len(self.labels) != len(self.members):
-            raise ValueError("labels do not match members")
 
     @classmethod
     def from_coords(cls, delta: int, coords: Sequence[Sequence[int]]) -> "AlphaFamily":
         ctx = FieldContext(delta)
         return cls(ctx, tuple(ctx.integer(x, y) for x, y in coords))
+
+    @cached_property
+    def labels(self) -> Tuple[str, ...]:
+        """The members as x+yr<delta>, in member order."""
+        return tuple(f"{int(a.x)}+{int(a.y)}r{self.ctx.delta}" for a in self.members)
 
     @cached_property
     def norms(self) -> Tuple[int, ...]:
@@ -63,15 +59,6 @@ class AlphaFamily:
 # Primes per block of the scan's order kernel: bounds the (prime, q, e) row
 # arrays, and with them the kernel's memory, whatever prime_max is.
 PRIME_BLOCK = 2**13
-
-
-def _ramified_split(delta: int, ps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Masks of the primes ps that are 2 or ramify, and of the others that
-    split: delta is a square mod p, by Euler's criterion."""
-    dm = residues(delta, ps)
-    ramified = (ps == 2) | (dm == 0)
-    split = ~ramified & (powmod(dm, (ps - 1) // 2, ps) != ps - 1)
-    return ramified, split
 
 
 @dataclass(frozen=True)
@@ -199,8 +186,10 @@ def order_scan(
             if not (np.diff(ps, prepend=last) > 0).all():
                 raise ValueError("order_scan needs ascending, distinct primes")
             last = ps[-1] if ps.size else last
-            ramified, split = _ramified_split(family.ctx.delta, ps)
-            ps = ps[~(ramified | split)]
+            # inert: p odd and delta**((p - 1)/2) = -1 mod p, by Euler's
+            # criterion, which a ramified p, with delta = 0 mod p, fails
+            dm = residues(family.ctx.delta, ps)
+            ps = ps[(ps != 2) & (powmod(dm, (ps - 1) // 2, ps) == ps - 1)]
             divides = np.any([residues(n, ps) == 0 for n in family.norms], axis=0)
             skipped += int(divides.sum())
             held = np.concatenate([held, ps[~divides]])
@@ -397,10 +386,8 @@ def lemma42_scan(
         raise DependentGenerators(verdict.relation)
 
     bad = tuple(q for g in gens for q in factorize(abs(g)).primes)
-    # every size from y_max on counts alike, so sizes are capped there; no
-    # cap is needed from x on, as every p - 1 is below it
-    y_max = y_grid[-1]
-    cap = math.ceil(y_max) if y_max < x else None
+    # every size from y_max on counts alike, so sizes are capped there
+    cap = math.ceil(y_grid[-1])
     counts, prime_count = np.zeros(len(y_grid), dtype=np.int64), 0
     for c, n in _map(partial(_segment_counts, tuple(gens), bad, y_grid, cap),
                      _segments(2, x), workers):
@@ -420,16 +407,16 @@ def lemma42_scan(
 
 
 def _segment_counts(gens: Tuple[int, ...], bad: Tuple[int, ...], y_grid: List[float],
-                    cap: Optional[int], ps: np.ndarray) -> Tuple[np.ndarray, int]:
+                    cap: int, ps: np.ndarray) -> Tuple[np.ndarray, int]:
     """N(y) for each y of y_grid over one segment ps of primes, those
     dividing a generator (bad) left out, and the number of primes counted:
     the rows of p - 1 come from sieving them, and the sizes are capped at
-    cap (None keeps them exact).  No size from cap on moves a count, as
-    every y is at most cap, so only the sizes below it are sorted."""
+    cap.  No size from cap on moves a count, as every y is at most cap, so
+    only the sizes below it are sorted; a cap past every p - 1 keeps them
+    all."""
     ps = ps[~np.isin(ps, bad)]
     sizes = subgroup_sizes(ps, gens, sieve_rows(ps - 1), cap)
-    if cap is not None:
-        sizes = sizes[sizes < cap]
+    sizes = sizes[sizes < cap]
     sizes.sort()
     return np.searchsorted(sizes, y_grid, side="left"), ps.size
 

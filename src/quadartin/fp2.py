@@ -67,8 +67,9 @@ Rows = Tuple[np.ndarray, np.ndarray, np.ndarray]
 def lucas_v(P: np.ndarray, k: np.ndarray, p: np.ndarray) -> np.ndarray:
     """V_k(P) mod p elementwise for k >= 0: the Lucas sequence V_0 = 2,
     V_1 = P, V_(j+1) = P*V_j - V_(j-1) at Q = 1, so V_k(x + 1/x) = x^k +
-    x^-k.  P is reduced mod p in p's dtype, all int64 with p < 2**31 or all
-    Python ints.
+    x^-k.  P is reduced mod p in p's dtype.  int64 moduli that
+    arith.exact_ints widens are taken through Python ints, and the result
+    comes back in p's dtype, so no product wraps.
 
     The ladder holds V_j and V_(j+1) and, from the top bit of the largest k,
     steps to j -> 2j + b, b the next bit, by V_2j = V_j^2 - 2 and
@@ -78,6 +79,8 @@ def lucas_v(P: np.ndarray, k: np.ndarray, p: np.ndarray) -> np.ndarray:
     bit equals b and x otherwise, a test on k ^ (k >> 1), and only the end
     puts them in order.  It starts at j = 0, which a zero bit keeps at
     (2, P), so every k shares the one loop."""
+    if p.dtype != object and exact_ints(p).dtype == object:
+        return lucas_v(P.astype(object), k, p.astype(object)).astype(p.dtype)
     sq, x = np.full_like(p, 2), P
     flips = k ^ (k >> 1)
     top = int(k.max()).bit_length() if k.size else 0

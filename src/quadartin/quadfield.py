@@ -1,8 +1,9 @@
 """Exact arithmetic in the real quadratic field Q(sqrt(delta)).
 
-Elements are stored as x + y*sqrt(delta) with Fraction coordinates, so all
-field operations are exact.  Integral elements (integer x, y) form the ring
-Z[sqrt(delta)]; when delta = 1 (mod 4) this is a proper subring of the ring
+Elements are stored as x + y*sqrt(delta) with Fraction coordinates, so the
+operations the experiments use, products, inverses, quotients, powers, the
+conjugate and the norm, are exact.  Integral elements (integer x, y) form
+the ring Z[sqrt(delta)]; when delta = 1 (mod 4) this is a proper subring of the ring
 of integers of the field, which is fine for everything done here.
 """
 
@@ -89,17 +90,6 @@ class QuadElem:
 
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
-
-    def __add__(self, other: "QuadElem") -> "QuadElem":
-        self._check(other)
-        return QuadElem(self.x + other.x, self.y + other.y, self.ctx)
-
-    def __sub__(self, other: "QuadElem") -> "QuadElem":
-        self._check(other)
-        return QuadElem(self.x - other.x, self.y - other.y, self.ctx)
-
-    def __neg__(self) -> "QuadElem":
-        return QuadElem(-self.x, -self.y, self.ctx)
 
     def __mul__(self, other: "QuadElem") -> "QuadElem":
         self._check(other)

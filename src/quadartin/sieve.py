@@ -127,20 +127,16 @@ def ledger(cfg: SieveConfig, d_hi: int) -> List[SieveRow]:
     ]
 
 
-def mertens_check(w: int, z: int, v: int = 1) -> float:
-    """Partial sum of 2*log(q)/(q - 1) over primes w <= q < z with q not
-    dividing v, minus its Mertens prediction 2*log(z/w).
+def mertens_check(w: int, z: int) -> float:
+    """Partial sum of 2*log(q)/(q - 1) over primes w <= q < z, minus its
+    Mertens prediction 2*log(z/w).
 
     Stays bounded as z grows; compensated summation keeps the telescoping
     identity tight.
     """
     if not 2 <= w <= z:
         raise ValueError(f"need 2 <= w <= z, got w = {w}, z = {z}")
-    terms = [
-        2.0 * math.log(q) / (q - 1)
-        for q in primes_up_to(z - 1)
-        if q >= w and v % q != 0
-    ]
+    terms = [2.0 * math.log(q) / (q - 1) for q in primes_up_to(z - 1) if q >= w]
     return math.fsum(terms) - 2.0 * math.log(z / w)
 
 
@@ -179,7 +175,6 @@ class RemainderSum:
     total: float
     ceiling: Optional[float]
     d_bound: int
-    terms: int
     notes: Tuple[str, ...] = ()
 
     @property
@@ -199,15 +194,14 @@ def remainder_sum(cfg: SieveConfig) -> RemainderSum:
     if big_x > 0:
         log_d = 0.5 * math.log(big_x) - cfg.c2 * math.log(math.log(cfg.x))
     d_bound = math.ceil(math.exp(log_d)) - 1  # strict d < D
-    rows = ledger(cfg, d_bound)
     total = 0.0
-    for row in rows:
+    for row in ledger(cfg, d_bound):
         total += 3 ** factorize(row.d).nu * abs(row.remainder)
     if big_x <= 1.0:
         note = "X = li(x)/phi(v) <= 1: the remainder ceiling c3*X/log(X)^A is undefined"
-        return RemainderSum(total, None, d_bound, len(rows), (note,))
+        return RemainderSum(total, None, d_bound, (note,))
     ceiling = cfg.c3 * big_x / math.log(big_x) ** cfg.a_exp
-    return RemainderSum(total, ceiling, d_bound, len(rows))
+    return RemainderSum(total, ceiling, d_bound)
 
 
 # Cells of the (prime, q) residue table survivor_mask tests at once: bounds
@@ -245,7 +239,8 @@ def survivor_count(cfg: SieveConfig) -> int:
 class SieveBoundReport:
     """Everything the lower-bound inequality needs at a glance: the survivor
     count, the untruncated main term X * prod(1 - omega(q)/q) with the
-    product_lower bound it came from, and where the level-vs-sifting ratio
+    product_lower bound it came from (0 when 2 or 3 lies below z and
+    outside v: their factors are 0), and where the level-vs-sifting ratio
     log(X)/(2 log z) sits against the 4.42 threshold (below it the bracket
     in the bound is not positive and the main term cannot be trusted; at
     X = 0, for x = 2, it is None and notes say why)."""
@@ -261,11 +256,12 @@ class SieveBoundReport:
 def sieve_bound_report(cfg: SieveConfig) -> SieveBoundReport:
     surv = survivor_count(cfg)
     big_x = cfg.big_x
-    excluded = [q for q in primes_up_to(min(3, cfg.z - 1)) if cfg.v % q != 0]
     prod = product_lower(cfg.z, cfg.v)
-    main = big_x * prod.product
-    for q in excluded:
-        main *= 1.0 - 2.0 / (q - 1)
+    # the factor 1 - rho(q)/phi(q) of q = 2 or 3 is 0, as every odd p has
+    # 2 | p^2 - 1 and every p > 3 has 3 | p^2 - 1: such a q below z and
+    # outside v sifts out the whole class
+    sifted = any(cfg.v % q for q in primes_up_to(min(3, cfg.z - 1)))
+    main = 0.0 if sifted else big_x * prod.product
     t = math.log(big_x) / (2.0 * math.log(cfg.z)) if big_x > 0 else None
     notes = (
         "progression error terms use the endpoint y = x only",

@@ -399,6 +399,16 @@ def test_powmod_exact_past_int32(m, e, big):
     assert got.tolist() == [pow(3, e, m), pow(-(2**70), e, big), pow(big - 1, big, big)]
 
 
+def test_powmod_and_residues_exact_on_lists_and_other_dtypes():
+    # a list mixing small ints with one past 2**63, which numpy alone makes
+    # float64, and a uint64 array past 2**63, which an int64 cast wraps, go
+    # through Python ints; inputs that fit int64 are computed in it
+    assert powmod([2, 2], [3, 3], [7, 2**63 + 29]).tolist() == [1, 8]
+    assert residues(10, np.array([7, 2**63 + 29], dtype=np.uint64)).tolist() == [3, 10]
+    got = powmod(np.array([3, 5], dtype=np.int32), np.array([2, 3], dtype=np.uint64), [7, 11])
+    assert got.dtype == np.int64 and got.tolist() == [2, 4]
+
+
 def _scalar_window(b, m):
     """The window powmod's scalar ladder takes for the one base b and the
     largest modulus m: the largest k with b**(2**k - 1) * m**2 < 2**63, or

@@ -91,8 +91,6 @@ def test_family_validation():
     ctx = FieldContext(5)
     with pytest.raises(ValueError):
         AlphaFamily(ctx, (FieldContext(2).integer(1, 1),))
-    with pytest.raises(ValueError):
-        AlphaFamily(ctx, (ctx.integer(1, 1),), ("a", "b"))
 
 
 def test_inert_primes_delta5():
@@ -683,9 +681,11 @@ def test_lemma42_frozen_small_scan():
 
 
 def test_lemma42_y1_and_saturation():
-    g = lemma42_scan([2, 3], 2000, y_grid=[1.0, 5000.0])
+    # a y past 2**63 caps the sizes at a Python int no int64 holds
+    g = lemma42_scan([2, 3], 2000, y_grid=[1.0, 5000.0, 1e30])
     assert g.samples[0] == (1.0, 0)  # sizes are never below 1
     assert g.samples[1] == (5000.0, g.prime_count)  # all sizes < p <= x < y
+    assert g.samples[2] == (1e30, g.prime_count)
 
 
 def test_lemma42_sorts_y_grid():
@@ -870,14 +870,14 @@ def test_subgroup_kernel_exact_where_the_scalar_window_narrows(lo):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.lists(st.lists(st.integers(1, 80), max_size=40), min_size=1, max_size=4),
        st.lists(st.floats(0.5, 60.0), min_size=1, max_size=6), st.booleans(), st.booleans())
-def test_growth_counts_below_cap_equal_unfiltered(segments, grid, capped, at_cap):
+def test_growth_counts_below_cap_equal_unfiltered(segments, grid, past, at_cap):
     # _segment_counts keeps only the sizes below cap: with every y at most
-    # cap, y = cap included, and with no cap, the counts summed over the
-    # segments are those of the uncapped sizes, unfiltered
-    cap = math.ceil(max(grid)) if capped else None
-    y_grid = sorted(grid + [float(cap)] if capped and at_cap else grid)
-    sizes = iter([np.array([s if cap is None else min(s, cap) for s in seg], dtype=np.int64)
-                  for seg in segments])
+    # cap, y = cap included, and with a cap past every size, as lemma42's
+    # is when the grid reaches x, the counts summed over the segments are
+    # those of the uncapped sizes, unfiltered
+    cap = math.ceil(max(grid + [100.0] if past else grid))
+    y_grid = sorted(grid + [float(cap)] if at_cap else grid)
+    sizes = iter([np.array([min(s, cap) for s in seg], dtype=np.int64) for seg in segments])
     with mock.patch.object(experiments, "subgroup_sizes", lambda *args: next(sizes)):
         parts = [experiments._segment_counts((2, 3), (2, 3), y_grid, cap,
                                              np.arange(5, 5 + len(seg), dtype=np.int64))

@@ -418,9 +418,11 @@ def _primes_below(n: int, count: int):
     return out
 
 
-# the largest primes the int64 kernel takes, and small ones; and moduli
-# past 2**63, which only Python ints hold
+# the largest primes the int64 kernel takes, and small ones; int64 moduli
+# past 2**31, which the ladder takes through Python ints; and moduli past
+# 2**63, which only Python ints hold
 LADDER_PRIMES = [3, 5, 7, 13] + _primes_below(2**31, 4)
+WIDE_LADDER_PRIMES = [2**31 + 11, 2**40 + 15] + _primes_below(2**63, 2)
 BIG_LADDER_PRIMES = _primes_below(2**64, 3) + [2**89 - 1, 2**127 - 1]
 
 
@@ -430,10 +432,11 @@ def test_lucas_v_is_trace_of_pow_raw(data):
     # V_k(P) = a^k + conj(a)^k for a = (P + s)/2 in F_p[s]/(s^2 - (P^2 -
     # 4)), whose trace is P and norm 1: the ladder against twice the first
     # coordinate of the exact Python-int power, several rows at once.
-    # int64 rows have p up to 2**31 - 1 and exponents up to 2**62;
-    # Python-int rows add primes past 2**63 and exponents up to 2**130
+    # int64 rows have p below 2**63 and exponents up to 2**62, and come
+    # back in int64; Python-int rows add primes past 2**63 and exponents up
+    # to 2**130
     big = data.draw(st.booleans())
-    prime = st.sampled_from(LADDER_PRIMES) | st.integers(3, 2**31 - 1).map(
+    prime = st.sampled_from(LADDER_PRIMES + WIDE_LADDER_PRIMES) | st.integers(3, 2**63 - 1).map(
         lambda t: next(q for q in range(t, 1, -1) if is_prime(q)))
     if big:
         prime |= st.sampled_from(BIG_LADDER_PRIMES)

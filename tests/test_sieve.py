@@ -14,6 +14,7 @@ from quadartin.sieve import (
     T0_THRESHOLD,
     SieveConfig,
     count_Ad,
+    ledger,
     mertens_check,
     omega,
     product_lower,
@@ -212,15 +213,14 @@ def test_mertens_telescoping():
 
 def test_mertens_frozen_values():
     assert mertens_check(100, 10**4) == pytest.approx(-0.14786676203408256, abs=1e-12)
-    assert mertens_check(2, 10**4, 720) == pytest.approx(-3.031750424744672, abs=1e-12)
+    assert mertens_check(2, 10**4) == pytest.approx(0.2578751812603777, abs=1e-12)
 
 
 def test_mertens_excludes_divisors_of_v():
-    # removing q = 2, 3, 5 by hand must agree with the v filter
-    byhand = mertens_check(2, 1000) - sum(
-        2 * math.log(q) / (q - 1) for q in (2, 3, 5)
-    )
-    assert mertens_check(2, 1000, 30) == pytest.approx(byhand, abs=1e-12)
+    # the frozen sum over the primes q not dividing v = 720 = 2^4 * 3^2 * 5
+    # is the full sum less its q = 2, 3, 5 terms
+    byhand = mertens_check(2, 10**4) - sum(2 * math.log(q) / (q - 1) for q in (2, 3, 5))
+    assert byhand == pytest.approx(-3.031750424744672, abs=1e-12)
 
 
 def test_mertens_rejects_bad_range():
@@ -266,7 +266,7 @@ def test_eq81_inequality_sampled():
 def test_remainder_sum_single_term_case():
     cfg = SieveConfig(1000, 1, 4, 6)
     rs = remainder_sum(cfg)
-    assert rs.d_bound == 1 and rs.terms == 1
+    assert rs.d_bound == 1 and len(ledger(cfg, rs.d_bound)) == 1
     row = count_Ad(cfg, 1)
     assert rs.total == pytest.approx(abs(row.remainder), rel=1e-12)
     assert rs.total >= 0
@@ -277,7 +277,7 @@ def test_remainder_sum_skips_bad_d():
     cfg = SieveConfig(10**5, 3, 8, 6)
     rs = remainder_sum(cfg)
     # d runs over squarefree values coprime to 8 only
-    assert rs.terms <= rs.d_bound
+    assert len(ledger(cfg, rs.d_bound)) <= rs.d_bound
     assert rs.total >= 0
 
 
@@ -341,6 +341,15 @@ def test_report_main_term_positive_with_v_covering_2_and_3():
     cfg = SieveConfig(10**5, 547, 720 * 7, 1000)
     rep = sieve_bound_report(cfg)
     assert rep.main_term > 0
+
+
+@pytest.mark.parametrize("v, z", [(1, 3), (3, 5), (2, 5)])
+def test_report_main_term_is_zero_when_2_or_3_sifts_the_class(v, z):
+    # 1 - rho(q)/phi(q) is 0 at q = 2 and at q = 3, as every odd p has
+    # 2 | p^2 - 1 and every p > 3 has 3 | p^2 - 1: a 2 or 3 below z and
+    # outside v leaves a main term of 0.0, never a negative one
+    main = sieve_bound_report(SieveConfig(10**5, 1, v, z)).main_term
+    assert main == 0.0 and math.copysign(1.0, main) == 1.0
 
 
 def test_report_threshold_matches_exponent_algebra():

@@ -35,12 +35,30 @@ def test_no_bare_asserts():
     assert not found, found
 
 
-# Public names kept with no caller in src/: the CLI entry points, the
-# argparse hook, and the pigeonhole tally and its members, which ROADMAP
-# item 2 wires into scan.
+# src/ ships only what some src/ code uses, down to inputs: every public
+# name, method and property has a caller, every optional parameter and
+# defaulted record field is passed by some call, and every record field is
+# read.  Reference routes live in tests/oracles.py.  Kept with no caller:
+# the CLI entry points, the argparse hook, and the pigeonhole tally and its
+# members, which ROADMAP item 2 wires into scan.
 NO_CALLER_NEEDED = {"main", "entrypoint", "_Parser.error", "PigeonholeTally",
                     "PigeonholeTally.update", "PigeonholeTally.survivors",
                     "PigeonholeTally.max_side_factors", "PigeonholeTally.members_needed"}
+# Inputs kept with no src/ caller: main's argv, which the console script
+# leaves to sys.argv, and _Key's fields, which validate_config unpacks.
+NO_CALLER_NEEDED_INPUTS = {"main.argv", "_Key.what", "_Key.convert", "_Key.default"}
+
+
+def _trees():
+    # the parsed modules of src/quadartin but __init__.py, whose re-exports
+    # do not count as uses
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+
+
+def _name(node):
+    return node.id if isinstance(node, ast.Name) else (
+        node.attr if isinstance(node, ast.Attribute) else None)
 
 
 def _definitions(tree):
@@ -55,18 +73,13 @@ def _definitions(tree):
 
 
 def test_every_public_definition_has_a_caller():
-    # Reference routes live in tests/oracles.py; src/ ships only what some
-    # src/ code uses.  A name counts as used when it is referenced anywhere
-    # in src/quadartin outside its own definition (__init__.py re-exports
-    # do not count); a method or property, when its name is.
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    # A name counts as used when it is referenced anywhere in src/quadartin
+    # outside its own definition; a method or property, when its name is.
+    trees = _trees()
     refs = []  # (module, line, name)
     for name, tree in trees.items():
         for node in ast.walk(tree):
-            ref = (node.id if isinstance(node, ast.Name) else
-                   node.attr if isinstance(node, ast.Attribute) else
-                   node.name if isinstance(node, ast.alias) else None)
+            ref = _name(node) or (node.name if isinstance(node, ast.alias) else None)
             if ref is not None:
                 refs.append((name, node.lineno, ref))
     unused = []
@@ -81,6 +94,81 @@ def test_every_public_definition_has_a_caller():
                 unused.append(f"{name}:{qualname}")
     assert not unused, unused
 
+
+def _record_fields(cls):
+    # [(field, has a default)] of a dataclass or NamedTuple, else None
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    if "dataclass" in map(_name, decorators) or "NamedTuple" in map(_name, cls.bases):
+        return [(n.target.id, n.value is not None) for n in cls.body
+                if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
+    return None
+
+
+def _inputs(body, prefix="", method=False):
+    # (qualified name, the name a call uses, positional inputs, optional
+    # inputs) for each function, method and record class below body; a
+    # record's inputs are its fields, and __init__ is called by its class
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            fields = _record_fields(node)
+            if fields is not None:
+                yield (node.name, node.name, [f for f, _ in fields],
+                       {f for f, default in fields if default})
+            yield from _inputs(node.body, f"{node.name}.", True)
+        elif isinstance(node, ast.FunctionDef):
+            a = node.args
+            pos = [x.arg for x in a.args][method:]  # a method's self or cls is no input
+            optional = set(pos[len(pos) - len(a.defaults):]) | {
+                k.arg for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None}
+            called = prefix[:-1] if node.name == "__init__" else node.name
+            yield f"{prefix}{node.name}", called, pos, optional
+            yield from _inputs(node.body, f"{prefix}{node.name}.")
+
+
+def _calls(tree):
+    # (callee name, positional arguments, keywords) of each call, a
+    # functools.partial taken as a call of the function it wraps
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func, args = node.func, node.args
+            if _name(func) == "partial" and args:
+                func, args = args[0], args[1:]
+            if _name(func) is not None:
+                yield _name(func), args, node.keywords
+
+
+def test_every_optional_input_is_passed():
+    # An optional parameter, or a record field with a default, that no src/
+    # call passes, by position, by keyword or through functools.partial,
+    # only ever takes its default in src/: the default is then the code.
+    # Calls are matched by the callee's name; a call with *args or
+    # **kwargs passes every input.
+    trees = _trees()
+    calls = [c for tree in trees.values() for c in _calls(tree)]
+    unpassed = []
+    for mod, tree in trees.items():
+        for qualname, called, pos, optional in _inputs(tree.body):
+            for x in sorted(optional):
+                if f"{qualname}.{x}" not in NO_CALLER_NEEDED_INPUTS and not any(
+                    x in pos[:len(args)] or any(isinstance(a, ast.Starred) for a in args)
+                    or any(k.arg in (x, None) for k in kws)
+                    for name, args, kws in calls if name == called
+                ):
+                    unpassed.append(f"{mod}:{qualname}.{x}")
+    assert not unpassed, unpassed
+
+
+def test_every_record_field_is_read():
+    # A dataclass or NamedTuple field no src/ code reads as an attribute is
+    # carried for nothing.
+    trees = _trees()
+    reads = {node.attr for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{mod}:{cls.name}.{f}" for mod, tree in trees.items()
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for f, _ in _record_fields(cls) or ()
+              if f not in reads and f"{cls.name}.{f}" not in NO_CALLER_NEEDED_INPUTS]
+    assert not unread, unread
 
 
 def test_commands_read_only_typed_config():
