@@ -274,7 +274,7 @@ def _scan_rows(fh: TextIO, labels: List[str], b) -> None:
 
 
 def cmd_scan(cfg: Dict, out: Path, workers: int) -> int:
-    from .experiments import AlphaFamily, mult_indep_rational, order_scan
+    from .experiments import AlphaFamily, ScanTally, mult_indep_rational, order_scan
 
     lo, hi = cfg["prime_min"], cfg["prime_max"]
     if lo > hi:
@@ -287,39 +287,34 @@ def cmd_scan(cfg: Dict, out: Path, workers: int) -> int:
     u, v = (0, 1) if cong is None else (cong.u, cong.v)
 
     # the sieve's segments stream through the pass, and each block is
-    # written as the pass yields it; a broken order chain raises
+    # written and tallied as the pass yields it; a broken order chain raises
     # RemarkViolation there, which removes scan.csv and exits 3
+    labels = list(family.labels)
+    tally = ScanTally(family)
     with _artifact(out / "scan.csv") as fh:
         fh.write("p,member,ord_alpha,ord_N,ord_M,attained\n")
-        summary = order_scan(family, arith._segments(lo, hi, u=u, v=v), workers=workers,
-                             sink=partial(_scan_rows, fh, list(family.labels)))
+        skipped = order_scan(family, arith._segments(lo, hi, u=u, v=v),
+                             (partial(_scan_rows, fh, labels), tally.update), workers=workers)
 
-    indep = mult_indep_rational([Fraction(n) for n in family.norms])
+    n = tally.prime_count
+    per_member = tally.attained_per_member.tolist()
+    indep = mult_indep_rational([Fraction(m) for m in family.norms])
     summary_json = {
         "delta": family.ctx.delta,
-        "labels": list(family.labels),
-        "prime_count": summary.prime_count,
-        "skipped": summary.skipped,
-        "attained_per_member": {
-            lab: n for lab, n in zip(summary.labels, summary.attained_per_member)
-        },
-        "attained_family": summary.attained_family,
-        "fractions": {
-            lab: frac for lab, frac in zip(summary.labels, summary.fractions)
-        },
-        "family_fraction": summary.family_fraction,
-        "index_histogram": {str(k): n for k, n in summary.index_histogram.items()},
+        "labels": labels,
+        "prime_count": n,
+        "skipped": skipped,
+        "attained_per_member": dict(zip(labels, per_member)),
+        "attained_family": tally.attained_family,
+        "fractions": {lab: c / n if n else 0.0 for lab, c in zip(labels, per_member)},
+        "family_fraction": tally.attained_family / n if n else 0.0,
+        "index_histogram": {str(k): c for k, c in tally.index_histogram.items()},
         "norms_independent": indep.independent,
-        "square_guard": {
-            lab: square_guard(a) for lab, a in zip(family.labels, family.members)
-        },
+        "square_guard": {lab: square_guard(a) for lab, a in zip(labels, family.members)},
         "congruence": None if cong is None else {"u": cong.u, "v": cong.v},
     }
     _write_json(out / "scan_summary.json", summary_json)
-    print(
-        f"scan: {summary.prime_count} primes, family attainment "
-        f"{summary.attained_family}/{summary.prime_count}, skipped {summary.skipped}"
-    )
+    print(f"scan: {n} primes, family attainment {tally.attained_family}/{n}, skipped {skipped}")
     return EXIT_OK
 
 
@@ -332,8 +327,8 @@ def cmd_sieve(cfg: Dict, out: Path, workers: int) -> int:
         raise BadConfig(f"sieve needs 'z' to be at most prime_max, got {z} > {x}")
     cong = _checked_class(cfg["a"], cfg["delta"], cfg["p0_bound"])
     u, v = cong.u, cong.v
-    sieve_cfg = sieve.SieveConfig(x=x, u=u, v=v, z=z, delta1=delta1, c2=cfg["c2"],
-                                  c3=cfg["c3"], a_exp=cfg["A"])
+    sieve_cfg = sieve.SieveConfig(x=x, u=u, v=v, z=z, c2=cfg["c2"], c3=cfg["c3"],
+                                  a_exp=cfg["A"])
 
     rows = sieve.ledger(sieve_cfg, d_max)
     with _artifact(out / "sieve.csv") as fh:

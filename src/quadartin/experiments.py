@@ -61,34 +61,6 @@ class AlphaFamily:
 PRIME_BLOCK = 2**13
 
 
-@dataclass(frozen=True)
-class ScanSummary:
-    """Aggregates of one order scan."""
-
-    prime_count: int
-    skipped: int
-    labels: Tuple[str, ...]
-    attained_per_member: Tuple[int, ...]
-    attained_family: int
-    index_histogram: Dict[int, int]
-
-    def __post_init__(self):
-        if self.attained_per_member and self.prime_count >= 0:
-            best = max(self.attained_per_member)
-            if self.attained_family < best or self.attained_family > self.prime_count:
-                raise ValueError("family attainment count out of range")
-
-    @property
-    def fractions(self) -> Tuple[float, ...]:
-        if self.prime_count == 0:
-            return tuple(0.0 for _ in self.attained_per_member)
-        return tuple(c / self.prime_count for c in self.attained_per_member)
-
-    @property
-    def family_fraction(self) -> float:
-        return self.attained_family / self.prime_count if self.prime_count else 0.0
-
-
 class OrderBlock(NamedTuple):
     """Orders at the usable primes of one block of a scan.  p holds those
     primes; ord_alpha, ord_n, ord_m and attained have one row per prime and
@@ -154,26 +126,24 @@ def _map(fn, items: Iterable, workers: int) -> Iterator:
 def order_scan(
     family: AlphaFamily,
     segments: Iterable[Sequence[int]],
+    folds: Sequence[Callable[[OrderBlock], None]],
     workers: int = 1,
-    sink: Optional[Callable[[OrderBlock], None]] = None,
-) -> ScanSummary:
-    """Summary of the order profile of every family member at the usable
-    primes of segments, arrays of primes as arith._segments yields them:
-    all of them ascending, distinct and below 2**63, each taken as int64,
-    else ValueError once the pass reaches the segment at fault.
+) -> int:
+    """One pass over the usable primes of segments, arrays of primes as
+    arith._segments yields them: all of them ascending, distinct and below
+    2**63, each taken as int64, else ValueError once the pass reaches the
+    segment at fault.  Returns the number of skipped primes.
 
     Per segment one mask decides the usable primes: the inert ones that
     divide no member's norm.  Ramified and split primes, 2 among them, are
     dropped; the inert ones dividing a norm are skipped (counted).  The
-    usable primes fill blocks of PRIME_BLOCK across segments, and one pass
-    runs the kernel on each block, hands it to sink, if given, in ascending
-    order of p and drops it before the next block is computed, so no array
+    usable primes fill blocks of PRIME_BLOCK across segments, and the pass
+    runs the kernel on each block, hands it to every fold, in ascending
+    order of p, and drops it before the next block is computed, so no array
     grows with the range.  A broken order chain raises RemarkViolation at
     the first failing (p, member) in (p, member) order.
     """
-    per_member = np.zeros(len(family.labels), dtype=np.int64)
-    prime_count = skipped = family_attained = 0
-    histogram: Counter = Counter()
+    skipped = 0
 
     def blocks() -> Iterator[np.ndarray]:
         nonlocal skipped
@@ -200,15 +170,28 @@ def order_scan(
             yield held
 
     for b in _map(partial(_kernel_block, family), blocks(), workers):
-        prime_count += b.p.size
-        per_member += b.attained.sum(axis=0)
-        family_attained += int(b.attained.any(axis=1).sum())
-        histogram.update(((b.p * b.p - 1)[:, None] // b.ord_alpha).ravel().tolist())
-        if sink is not None:
-            sink(b)
+        for fold in folds:
+            fold(b)
         del b
-    return ScanSummary(prime_count, skipped, family.labels, tuple(per_member.tolist()),
-                       family_attained, dict(histogram))
+    return skipped
+
+
+class ScanTally:
+    """The attainment counts of an order scan, tallied on order_scan's one
+    pass: pass update among its folds.  Only counters are kept: the usable
+    primes, per member and for the family the primes where the threshold
+    is attained, and the index (p^2 - 1)/ord_alpha of every (p, member)."""
+
+    def __init__(self, family: AlphaFamily):
+        self.prime_count = self.attained_family = 0
+        self.attained_per_member = np.zeros(len(family.members), dtype=np.int64)
+        self.index_histogram: Counter = Counter()
+
+    def update(self, b: OrderBlock) -> None:
+        self.prime_count += b.p.size
+        self.attained_per_member += b.attained.sum(axis=0)
+        self.attained_family += int(b.attained.any(axis=1).sum())
+        self.index_histogram.update(((b.p * b.p - 1)[:, None] // b.ord_alpha).ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -421,18 +404,17 @@ def _segment_counts(gens: Tuple[int, ...], bad: Tuple[int, ...], y_grid: List[fl
     return np.searchsorted(sizes, y_grid, side="left"), ps.size
 
 
-def subgroup_sizes(ps: np.ndarray, gens: Sequence[int], rows: Rows,
-                   cap: Optional[int] = None) -> np.ndarray:
+def subgroup_sizes(ps: np.ndarray, gens: Sequence[int], rows: Rows, cap: int) -> np.ndarray:
     """min(|<gens> mod p|, cap) for every prime p of ps, in the dtype
     arith.exact_ints gives ps, from the prime-power rows (i, q, e) of
-    ps - 1, by the fp2 order routine on all primes at once; cap None keeps
-    the sizes exact, and cap must be >= 1."""
+    ps - 1, by the fp2 order routine on all primes at once; cap must be
+    >= 1, and one of at least max(ps) keeps the sizes exact."""
     ps = exact_ints(ps)
     res = np.stack([residues(g, ps) for g in gens])
     hit = np.flatnonzero((res == 0).any(axis=0))
     if hit.size:
         raise ValueError(f"a generator vanishes mod {int(ps[hit[0]])}")
-    if cap is not None and cap < 1:
+    if cap < 1:
         raise ValueError(f"cap must be >= 1, not {cap}")
     return _orders(res, ps, ps - 1, rows, cap=cap)
 
@@ -442,17 +424,19 @@ def subgroup_sizes(ps: np.ndarray, gens: Sequence[int], rows: Rows,
 
 class PigeonholeTally:
     """How the two sides of p^2 - 1 carry the order threshold, tallied on
-    order_scan's one pass: pass update as its sink.  Only counters are kept.
+    order_scan's one pass: pass update among its folds.  Only counters are
+    kept.
 
-    threshold is floor(x^(1/8 + 0.01)).  A survivor is a prime whose p^2 - 1
-    has no prime factor up to threshold outside 24.  by_factors counts the
-    survivors by the number of prime factors above threshold, with
-    multiplicity, on the p - 1 side (row 0) and on the p + 1 side (row 1);
-    more than 7 on a side raises InvariantError.  attained counts, per
-    member, the primes where ord_n * d_minus >= p - 1 (row 0, norm side),
-    ord_m * d_plus >= p + 1 (row 1, ratio side) and 24 * ord_alpha >=
-    p^2 - 1 (row 2, full), with d_minus and d_plus 12 and 2 for p = 1
-    (mod 3), else 4 and 6; none of the three is derived from another.
+    threshold is the sifting limit z = floor(x^(1/8 + 0.01)).  A survivor is
+    a prime whose p^2 - 1 has no prime factor q < z outside 24, as in
+    sieve.survivor_mask.  by_factors counts the survivors by the number of
+    large prime factors, q >= z, with multiplicity, on the p - 1 side (row
+    0) and on the p + 1 side (row 1); more than 7 on a side raises
+    InvariantError.  attained counts, per member, the primes where ord_n *
+    d_minus >= p - 1 (row 0, norm side), ord_m * d_plus >= p + 1 (row 1,
+    ratio side) and 24 * ord_alpha >= p^2 - 1 (row 2, full), with d_minus
+    and d_plus 12 and 2 for p = 1 (mod 3), else 4 and 6; none of the three
+    is derived from another.
 
     members_needed = 6 * max_side_factors + 1 counts the worst single side,
     so it never exceeds 6 * 7 + 1 = 43.  The abstract's 85 = 6 * (7 + 7) + 1
@@ -467,12 +451,12 @@ class PigeonholeTally:
 
     def update(self, b: OrderBlock) -> None:
         p = b.p
-        # per side, the prime factors above threshold, with multiplicity,
-        # and those in (3, threshold], which strike p out
+        # per side, the large prime factors, q >= z, with multiplicity, and
+        # those in (3, z), which strike p out
         large, struck = [], np.zeros(p.size, dtype=bool)
         for i, q, e in (sieve_rows(p.astype(np.int64) + s) for s in (-1, 1)):
-            large.append(np.bincount(i, e * (q > self.threshold), minlength=p.size).astype(int))
-            struck[i[(q > 3) & (q <= self.threshold)]] = True
+            large.append(np.bincount(i, e * (q >= self.threshold), minlength=p.size).astype(int))
+            struck[i[(q > 3) & (q < self.threshold)]] = True
         survivor = ~struck
         worst = np.maximum(*large)
         over = np.flatnonzero(survivor & (worst > 7))

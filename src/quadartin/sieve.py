@@ -33,7 +33,6 @@ class SieveConfig:
     u: int
     v: int
     z: int
-    delta1: float = 0.01
     c2: float = 1.0
     c3: float = 1.0
     a_exp: float = 1.0
@@ -45,8 +44,6 @@ class SieveConfig:
             raise ValueError(f"need 2 <= z <= x, got z = {self.z}")
         if math.gcd(self.u, self.v) != 1:
             raise ValueError(f"gcd(u, v) = gcd({self.u}, {self.v}) != 1")
-        if not 0 < self.delta1 < 0.125:
-            raise ValueError(f"need 0 < delta1 < 1/8, got {self.delta1}")
         if not self.c2 >= 0:
             raise ValueError(f"need c2 >= 0, got {self.c2}")
 
@@ -170,7 +167,7 @@ def product_lower(z: int, v: int = 1) -> ProductBound:
 @dataclass(frozen=True)
 class RemainderSum:
     """3^nu(d)-weighted remainder total against its target ceiling (None
-    when X <= 1, where the ceiling is undefined; notes then say why)."""
+    when X <= 1 or the ceiling is no finite float; notes then say why)."""
 
     total: float
     ceiling: Optional[float]
@@ -186,7 +183,8 @@ def remainder_sum(cfg: SieveConfig) -> RemainderSum:
     """Sum of 3^nu(d) * |R_d| over squarefree d coprime to v with
     d < sqrt(X) / (log x)^c2, compared against c3 * X / (log X)^a_exp.
     For X <= 1, log X <= 0 leaves that ceiling undefined (negative, complex
-    or a division by zero), so none is reported."""
+    or a division by zero), and a power, quotient or product past the float
+    range leaves it no finite float, so none is reported."""
     big_x = cfg.big_x
     # log D = log(X)/2 - c2 * log(log x): a large c2 underflows D to 0, an
     # empty window, where (log x)^c2 itself would overflow
@@ -200,7 +198,13 @@ def remainder_sum(cfg: SieveConfig) -> RemainderSum:
     if big_x <= 1.0:
         note = "X = li(x)/phi(v) <= 1: the remainder ceiling c3*X/log(X)^A is undefined"
         return RemainderSum(total, None, d_bound, (note,))
-    ceiling = cfg.c3 * big_x / math.log(big_x) ** cfg.a_exp
+    try:
+        ceiling = cfg.c3 * big_x / math.log(big_x) ** cfg.a_exp
+    except (OverflowError, ZeroDivisionError):
+        ceiling = math.inf
+    if not math.isfinite(ceiling):
+        note = "the remainder ceiling c3*X/log(X)^A is not a finite float"
+        return RemainderSum(total, None, d_bound, (note,))
     return RemainderSum(total, ceiling, d_bound)
 
 

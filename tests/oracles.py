@@ -36,7 +36,7 @@ from quadartin.arith import (
 from quadartin.experiments import (
     AlphaFamily,
     OrderBlock,
-    ScanSummary,
+    ScanTally,
     order_scan,
     subgroup_sizes,
 )
@@ -429,19 +429,20 @@ def remark12_verify(family: AlphaFamily, primes: Sequence[int]) -> Dict[str, int
     this is that pass with its counts returned.  Any failure raises
     RemarkViolation.
     """
-    blocks, summary = scan_blocks(family, primes)
+    blocks, _, skipped = scan_blocks(family, primes)
     records = records_of(blocks, family.labels)
-    return {"checked": len(records), "skipped": summary.skipped, "violations": 0}
+    return {"checked": len(records), "skipped": skipped, "violations": 0}
 
 
 def scan_blocks(
     family: AlphaFamily, primes: Sequence[int], workers: int = 1
-) -> Tuple[List[OrderBlock], ScanSummary]:
+) -> Tuple[List[OrderBlock], ScanTally, int]:
     """order_scan's blocks of primes, passed as one segment, kept in a list
-    by its sink, and its summary."""
+    by one fold, the ScanTally another fold fed, and the skip count."""
     blocks: List[OrderBlock] = []
-    summary = order_scan(family, [primes], workers, sink=blocks.append)
-    return blocks, summary
+    tally = ScanTally(family)
+    skipped = order_scan(family, [primes], [blocks.append, tally.update], workers)
+    return blocks, tally, skipped
 
 
 def records_of(blocks: Iterable[OrderBlock], labels: Sequence[str]) -> List[Tuple[str, OrderRecord]]:
@@ -497,7 +498,7 @@ def table_growth_counts(gens: Sequence[int], x: int, y_grid: Sequence[float]) ->
     spf = smallest_factor_table(x)
     blocks = [keep[i : i + 2**13] for i in range(0, keep.size, 2**13)]
     sizes = np.sort(np.concatenate([np.zeros(0, dtype=np.int64)] + [
-        subgroup_sizes(b, gens, factor_rows(b - 1, spf)) for b in blocks]))
+        subgroup_sizes(b, gens, factor_rows(b - 1, spf), x) for b in blocks]))
     return np.searchsorted(sizes, sorted(y_grid), side="left").tolist(), int(keep.size)
 
 
@@ -547,8 +548,9 @@ def pigeonhole_counts(
 ) -> Tuple[int, List[List[int]], List[List[int]]]:
     """PigeonholeTally's threshold, by_factors and attained for an
     order_scan of ps at bound x, by the scalar route alone: the records of
-    scalar_order_scan, survivors by trial division, large factors by
-    factorize, and d_minus, d_plus by p mod 3."""
+    scalar_order_scan, survivors by trial division below the sifting limit
+    z = threshold, large factors, q >= z, by factorize, and d_minus, d_plus
+    by p mod 3."""
     threshold = math.floor(x ** (0.125 + 0.01))
     records, _ = scalar_order_scan(family, ps)
     k = len(family.members)
@@ -556,9 +558,9 @@ def pigeonhole_counts(
     attained = [[0] * k for _ in range(3)]
     for j in range(0, len(records), k):
         p = records[j][1].p
-        if survivors_by_trial_division([p], threshold + 1, 24)[0]:
+        if survivors_by_trial_division([p], threshold, 24)[0]:
             for side, n in enumerate((p - 1, p + 1)):
-                large = sum(e for q, e in factorize(n).factors if q > threshold)
+                large = sum(e for q, e in factorize(n).factors if q >= threshold)
                 by_factors[side][large] += 1
         d_minus, d_plus = (12, 2) if p % 3 == 1 else (4, 6)
         for m, (_, r) in enumerate(records[j : j + k]):

@@ -337,6 +337,19 @@ PINNED_SCANS = {
         "706faab915c4fa20aa018229ecc1f74b5558175c18e71c5cc38a2bde847bad20",
         "c41131baeee1842ef69059c3f2bc4e67a805cdaf8fa63dcb08348a6300477249",
     ),
+    # far windows: the blocks run on Python ints, and ord_alpha passes 2**63
+    "delta5-far-1e12": (
+        {"delta": 5, "members": [[2, 1], [1, 1], [3, 2]], "prime_min": 10**12,
+         "prime_max": 10**12 + 20000},
+        "39db861680d6fbec4c81d69dc46bfc5ee25aab253c2f8c22b86d120e9bd8388d",
+        "21cf5ffc01c158e852f688785e84732cb23758f35f9fe9b93559791f03a0ef21",
+    ),
+    "delta13-far-2^63": (
+        {"delta": 13, "members": [[3, 1], [4, 0], [0, 1], [7, 7]], "prime_min": 2**63 - 30000,
+         "prime_max": 2**63 - 1},
+        "fa78408b351180f31157998abee82e270711f43a75acf85635cc85f7a27b44de",
+        "59fbce192af7b7f08c9cc1ed39fcb27eda1729d006e4e7f706daded8de7892c6",
+    ),
 }
 
 
@@ -524,6 +537,22 @@ def test_sieve_remainder_ceiling_undefined_when_x_below_one(tmp_path, a_exp):
     assert doc["remainder_ceiling"] is None
     assert doc["remainder_within"] is False
     assert any("ceiling" in n and "undefined" in n for n in doc["notes"])
+
+
+@pytest.mark.parametrize("key, value", [("A", 1e308), ("A", -1e308), ("c3", 1e308),
+                                        ("c3", -1e308)])
+def test_sieve_remainder_ceiling_past_the_float_range(tmp_path, key, value):
+    # X is about 50 here, so log X is about 3.9: A = 1e308 overflows the
+    # power, A = -1e308 takes it to 0, a divisor of 0, and c3 = +-1e308
+    # makes the ceiling infinite.  No ceiling is reported, and sieve exits 0.
+    cfg = {"a": -4, "delta": 5, "prime_max": 10**5, key: value}
+    code, out = run(tmp_path, "sieve", cfg)
+    assert code == 0
+    doc = json.loads((out / "sieve_report.json").read_text())
+    assert doc["big_x"] > 1
+    assert doc["remainder_ceiling"] is None
+    assert doc["remainder_within"] is False
+    assert any("ceiling" in n and "not a finite float" in n for n in doc["notes"])
 
 
 def test_sieve_threshold_undefined_at_x_2(tmp_path, capsys):

@@ -33,7 +33,7 @@ from quadartin.experiments import (
     GrowthFit,
     PigeonholeTally,
     RemarkViolation,
-    ScanSummary,
+    ScanTally,
     lemma42_scan,
     mult_indep_norm_one,
     mult_indep_rational,
@@ -41,6 +41,7 @@ from quadartin.experiments import (
     subgroup_sizes,
 )
 from quadartin.quadfield import FieldContext, conjugate, m_ratio, norm
+from quadartin.sieve import SieveConfig, sieving_limit, survivor_count
 
 from oracles import (
     pigeonhole_counts,
@@ -59,9 +60,16 @@ def fam3():
 
 
 def tallied(family, ps, x):
-    """A PigeonholeTally fed by one order_scan of ps, and the scan's summary."""
-    tally = PigeonholeTally(family, x)
-    return tally, order_scan(family, [ps], sink=tally.update)
+    """A PigeonholeTally and a ScanTally, both fed by one order_scan of ps."""
+    tally, scan = PigeonholeTally(family, x), ScanTally(family)
+    order_scan(family, [ps], [scan.update, tally.update])
+    return tally, scan
+
+
+def scan_counts(scan):
+    """A ScanTally's counters, comparable with ==."""
+    return (scan.prime_count, scan.attained_per_member.tolist(), scan.attained_family,
+            scan.index_histogram)
 
 
 def inert_up_to(delta, hi):
@@ -97,9 +105,9 @@ def test_inert_primes_delta5():
     # the scan's one mask keeps the inert primes and drops 2, the ramified 5
     # and the split primes uncounted; 1 divides no prime
     fam = AlphaFamily.from_coords(5, [(1, 0)])
-    blocks, s = scan_blocks(fam, primes_up_to(50))
+    blocks, _, skipped = scan_blocks(fam, primes_up_to(50))
     got = np.concatenate([b.p for b in blocks]).tolist()
-    assert got == [3, 7, 13, 17, 23, 37, 43, 47] and s.skipped == 0
+    assert got == [3, 7, 13, 17, 23, 37, 43, 47] and skipped == 0
     for p in got:
         assert jacobi(5, p) == -1
     # inert for delta = 5 means p = 2 or 3 mod 5
@@ -114,32 +122,32 @@ def test_inert_primes_delta5():
 def test_order_scan_rational_one():
     fam = AlphaFamily.from_coords(5, [(1, 0)])
     ps = inert_up_to(5, 100)
-    blocks, summary = scan_blocks(fam, ps)
+    blocks, summary, _ = scan_blocks(fam, ps)
     records = records_of(blocks, fam.labels)
     for _, rec in records:
         assert rec.ord_alpha == 1
     # 24 * 1 >= p^2 - 1 only at p = 3
-    assert summary.attained_per_member == (1,)
+    assert summary.attained_per_member.tolist() == [1]
 
 
 def test_order_scan_frozen_baseline(fam3):
     ps = inert_up_to(5, 10**4)
     assert len(ps) == 618
-    blocks, s = scan_blocks(fam3, ps)
+    blocks, s, skipped = scan_blocks(fam3, ps)
     records = records_of(blocks, fam3.labels)
     assert s.prime_count == 618
-    assert s.skipped == 0
-    assert s.attained_per_member == (6, 552, 575)
+    assert skipped == 0
+    assert s.attained_per_member.tolist() == [6, 552, 575]
     assert s.attained_family == 610
     assert len(records) == 3 * 618
 
 
 def test_order_scan_family_count_dominates_members(fam3):
     ps = inert_up_to(5, 2000)
-    s = order_scan(fam3, [ps])
+    s = ScanTally(fam3)
+    order_scan(fam3, [ps], [s.update])
     assert s.attained_family >= max(s.attained_per_member)
     assert s.attained_family <= s.prime_count
-    assert s.family_fraction >= max(s.fractions)
 
 
 def test_order_scan_workers_merge_identical(fam3, monkeypatch):
@@ -147,10 +155,10 @@ def test_order_scan_workers_merge_identical(fam3, monkeypatch):
     monkeypatch.setattr(experiments, "PRIME_BLOCK", 64)
     ps = inert_up_to(5, 3000)
     assert len(ps) > 3 * experiments.PRIME_BLOCK
-    (b1, s1), (b2, s2) = scan_blocks(fam3, ps), scan_blocks(fam3, ps, workers=3)
+    (b1, s1, k1), (b2, s2, k2) = scan_blocks(fam3, ps), scan_blocks(fam3, ps, workers=3)
     r1, r2 = records_of(b1, fam3.labels), records_of(b2, fam3.labels)
     assert r1 == r2
-    assert s1 == s2
+    assert (scan_counts(s1), k1) == (scan_counts(s2), k2)
 
 
 @pytest.mark.parametrize("as_array", [False, True], ids=["list", "int64"])
@@ -162,11 +170,11 @@ def test_order_scan_workers_merge_identical(fam3, monkeypatch):
 ])
 def test_order_scan_refuses_unordered_primes(fam3, monkeypatch, ps, as_array):
     # 4-prime blocks: the last two lists break the order where one block
-    # ends and the next begins; no block reaches the sink
+    # ends and the next begins; no block reaches a fold
     monkeypatch.setattr(experiments, "PRIME_BLOCK", 4)
     seen = []
     with pytest.raises(ValueError, match="ascending, distinct"):
-        order_scan(fam3, [np.array(ps, dtype=np.int64) if as_array else ps], sink=seen.append)
+        order_scan(fam3, [np.array(ps, dtype=np.int64) if as_array else ps], [seen.append])
     assert seen == []
 
 
@@ -178,23 +186,23 @@ def test_order_scan_refuses_unordered_primes(fam3, monkeypatch, ps, as_array):
 def test_order_scan_refuses_segments_out_of_order(fam3, segments):
     # the order is checked across segment boundaries as well as within one
     with pytest.raises(ValueError, match="ascending, distinct"):
-        order_scan(fam3, iter(segments))
+        order_scan(fam3, iter(segments), [])
 
 
 def test_order_scan_fills_blocks_across_segments(fam3, monkeypatch):
     # 1000-integer segments and 64-prime blocks: the usable primes fill
     # every block but the last across segment boundaries, and the records
-    # and summary are those of the same primes passed as one segment
+    # and counts are those of the same primes passed as one segment
     monkeypatch.setattr(arith, "SEGMENT", 1000)
     monkeypatch.setattr(experiments, "PRIME_BLOCK", 64)
     segments = list(arith._segments(2, 20000))
     assert len(segments) == 20
-    blocks = []
-    s = order_scan(fam3, iter(segments), sink=blocks.append)
-    want_blocks, want = scan_blocks(fam3, np.concatenate(segments))
+    blocks, s = [], ScanTally(fam3)
+    skipped = order_scan(fam3, iter(segments), [blocks.append, s.update])
+    want_blocks, want, want_skipped = scan_blocks(fam3, np.concatenate(segments))
     assert [b.p.size for b in blocks[:-1]] == [64] * (len(blocks) - 1)
     assert records_of(blocks, fam3.labels) == records_of(want_blocks, fam3.labels)
-    assert s == want
+    assert (scan_counts(s), skipped) == (scan_counts(want), want_skipped)
 
 
 def test_order_scan_memory_does_not_grow_with_the_range():
@@ -206,12 +214,12 @@ def test_order_scan_memory_does_not_grow_with_the_range():
     # No member is a unit, whose histogram would gain a key per prime.
     fam = AlphaFamily.from_coords(5, [(1, 1), (3, 2), (4, 1)])
     assert all(abs(n) > 1 for n in fam.norms)
-    order_scan(fam, arith._segments(3, 10**4))
+    order_scan(fam, arith._segments(3, 10**4), [ScanTally(fam).update])
     peaks = []
     for hi in (3 * 10**5, 3 * 10**6):
         tracemalloc.start()
         try:
-            order_scan(fam, arith._segments(3, hi))
+            order_scan(fam, arith._segments(3, hi), [ScanTally(fam).update])
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -220,7 +228,7 @@ def test_order_scan_memory_does_not_grow_with_the_range():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_order_scan_drops_each_block(fam3, monkeypatch, workers):
-    # 64-prime blocks over more than 20 of them: the sink sees every block
+    # 64-prime blocks over more than 20 of them: a fold sees every block
     # in ascending order of p, and at most 2 * workers + 2 blocks are alive
     # at once or on their way (taken for the kernel, not yet handed over),
     # where a scan that kept its blocks would hold them all
@@ -242,7 +250,8 @@ def test_order_scan_drops_each_block(fam3, monkeypatch, workers):
         alive.append(sum(r() is not None for r in refs) + len(taken) - len(refs))
         firsts.append(int(b.p[0]))
 
-    s = order_scan(fam3, [ps], workers, sink=sink)
+    s = ScanTally(fam3)
+    order_scan(fam3, [ps], [sink, s.update], workers)
     assert len(refs) == -(-ps.size // 64) and s.prime_count == ps.size
     assert firsts == ps[::64].tolist()
     assert max(alive) <= 2 * workers + 2, alive
@@ -264,7 +273,7 @@ def test_order_scan_frees_each_block_before_the_next_kernel_call(fam3, monkeypat
     monkeypatch.setattr(experiments, "_kernel_block", tracked)
     ps = inert_up_to(5, 5000)
     assert ps.size > 4 * 64
-    order_scan(fam3, [ps], workers=1)
+    order_scan(fam3, [ps], [ScanTally(fam3).update], workers=1)
     assert len(alive) == -(-ps.size // 64) and alive == [0] * len(alive), alive
 
 
@@ -272,16 +281,16 @@ def test_order_scan_skips_unusable_primes():
     # 7*(1 + sqrt(5)) has norm divisible by the inert prime 7, which is
     # skipped and counted; 11 splits and is dropped uncounted
     fam = AlphaFamily.from_coords(5, [(7, 7)])
-    blocks, s = scan_blocks(fam, [7, 11, 13])
+    blocks, s, skipped = scan_blocks(fam, [7, 11, 13])
     records = records_of(blocks, fam.labels)
     assert s.prime_count == 1
-    assert s.skipped == 1
+    assert skipped == 1
     assert records[0][1].p == 13
 
 
 def test_order_scan_index_histogram(fam3):
     ps = inert_up_to(5, 500)
-    blocks, s = scan_blocks(fam3, ps)
+    blocks, s, _ = scan_blocks(fam3, ps)
     records = records_of(blocks, fam3.labels)
     assert sum(s.index_histogram.values()) == len(records)
     for label, rec in records:
@@ -344,11 +353,11 @@ def test_order_kernel_matches_scalar_route(monkeypatch, delta):
     fam = AlphaFamily.from_coords(delta, KERNEL_MEMBERS[delta])
     assert abs(norm(fam.members[2])) == 1
     ps = primes_up_to(2 * 10**4)
-    blocks, summary = scan_blocks(fam, ps)
+    blocks, summary, got_skipped = scan_blocks(fam, ps)
     records = records_of(blocks, fam.labels)
     want, skipped = scalar_order_scan(fam, ps)
     assert records == want
-    assert (summary.prime_count, summary.skipped) == (len(want) // len(fam.members), skipped)
+    assert (summary.prime_count, got_skipped) == (len(want) // len(fam.members), skipped)
     seen = {r.p for _, r in records}
     assert 7 not in seen and (delta == 2 or jacobi(delta, 7) == -1)
     branches = {r.ord_alpha // math.lcm(r.ord_n, r.ord_m) for _, r in records}
@@ -359,9 +368,9 @@ def test_order_kernel_skip_count():
     # 2, the ramified 5 and the split 11, 19 and 29 are dropped uncounted;
     # the inert 7 divides the norm of 7 + 7 sqrt(5) and is skipped (counted)
     fam = AlphaFamily.from_coords(5, [(2, 1), (3, 2), (7, 7)])
-    blocks, s = scan_blocks(fam, [2, 5, 7, 11, 13, 19, 29])
+    blocks, s, skipped = scan_blocks(fam, [2, 5, 7, 11, 13, 19, 29])
     records = records_of(blocks, fam.labels)
-    assert (s.prime_count, s.skipped) == (1, 1)
+    assert (s.prime_count, skipped) == (1, 1)
     assert [r.p for _, r in records] == [13, 13, 13]
 
 
@@ -381,7 +390,7 @@ def test_order_kernel_exact_below_2_31():
     fam = AlphaFamily.from_coords(5, [(3, 2), (2, 1), (4, 0), (0, 1), (7, 7)])
     ps = _primes_from(2**31 - 1, -2, 6, 5, -1)[::-1]
     assert ps[-1] == 2**31 - 1
-    blocks, _ = scan_blocks(fam, ps)
+    blocks, _, _ = scan_blocks(fam, ps)
     records = records_of(blocks, fam.labels)
     assert records == scalar_order_scan(fam, ps)[0]
     label, top = records[-5]
@@ -396,10 +405,10 @@ def test_order_scan_rows_of_a_block_far_apart():
     # come out as from the scalar route alone
     fam = AlphaFamily.from_coords(5, [(3, 2), (2, 1), (7, 7)])
     ps = primes_up_to(300) + _primes_from(2**31 - 1, -2, 6, 5, -1)[::-1]
-    blocks, s = scan_blocks(fam, ps)
+    blocks, _, got_skipped = scan_blocks(fam, ps)
     assert [b.p.dtype for b in blocks] == [np.int64]
     want, skipped = scalar_order_scan(fam, ps)
-    assert records_of(blocks, fam.labels) == want and s.skipped == skipped
+    assert records_of(blocks, fam.labels) == want and got_skipped == skipped
 
 
 def test_order_scan_past_2_31_matches_scalar_route(monkeypatch):
@@ -414,10 +423,10 @@ def test_order_scan_past_2_31_matches_scalar_route(monkeypatch):
              for start in (2**31 + 1, 2**32 + 1)]
     straddle = _primes_from(2**31 - 1, -2, 9, 5, -1)[::-1] + _primes_from(2**31 + 1, 2, 9, 5, -1)
     for ps in lists + [straddle]:
-        blocks, s = scan_blocks(fam, ps)
+        blocks, _, got_skipped = scan_blocks(fam, ps)
         records = records_of(blocks, fam.labels)
         want, skipped = scalar_order_scan(fam, ps)
-        assert records == want and s.skipped == skipped
+        assert records == want and got_skipped == skipped
         assert [b.p.dtype for b in blocks] == [object] and min(ps) < 2**31 < max(ps)
         if max(ps) > 2**32:
             assert max(r.ord_alpha for _, r in records) > 2**63 and max(ps) ** 2 - 1 > 2**64
@@ -425,7 +434,7 @@ def test_order_scan_past_2_31_matches_scalar_route(monkeypatch):
         assert counts_of(tally) == pigeonhole_counts(fam, ps, max(ps))
     # in 8-prime blocks the same scan mixes int64 and Python-int blocks
     monkeypatch.setattr(experiments, "PRIME_BLOCK", 8)
-    blocks, _ = scan_blocks(fam, straddle)
+    blocks, _, _ = scan_blocks(fam, straddle)
     assert [b.p.dtype for b in blocks] == [np.int64, object, object]
     assert records_of(blocks, fam.labels) == scalar_order_scan(fam, straddle)[0]
 
@@ -443,17 +452,12 @@ def test_far_scan_rows_come_from_the_row_sieve(monkeypatch):
     monkeypatch.setattr(experiments, "sieve_rows", spy)
     fam = AlphaFamily.from_coords(5, [(3, 2), (2, 1), (7, 7)])
     ps = _primes_from(10**12 + 1, 2, 20, 5, -1)
-    blocks, s = scan_blocks(fam, ps)
+    blocks, _, got_skipped = scan_blocks(fam, ps)
     assert [b.p.dtype for b in blocks] == [object]
     assert [n.dtype for n in calls] == [np.int64, np.int64]
     assert [n.tolist() for n in calls] == [[p - 1 for p in ps], [p + 1 for p in ps]]
     want, skipped = scalar_order_scan(fam, ps)
-    assert records_of(blocks, fam.labels) == want and s.skipped == skipped == 0
-
-
-def test_scan_summary_validates():
-    with pytest.raises(ValueError):
-        ScanSummary(10, 0, ("a",), (5,), 3, {})  # family < best member
+    assert records_of(blocks, fam.labels) == want and got_skipped == skipped == 0
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +761,7 @@ def test_lemma42_powmod_calls_per_segment_are_bounded(monkeypatch):
 def test_subgroup_kernel_rejects_vanishing_generator():
     ps = np.array([5, 7, 11])
     with pytest.raises(ValueError):
-        subgroup_sizes(ps, [2, 14], sieve_rows(ps - 1))
+        subgroup_sizes(ps, [2, 14], sieve_rows(ps - 1), 11)
 
 
 def test_subgroup_kernel_descent_overrun_raises(monkeypatch):
@@ -776,7 +780,7 @@ def test_subgroup_kernel_descent_overrun_raises(monkeypatch):
 
     monkeypatch.setattr(fp2, "powmod", broken)
     ps = np.array([7, 13])
-    for cap in (None, 10**4):
+    for cap in (13, 10**4):
         with pytest.raises(ArithmeticError):
             subgroup_sizes(ps, [2, 3], sieve_rows(ps - 1), cap)
 
@@ -796,7 +800,7 @@ def test_subgroup_kernel_cap_is_min_with_oracle(gens):
         sizes = subgroup_sizes(ps, gens, rows, cap)
         assert sizes.dtype == np.int64
         assert sizes.tolist() == [min(s, cap) for s in exact], cap
-    assert subgroup_sizes(ps, gens, rows).tolist() == exact
+    assert subgroup_sizes(ps, gens, rows, int(ps.max())).tolist() == exact
     with pytest.raises(ValueError):
         subgroup_sizes(ps, gens, rows, 0)
 
@@ -811,10 +815,10 @@ def test_subgroup_kernel_exact_on_int64_primes_past_2_31(lo):
     gens = [2, 3]
     rows = sieve_rows(ps - 1)
     exact = [subgroup_size(p, gens) for p in ps.tolist()]
-    for cap in (None, 1, 10**4, 2**40):
+    for cap in (int(ps.max()), 1, 10**4, 2**40):
         sizes = subgroup_sizes(ps, gens, rows, cap)
         assert sizes.dtype == object and ps.dtype == np.int64 and ps.max() >= 2**31
-        assert sizes.tolist() == [s if cap is None else min(s, cap) for s in exact], cap
+        assert sizes.tolist() == [min(s, cap) for s in exact], cap
 
 
 def test_subgroup_sizes_fill_through_the_scalar_ladder(monkeypatch):
@@ -841,7 +845,7 @@ def test_subgroup_sizes_fill_through_the_scalar_ladder(monkeypatch):
 
     monkeypatch.setattr(fp2, "powmod", counted_powmod)
     monkeypatch.setattr(arith, "_scalar_ladder", counted_ladder)
-    sizes = subgroup_sizes(ps, [2, 3], rows)
+    sizes = subgroup_sizes(ps, [2, 3], rows, int(ps.max()))
     bands = len(fp2.Q_EDGES) + 1
     starts = bands + 1 + 2
     assert len(powered) > starts and all(x.size for _, x in powered)
@@ -861,10 +865,10 @@ def test_subgroup_kernel_exact_where_the_scalar_window_narrows(lo):
     ps = primes_in_class(1, 1, lo, min(lo + 6000, 2**31 - 1))
     rows = sieve_rows(ps - 1)
     exact = [subgroup_size(p, [2, 3]) for p in ps.tolist()]
-    for cap in (None, 10**4):
+    for cap in (int(ps.max()), 10**4):
         sizes = subgroup_sizes(ps, [2, 3], rows, cap)
         assert sizes.dtype == np.int64
-        assert sizes.tolist() == [s if cap is None else min(s, cap) for s in exact], cap
+        assert sizes.tolist() == [min(s, cap) for s in exact], cap
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -899,8 +903,8 @@ def test_lemma42_cap_skips_most_powers(monkeypatch):
         powered.append(np.broadcast(base, exp, mod).size)
         return powmod(base, exp, mod)
 
-    def uncapped(ps, gens, rows, cap=None):
-        return subgroup_sizes(ps, gens, rows)
+    def uncapped(ps, gens, rows, cap):
+        return subgroup_sizes(ps, gens, rows, int(ps.max(initial=1)))
 
     monkeypatch.setattr(fp2, "powmod", counting)
     capped = lemma42_scan([2, 3], 2 * 10**6)
@@ -985,6 +989,18 @@ def test_pigeonhole_frozen_counts(fam3):
     assert tally.attained.tolist() == [[0, 46, 49], [46, 46, 38], [0, 47, 49]]
 
 
+def test_pigeonhole_survivors_are_the_sieves(fam3):
+    # the tally strikes q in (3, z) as sieve.survivor_mask strikes q < z
+    # outside v: at x = 2e6 the sifting limit z = 7 is prime, and no class
+    # prime has 5 in p^2 - 1, so every one of them survives both
+    x = 2 * 10**6
+    ps = primes_in_class(547, 720, 0, x)
+    tally, scan = tallied(fam3, ps, x)
+    assert tally.threshold == sieving_limit(x) == 7
+    assert tally.survivors == survivor_count(SieveConfig(x, 547, 720, 7))
+    assert tally.survivors == scan.prime_count == ps.size == 782
+
+
 def test_pigeonhole_counts_bounded_by_rows(fam3):
     ps = primes_in_class(547, 720, 3, 3 * 10**4)
     tally, summary = tallied(fam3, ps, int(ps[-1]))
@@ -1007,27 +1023,28 @@ def test_pigeonhole_past_int64():
     for big in ([2**63 + 29], ps + [2**63 + 29], np.array([2**63 + 29], dtype=object),
                 np.array([2**63 + 29], dtype=np.uint64)):
         with pytest.raises(ValueError, match="below 2\\*\\*63"):
-            order_scan(fam, [big])
+            order_scan(fam, [big], [])
 
 
 def test_pigeonhole_tally_memory_is_bounded():
     # the tally keeps counters, not one object per prime: a scan that feeds
-    # it peaks within 0.5 MB of a plain scan, and returns the same summary
+    # it peaks within 0.5 MB of a plain scan, and the scan counts the same
     fam = AlphaFamily.from_coords(5, [(1, 1), (3, 2), (4, 1)])
     ps = inert_up_to(5, 10**6)
     tallied(fam, ps[:100], 10**6)
     tally = PigeonholeTally(fam, 10**6)
-    peaks, summaries = [], []
-    for sink in (None, tally.update):
+    peaks, scans = [], []
+    for folds in ([], [tally.update]):
         tracemalloc.start()
         try:
-            summaries.append(order_scan(fam, [ps], sink=sink))
+            scans.append(ScanTally(fam))
+            order_scan(fam, [ps], [scans[-1].update] + folds)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert peaks[1] <= peaks[0] + 2**19, peaks
-    assert summaries[0] == summaries[1]
-    assert tuple(tally.attained[2].tolist()) == summaries[1].attained_per_member
+    assert scan_counts(scans[0]) == scan_counts(scans[1])
+    assert tally.attained[2].tolist() == scans[1].attained_per_member.tolist()
 
 
 def test_pigeonhole_too_many_large_factors_raises():

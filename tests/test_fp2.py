@@ -403,7 +403,7 @@ def test_kernel_value_error_is_not_a_skipped_prime(monkeypatch, module, target, 
 
     monkeypatch.setattr(module, target, boom)
     with pytest.raises(ValueError, match="boom"):
-        order_scan(AlphaFamily.from_coords(5, [(2, 1)]), [primes])
+        order_scan(AlphaFamily.from_coords(5, [(2, 1)]), [primes], [])
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +460,7 @@ def test_alpha_l_branches_on_the_pinned_delta5_scan():
     # has ord_alpha = 2L, and an odd L takes both branches, ord_alpha = L
     # and 2L
     family = AlphaFamily.from_coords(5, [(2, 1), (1, 1), (3, 2)])
-    blocks, _ = scan_blocks(family, inert_primes_under(5, 20000))
+    blocks, _, _ = scan_blocks(family, inert_primes_under(5, 20000))
     branches = Counter()
     for b in blocks:
         lcm = np.lcm(b.ord_n, b.ord_m)

@@ -113,8 +113,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SieveConfig(1000, 2, 4, 6)  # shared factor
     with pytest.raises(ValueError):
-        SieveConfig(1000, 1, 4, 6, delta1=0.2)
-    with pytest.raises(ValueError):
         SieveConfig(1000, 1, 4, 6, c2=-1)  # window above sqrt(X)
 
 
@@ -368,6 +366,6 @@ def test_report_threshold_matches_exponent_algebra():
     delta = 0.01
     X = SieveConfig(10**6, 1, 4, 2).big_x
     z = int(X ** (0.125 + delta))
-    rep = sieve_bound_report(SieveConfig(10**6, 1, 4, z, delta1=delta))
+    rep = sieve_bound_report(SieveConfig(10**6, 1, 4, z))
     assert rep.threshold == pytest.approx(1 / (2 * (0.125 + delta)), rel=0.05)
     assert not rep.threshold_ok  # 4/(1 + 8*delta) < 4.42 always
