@@ -1,7 +1,7 @@
 """Exact integer utilities: a segmented prime sieve, primality,
 factorization (scalar, and array-wise by sieving the values' own
-progression), array modular powers, Jacobi symbols, CRT, and the logarithmic
-integral.
+progression), the survivor rule over an array of primes, array modular
+powers, Jacobi symbols, CRT, and the logarithmic integral.
 
 Everything here is deterministic.  The only randomized internals (Pollard rho
 restarts) draw from a fixed seed that can be overridden with set_rho_seed.
@@ -257,6 +257,27 @@ def sieve_rows(n: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     i_rows[c:], q_rows[c:], e_rows[c:] = split[:, 0], split[:, 1], split[:, 2]
     i_rows += lo
     return rows
+
+
+def sieving_limit(x: int, delta1: float = 0.01) -> int:
+    """The sifting limit z = floor(x^(1/8 + delta1))."""
+    return int(math.floor(x ** (0.125 + delta1)))
+
+
+def survivor_mask(ps: np.ndarray, z: int, v: int) -> np.ndarray:
+    """For each prime p of the int64 array ps, or of an object array of
+    Python ints (exact past int64), whether p^2 - 1 has no prime factor
+    q < z with q not dividing v: the survivor rule of the sieve report and
+    the pigeonhole tally.  A prime q divides p^2 - 1 exactly when
+    p = +-1 (mod q), so each q in turn tests the primes still alive."""
+    alive = np.arange(ps.size)
+    for q in prime_array(z - 1).tolist():
+        if v % q and alive.size:
+            r = ps[alive] % q
+            alive = alive[(r != 1) & (r != q - 1)]
+    mask = np.zeros(ps.size, dtype=bool)
+    mask[alive] = True
+    return mask
 
 
 def _integers(x) -> np.ndarray:

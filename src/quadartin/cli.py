@@ -322,7 +322,7 @@ def cmd_sieve(cfg: Dict, out: Path, workers: int) -> int:
     from . import sieve
 
     x, delta1, d_max = cfg["prime_max"], cfg["delta1"], cfg["d_max"]
-    z = max(2, sieve.sieving_limit(x, delta1)) if cfg["z"] is None else cfg["z"]
+    z = max(2, arith.sieving_limit(x, delta1)) if cfg["z"] is None else cfg["z"]
     if z > x:
         raise BadConfig(f"sieve needs 'z' to be at most prime_max, got {z} > {x}")
     cong = _checked_class(cfg["a"], cfg["delta"], cfg["p0_bound"])
@@ -336,7 +336,7 @@ def cmd_sieve(cfg: Dict, out: Path, workers: int) -> int:
         for r in rows:
             fh.write("%d,%d,%d,%r,%r\n" % (r.d, r.rho_d, r.count, r.main, r.remainder))
 
-    rem = sieve.remainder_sum(sieve_cfg)
+    rem = sieve.remainder_sum(sieve_cfg, rows)
     bound = sieve.sieve_bound_report(sieve_cfg)
     report = {
         "x": x,

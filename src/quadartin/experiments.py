@@ -16,7 +16,8 @@ from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optiona
 
 import numpy as np
 
-from .arith import _segments, exact_ints, factorize, powmod, residues, sieve_rows
+from .arith import (_segments, exact_ints, factorize, powmod, residues, sieve_rows,
+                    sieving_limit, survivor_mask)
 from .errors import DependentGenerators, InvariantError, RemarkViolation
 from .fp2 import Rows, _orders, order_arrays
 from .quadfield import FieldContext, QuadElem, norm
@@ -427,44 +428,37 @@ class PigeonholeTally:
     order_scan's one pass: pass update among its folds.  Only counters are
     kept.
 
-    threshold is the sifting limit z = floor(x^(1/8 + 0.01)).  A survivor is
-    a prime whose p^2 - 1 has no prime factor q < z outside 24, as in
-    sieve.survivor_mask.  by_factors counts the survivors by the number of
-    large prime factors, q >= z, with multiplicity, on the p - 1 side (row
-    0) and on the p + 1 side (row 1); more than 7 on a side raises
-    InvariantError.  attained counts, per member, the primes where ord_n *
-    d_minus >= p - 1 (row 0, norm side), ord_m * d_plus >= p + 1 (row 1,
-    ratio side) and 24 * ord_alpha >= p^2 - 1 (row 2, full), with d_minus
-    and d_plus 12 and 2 for p = 1 (mod 3), else 4 and 6; none of the three
-    is derived from another.
+    threshold is the sifting limit z = arith.sieving_limit(x).  A survivor
+    is a prime whose p^2 - 1 has no prime factor q < z outside 24, by the
+    sieve report's rule, arith.survivor_mask.  by_factors counts the
+    survivors by the number of large prime factors, q >= z, with
+    multiplicity, on the p - 1 side (row 0) and on the p + 1 side (row 1),
+    up to the 63 a side below 2**63 can have.  attained counts, per member,
+    the primes where ord_n * d_minus >= p - 1 (row 0, norm side),
+    ord_m * d_plus >= p + 1 (row 1, ratio side) and 24 * ord_alpha >=
+    p^2 - 1 (row 2, full), with d_minus and d_plus 12 and 2 for
+    p = 1 (mod 3), else 4 and 6; none of the three is derived from another.
 
-    members_needed = 6 * max_side_factors + 1 counts the worst single side,
-    so it never exceeds 6 * 7 + 1 = 43.  The abstract's 85 = 6 * (7 + 7) + 1
-    counts both sides of p^2 - 1 together.
+    members_needed = 6 * max_side_factors + 1 counts the worst single side.
+    From about x = 28,000 on (z >= 4) no side has more than 7 large factors,
+    so it is at most 6 * 7 + 1 = 43; below, a side can have 8 (x = 300:
+    256 = 2^8).  The abstract's 85 = 6 * (7 + 7) + 1 counts both sides.
     """
 
     def __init__(self, family: AlphaFamily, x: int):
-        # sieve.sieving_limit(x, 0.01), so that no scan loads the sieve module
-        self.threshold = math.floor(x ** (0.125 + 0.01))
-        self.by_factors = np.zeros((2, 8), dtype=np.int64)
+        self.threshold = sieving_limit(x)
+        self.by_factors = np.zeros((2, 64), dtype=np.int64)
         self.attained = np.zeros((3, len(family.members)), dtype=np.int64)
 
     def update(self, b: OrderBlock) -> None:
         p = b.p
-        # per side, the large prime factors, q >= z, with multiplicity, and
-        # those in (3, z), which strike p out
-        large, struck = [], np.zeros(p.size, dtype=bool)
-        for i, q, e in (sieve_rows(p.astype(np.int64) + s) for s in (-1, 1)):
-            large.append(np.bincount(i, e * (q >= self.threshold), minlength=p.size).astype(int))
-            struck[i[(q > 3) & (q < self.threshold)]] = True
-        survivor = ~struck
-        worst = np.maximum(*large)
-        over = np.flatnonzero(survivor & (worst > 7))
-        if over.size:
-            j = over[0]
-            raise InvariantError(f"survivor p = {p[j]} has {worst[j]} large factors on one side")
-        for side, m in enumerate(large):
-            self.by_factors[side] += np.bincount(m[survivor], minlength=8)
+        # the primes q outside 6 are those past 3, as outside 24
+        alive = p[survivor_mask(p, self.threshold, 6)].astype(np.int64)
+        for side, s in enumerate((-1, 1)):
+            # the large prime factors, q >= z, with multiplicity
+            i, q, e = sieve_rows(alive + s)
+            large = np.bincount(i, e * (q >= self.threshold), minlength=alive.size)
+            self.by_factors[side] += np.bincount(large.astype(np.int64), minlength=64)
         one_mod_3 = (p % 3 == 1)[:, None]
         self.attained[0] += (b.ord_n * np.where(one_mod_3, 12, 4) >= (p - 1)[:, None]).sum(axis=0)
         self.attained[1] += (b.ord_m * np.where(one_mod_3, 2, 6) >= (p + 1)[:, None]).sum(axis=0)

@@ -5,7 +5,7 @@ function rho(d) counting square roots of 1 mod d, the local weights
 omega(q) = 2q/phi(q), exact counts |A_d| against their expected main terms,
 a Mertens-type partial sum, the single-residue product lower bound, the
 3^nu-weighted remainder sum, and the count of survivors whose p^2 - 1 has no
-small prime factor outside v.
+small prime factor outside v, by arith.survivor_mask.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .arith import (Factorization, factorize, li, prime_array, primes_in_class, primes_up_to,
+from .arith import (Factorization, factorize, li, primes_in_class, primes_up_to, survivor_mask,
                     totient)
 
 T0_THRESHOLD = 4.42
@@ -57,11 +57,6 @@ class SieveConfig:
     def class_primes(self) -> np.ndarray:
         """The primes p <= x with p = u (mod v), built once per config."""
         return primes_in_class(self.u, self.v, 0, self.x)
-
-
-def sieving_limit(x: int, delta1: float = 0.01) -> int:
-    """The trial threshold floor(x^(1/8 + delta1))."""
-    return int(math.floor(x ** (0.125 + delta1)))
 
 
 def _factored(d: Union[int, Factorization]) -> Factorization:
@@ -114,12 +109,12 @@ def count_Ad(cfg: SieveConfig, d: Union[int, Factorization]) -> SieveRow:
     return SieveRow(d, rho(f), cnt, main, cnt - main)
 
 
-def ledger(cfg: SieveConfig, d_hi: int) -> List[SieveRow]:
-    """count_Ad rows for every squarefree d <= d_hi coprime to v, ascending,
-    each d factored once."""
+def ledger(cfg: SieveConfig, d_hi: int, d_lo: int = 1) -> List[SieveRow]:
+    """count_Ad rows for every squarefree d in [d_lo, d_hi] coprime to v,
+    ascending, each d factored once."""
     return [
         count_Ad(cfg, f)
-        for f in map(factorize, range(1, d_hi + 1))
+        for f in map(factorize, range(d_lo, d_hi + 1))
         if f.is_squarefree and math.gcd(f.value, cfg.v) == 1
     ]
 
@@ -179,11 +174,13 @@ class RemainderSum:
         return self.ceiling is not None and self.total <= self.ceiling
 
 
-def remainder_sum(cfg: SieveConfig) -> RemainderSum:
+def remainder_sum(cfg: SieveConfig, rows: List[SieveRow]) -> RemainderSum:
     """Sum of 3^nu(d) * |R_d| over squarefree d coprime to v with
     d < sqrt(X) / (log x)^c2, compared against c3 * X / (log X)^a_exp.
-    For X <= 1, log X <= 0 leaves that ceiling undefined (negative, complex
-    or a division by zero), and a power, quotient or product past the float
+    rows is a ledger(cfg, d_hi) already built, for any d_hi: its rows are
+    reused, and only the d past its last row are counted.  For X <= 1,
+    log X <= 0 leaves that ceiling undefined (negative, complex or a
+    division by zero), and a power, quotient or product past the float
     range leaves it no finite float, so none is reported."""
     big_x = cfg.big_x
     # log D = log(X)/2 - c2 * log(log x): a large c2 underflows D to 0, an
@@ -192,8 +189,9 @@ def remainder_sum(cfg: SieveConfig) -> RemainderSum:
     if big_x > 0:
         log_d = 0.5 * math.log(big_x) - cfg.c2 * math.log(math.log(cfg.x))
     d_bound = math.ceil(math.exp(log_d)) - 1  # strict d < D
+    d_lo = rows[-1].d + 1 if rows else 1
     total = 0.0
-    for row in ledger(cfg, d_bound):
+    for row in [r for r in rows if r.d <= d_bound] + ledger(cfg, d_bound, d_lo):
         total += 3 ** factorize(row.d).nu * abs(row.remainder)
     if big_x <= 1.0:
         note = "X = li(x)/phi(v) <= 1: the remainder ceiling c3*X/log(X)^A is undefined"
@@ -206,31 +204,6 @@ def remainder_sum(cfg: SieveConfig) -> RemainderSum:
         note = "the remainder ceiling c3*X/log(X)^A is not a finite float"
         return RemainderSum(total, None, d_bound, (note,))
     return RemainderSum(total, ceiling, d_bound)
-
-
-# Cells of the (prime, q) residue table survivor_mask tests at once: bounds
-# its memory whatever x and z are.
-SURVIVOR_CELLS = 2**16
-
-
-def survivor_mask(ps: np.ndarray, z: int, v: int) -> np.ndarray:
-    """For each prime p of the int64 array ps, or of an object array of
-    Python ints (exact past int64), whether p^2 - 1 has no prime factor
-    q < z with q not dividing v.  A prime q divides p^2 - 1 exactly
-    when p = +-1 (mod q), so each block of q is one residue table over the
-    primes not yet struck out."""
-    qs = prime_array(z - 1)
-    qs = qs[v % qs.astype(object) != 0]  # v may pass int64
-    alive = np.arange(ps.size)
-    lo = 0
-    while lo < qs.size and alive.size:
-        q = qs[lo : lo + max(1, SURVIVOR_CELLS // alive.size)]
-        r = ps[alive, None] % q
-        alive = alive[~((r == 1) | (r == q - 1)).any(axis=1)]
-        lo += q.size
-    mask = np.zeros(ps.size, dtype=bool)
-    mask[alive] = True
-    return mask
 
 
 def survivor_count(cfg: SieveConfig) -> int:

@@ -554,7 +554,7 @@ def pigeonhole_counts(
     threshold = math.floor(x ** (0.125 + 0.01))
     records, _ = scalar_order_scan(family, ps)
     k = len(family.members)
-    by_factors = [[0] * 8, [0] * 8]
+    by_factors = [[0] * 64, [0] * 64]
     attained = [[0] * k for _ in range(3)]
     for j in range(0, len(records), k):
         p = records[j][1].p

@@ -451,6 +451,19 @@ def test_sieve_deterministic_rerun(tmp_path):
     ).read_bytes()
 
 
+def test_sieve_counts_each_ledger_row_once(tmp_path, monkeypatch):
+    # the remainder sum reuses sieve.csv's rows: one count_Ad per row
+    from quadartin import sieve
+
+    calls = []
+    count_Ad = sieve.count_Ad
+    monkeypatch.setattr(sieve, "count_Ad", lambda cfg, d: calls.append(d) or count_Ad(cfg, d))
+    code, out = run(tmp_path, "sieve", {"a": -4, "delta": 5, "prime_max": 5 * 10**6,
+                                        "d_max": 1000})
+    assert code == 0
+    assert json.loads((out / "sieve_report.json").read_text())["rows"] == len(calls) == 252
+
+
 def test_sieve_bad_z_is_config_error(tmp_path):
     code, _ = run(tmp_path, "sieve", dict(SIEVE_CFG, z=1))
     assert code == 4

@@ -26,6 +26,7 @@ from quadartin.arith import (
     primes_in_class,
     primes_up_to,
     sieve_rows,
+    sieving_limit,
 )
 from quadartin.experiments import (
     AlphaFamily,
@@ -41,7 +42,7 @@ from quadartin.experiments import (
     subgroup_sizes,
 )
 from quadartin.quadfield import FieldContext, conjugate, m_ratio, norm
-from quadartin.sieve import SieveConfig, sieving_limit, survivor_count
+from quadartin.sieve import SieveConfig, survivor_count
 
 from oracles import (
     pigeonhole_counts,
@@ -990,8 +991,8 @@ def test_pigeonhole_frozen_counts(fam3):
 
 
 def test_pigeonhole_survivors_are_the_sieves(fam3):
-    # the tally strikes q in (3, z) as sieve.survivor_mask strikes q < z
-    # outside v: at x = 2e6 the sifting limit z = 7 is prime, and no class
+    # the tally and survivor_count both keep arith.survivor_mask's
+    # survivors: at x = 2e6 the sifting limit z = 7 is prime, and no class
     # prime has 5 in p^2 - 1, so every one of them survives both
     x = 2 * 10**6
     ps = primes_in_class(547, 720, 0, x)
@@ -1047,9 +1048,14 @@ def test_pigeonhole_tally_memory_is_bounded():
     assert tally.attained[2].tolist() == scans[1].attained_per_member.tolist()
 
 
-def test_pigeonhole_too_many_large_factors_raises():
-    # at x = 2 the threshold is 1, so 257 survives, and 257 - 1 = 2^8 has
-    # 8 factors above it on one side
+def test_pigeonhole_counts_eight_large_factors_below_the_asymptotic_range():
+    # at x = 300 the sifting limit z is 2, so every inert prime survives
+    # and 2 is a large factor: 257 - 1 = 2^8 has 8 on one side, past the 7
+    # that hold from about x = 28,000 on.  The tally counts it.
     fam = AlphaFamily.from_coords(5, [(2, 1), (3, 2)])
-    with pytest.raises(InvariantError, match="257"):
-        tallied(fam, [257], 2)
+    ps = inert_up_to(5, 300)
+    tally, _ = tallied(fam, ps, 300)
+    assert tally.threshold == 2
+    assert tally.max_side_factors == 8
+    assert tally.members_needed == 49
+    assert counts_of(tally) == pigeonhole_counts(fam, ps.tolist(), 300)

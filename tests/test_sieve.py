@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from quadartin import sieve
-from quadartin.arith import factorize, is_prime, li, primes_up_to, totient
+from quadartin.arith import (factorize, is_prime, li, primes_up_to, sieving_limit,
+                             survivor_mask, totient)
 from quadartin.sieve import (
     T0_THRESHOLD,
     SieveConfig,
@@ -21,9 +22,7 @@ from quadartin.sieve import (
     remainder_sum,
     rho,
     sieve_bound_report,
-    sieving_limit,
     survivor_count,
-    survivor_mask,
 )
 
 from oracles import count_Ad_by_classes, survivors_by_trial_division, unit_square_roots
@@ -263,7 +262,7 @@ def test_eq81_inequality_sampled():
 
 def test_remainder_sum_single_term_case():
     cfg = SieveConfig(1000, 1, 4, 6)
-    rs = remainder_sum(cfg)
+    rs = remainder_sum(cfg, [])
     assert rs.d_bound == 1 and len(ledger(cfg, rs.d_bound)) == 1
     row = count_Ad(cfg, 1)
     assert rs.total == pytest.approx(abs(row.remainder), rel=1e-12)
@@ -273,10 +272,14 @@ def test_remainder_sum_single_term_case():
 
 def test_remainder_sum_skips_bad_d():
     cfg = SieveConfig(10**5, 3, 8, 6)
-    rs = remainder_sum(cfg)
+    rs = remainder_sum(cfg, [])
     # d runs over squarefree values coprime to 8 only
     assert len(ledger(cfg, rs.d_bound)) <= rs.d_bound
     assert rs.total >= 0
+    # a ledger built already, short of d_bound or past it, gives the same sum
+    assert rs.d_bound == 4
+    for d_hi in (1, 2, 30):
+        assert remainder_sum(cfg, ledger(cfg, d_hi)) == rs
 
 
 def test_survivors_all_at_z2():

@@ -273,6 +273,10 @@ def test_package_import_loads_no_submodule():
     pytest.param("sieve", {"a": -4, "delta": 5, "prime_max": 10**4, "d_max": 20},
                  {"quadartin.sieve", "quadartin.construction"},
                  {"quadartin.experiments", "quadartin.fp2"}, id="sieve"),
+    pytest.param("scan", {"delta": 5, "members": [[2, 1], [3, 2]], "prime_min": 0,
+                          "prime_max": 10**4},
+                 {"quadartin.experiments", "quadartin.fp2"},
+                 {"quadartin.construction", "quadartin.sieve"}, id="scan"),
     pytest.param("lemma42", {"gens": [2, 3], "prime_max": 10**4},
                  {"quadartin.experiments", "quadartin.fp2"},
                  {"quadartin.construction", "quadartin.sieve"}, id="lemma42"),
@@ -280,6 +284,8 @@ def test_package_import_loads_no_submodule():
 def test_cli_command_loads_only_the_modules_it_runs(tmp_path, command, cfg, used, unused):
     # Each cmd_* imports its own modules: the sieve ledger needs no order
     # kernel, and the subgroup counts need no residue class and no sieve.
+    # A dense scan needs no residue class and no sieve either: the survivor
+    # rule it shares with the sieve report lives in arith.
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     run = ("import sys, quadartin.cli\n"
