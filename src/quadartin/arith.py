@@ -260,8 +260,8 @@ def sieve_rows(n: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def sieving_limit(x: int, delta1: float = 0.01) -> int:
-    """The sifting limit z = floor(x^(1/8 + delta1))."""
-    return int(math.floor(x ** (0.125 + delta1)))
+    """The sifting limit z = floor(x^(1/8 + delta1)), at least 2."""
+    return max(2, int(math.floor(x ** (0.125 + delta1))))
 
 
 def survivor_mask(ps: np.ndarray, z: int, v: int) -> np.ndarray:

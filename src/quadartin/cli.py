@@ -274,7 +274,8 @@ def _scan_rows(fh: TextIO, labels: List[str], b) -> None:
 
 
 def cmd_scan(cfg: Dict, out: Path, workers: int) -> int:
-    from .experiments import AlphaFamily, ScanTally, mult_indep_rational, order_scan
+    from .experiments import (AlphaFamily, PigeonholeTally, ScanTally, mult_indep_rational,
+                              order_scan)
 
     lo, hi = cfg["prime_min"], cfg["prime_max"]
     if lo > hi:
@@ -291,10 +292,13 @@ def cmd_scan(cfg: Dict, out: Path, workers: int) -> int:
     # RemarkViolation there, which removes scan.csv and exits 3
     labels = list(family.labels)
     tally = ScanTally(family)
+    # a class scan also tallies the pigeonhole split of p^2 - 1
+    ph = None if cong is None else PigeonholeTally(family, hi)
+    folds = [tally.update] + ([] if ph is None else [ph.update])
     with _artifact(out / "scan.csv") as fh:
         fh.write("p,member,ord_alpha,ord_N,ord_M,attained\n")
         skipped = order_scan(family, arith._segments(lo, hi, u=u, v=v),
-                             (partial(_scan_rows, fh, labels), tally.update), workers=workers)
+                             [partial(_scan_rows, fh, labels), *folds], workers=workers)
 
     n = tally.prime_count
     per_member = tally.attained_per_member.tolist()
@@ -314,6 +318,16 @@ def cmd_scan(cfg: Dict, out: Path, workers: int) -> int:
         "congruence": None if cong is None else {"u": cong.u, "v": cong.v},
     }
     _write_json(out / "scan_summary.json", summary_json)
+    if ph is not None:
+        sides = ("minus", "plus")
+        _write_json(out / "pigeonhole.json", {
+            "threshold": ph.threshold,
+            "survivors": ph.survivors,
+            "by_factors": dict(zip(sides, ph.by_factors[:, : ph.max_side_factors + 1].tolist())),
+            "max_side_factors": ph.max_side_factors,
+            "members_needed": ph.members_needed,
+            "attained": {s: dict(zip(labels, row)) for s, row in zip(sides, ph.attained.tolist())},
+        })
     print(f"scan: {n} primes, family attainment {tally.attained_family}/{n}, skipped {skipped}")
     return EXIT_OK
 
@@ -322,7 +336,7 @@ def cmd_sieve(cfg: Dict, out: Path, workers: int) -> int:
     from . import sieve
 
     x, delta1, d_max = cfg["prime_max"], cfg["delta1"], cfg["d_max"]
-    z = max(2, arith.sieving_limit(x, delta1)) if cfg["z"] is None else cfg["z"]
+    z = arith.sieving_limit(x, delta1) if cfg["z"] is None else cfg["z"]
     if z > x:
         raise BadConfig(f"sieve needs 'z' to be at most prime_max, got {z} > {x}")
     cong = _checked_class(cfg["a"], cfg["delta"], cfg["p0_bound"])
@@ -442,7 +456,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0, help="rho restart seed")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="Pollard-Brent restart seed; changes no output, as a "
+                             "factorization is unique")
     try:
         args = parser.parse_args(argv)
         arith.set_rho_seed(args.seed)

@@ -66,18 +66,21 @@ class OrderBlock(NamedTuple):
     """Orders at the usable primes of one block of a scan.  p holds those
     primes; ord_alpha, ord_n, ord_m and attained have one row per prime and
     one column per member.  p and the orders take the dtype arith.exact_ints
-    gives the block's primes."""
+    gives the block's primes.  minus and plus are the int64 prime-power rows
+    (i, q, e) of p - 1 and p + 1 the orders came from, i indexing p."""
 
     p: np.ndarray
     ord_alpha: np.ndarray
     ord_n: np.ndarray
     ord_m: np.ndarray
     attained: np.ndarray
+    minus: Rows
+    plus: Rows
 
 
 def _kernel_block(family: AlphaFamily, p: np.ndarray) -> OrderBlock:
     """One block of usable int64 primes through the array kernel: the rows
-    of p -+ 1 in int64, the orders in exact_ints' dtype."""
+    of p -+ 1 in int64, kept in the block, the orders in exact_ints' dtype."""
     minus, plus = sieve_rows(p - 1), sieve_rows(p + 1)
     p = exact_ints(p)
     # the outputs are allocated before the kernel's temporaries, so the
@@ -98,7 +101,7 @@ def _kernel_block(family: AlphaFamily, p: np.ndarray) -> OrderBlock:
             f"ord_N = {ord_n[j, m]}, ord_M = {ord_m[j, m]} and ord_alpha = "
             f"{ord_alpha[j, m]} break the order chain at p = {p[j]}",
         )
-    return OrderBlock(p, ord_alpha, ord_n, ord_m, attained)
+    return OrderBlock(p, ord_alpha, ord_n, ord_m, attained, minus, plus)
 
 
 def _map(fn, items: Iterable, workers: int) -> Iterator:
@@ -433,11 +436,12 @@ class PigeonholeTally:
     sieve report's rule, arith.survivor_mask.  by_factors counts the
     survivors by the number of large prime factors, q >= z, with
     multiplicity, on the p - 1 side (row 0) and on the p + 1 side (row 1),
-    up to the 63 a side below 2**63 can have.  attained counts, per member,
-    the primes where ord_n * d_minus >= p - 1 (row 0, norm side),
-    ord_m * d_plus >= p + 1 (row 1, ratio side) and 24 * ord_alpha >=
-    p^2 - 1 (row 2, full), with d_minus and d_plus 12 and 2 for
-    p = 1 (mod 3), else 4 and 6; none of the three is derived from another.
+    up to the 63 a side below 2**63 can have; they are read from the
+    block's rows of p -+ 1.  attained counts, per member, the primes where
+    ord_n * d_minus >= p - 1 (row 0, norm side) and ord_m * d_plus >= p + 1
+    (row 1, ratio side), with d_minus and d_plus 12 and 2 for p = 1
+    (mod 3), else 4 and 6; neither is derived from the other.  The full
+    count, 24 * ord_alpha >= p^2 - 1, is ScanTally's attained_per_member.
 
     members_needed = 6 * max_side_factors + 1 counts the worst single side.
     From about x = 28,000 on (z >= 4) no side has more than 7 large factors,
@@ -448,21 +452,19 @@ class PigeonholeTally:
     def __init__(self, family: AlphaFamily, x: int):
         self.threshold = sieving_limit(x)
         self.by_factors = np.zeros((2, 64), dtype=np.int64)
-        self.attained = np.zeros((3, len(family.members)), dtype=np.int64)
+        self.attained = np.zeros((2, len(family.members)), dtype=np.int64)
 
     def update(self, b: OrderBlock) -> None:
         p = b.p
         # the primes q outside 6 are those past 3, as outside 24
-        alive = p[survivor_mask(p, self.threshold, 6)].astype(np.int64)
-        for side, s in enumerate((-1, 1)):
+        alive = survivor_mask(p, self.threshold, 6)
+        for side, (i, q, e) in enumerate((b.minus, b.plus)):
             # the large prime factors, q >= z, with multiplicity
-            i, q, e = sieve_rows(alive + s)
-            large = np.bincount(i, e * (q >= self.threshold), minlength=alive.size)
+            large = np.bincount(i, e * (q >= self.threshold), minlength=p.size)[alive]
             self.by_factors[side] += np.bincount(large.astype(np.int64), minlength=64)
         one_mod_3 = (p % 3 == 1)[:, None]
         self.attained[0] += (b.ord_n * np.where(one_mod_3, 12, 4) >= (p - 1)[:, None]).sum(axis=0)
         self.attained[1] += (b.ord_m * np.where(one_mod_3, 2, 6) >= (p + 1)[:, None]).sum(axis=0)
-        self.attained[2] += b.attained.sum(axis=0)
 
     @property
     def survivors(self) -> int:

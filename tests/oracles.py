@@ -549,13 +549,13 @@ def pigeonhole_counts(
     """PigeonholeTally's threshold, by_factors and attained for an
     order_scan of ps at bound x, by the scalar route alone: the records of
     scalar_order_scan, survivors by trial division below the sifting limit
-    z = threshold, large factors, q >= z, by factorize, and d_minus, d_plus
-    by p mod 3."""
-    threshold = math.floor(x ** (0.125 + 0.01))
+    z = threshold (at least 2), large factors, q >= z, by factorize, and
+    d_minus, d_plus by p mod 3."""
+    threshold = max(2, math.floor(x ** (0.125 + 0.01)))
     records, _ = scalar_order_scan(family, ps)
     k = len(family.members)
     by_factors = [[0] * 64, [0] * 64]
-    attained = [[0] * k for _ in range(3)]
+    attained = [[0] * k for _ in range(2)]
     for j in range(0, len(records), k):
         p = records[j][1].p
         if survivors_by_trial_division([p], threshold, 24)[0]:
@@ -566,5 +566,4 @@ def pigeonhole_counts(
         for m, (_, r) in enumerate(records[j : j + k]):
             attained[0][m] += r.ord_n * d_minus >= p - 1
             attained[1][m] += r.ord_m * d_plus >= p + 1
-            attained[2][m] += r.attained
     return threshold, by_factors, attained

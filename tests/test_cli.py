@@ -18,9 +18,12 @@ from hypothesis import strategies as st
 
 import quadartin
 from quadartin import cli, experiments, fp2
-from quadartin.arith import factorize, is_prime, jacobi, primes_up_to
+from quadartin.arith import factorize, is_prime, jacobi, primes_in_class, primes_up_to
 from quadartin.cli import CONFIG_SCHEMA, BadConfig, main, validate_config
+from quadartin.experiments import AlphaFamily
 from quadartin.quadfield import FieldContext
+
+from oracles import pigeonhole_counts
 
 
 def run(tmp_path, command, cfg, outdir="out", extra=()):
@@ -319,23 +322,27 @@ def test_write_json_failed_encode_leaves_no_file(tmp_path):
 
 # Digests of scan.csv and scan_summary.json written by the scalar per-prime
 # scan that the array kernel replaced: the kernel must reproduce it byte for
-# byte, skips and the congruence class included.
+# byte, skips and the congruence class included.  The last digest is that of
+# pigeonhole.json, which only a class scan writes (None: no such file).
 PINNED_SCANS = {
     "delta5": (
         dict(SCAN_CFG, prime_max=20000),
         "aa610e225427e511ff773a0f55bf372c3889da49fd797703497a4757ece81e14",
         "59ff27e2fcc5d82d146a092474f6b80edb30f04e3766e9ef414c8f9de68c8c0d",
+        None,
     ),
     "delta13-one-skipped": (
         {"delta": 13, "members": [[3, 1], [4, 0], [0, 1], [7, 7]], "prime_min": 2,
          "prime_max": 20000},
         "9ef6829a07666527849dbe1727ad207313037b240cacf1c891a6fb0ea6e35526",
         "36862585cc11a6e8fe5c641de5387bd2da93ec2fd4c5dfaaf8940a2f51d14511",
+        None,
     ),
     "delta5-class-1e6": (
         dict(SCAN_CFG, use_congruence=True, a=-4, prime_max=10**6),
         "706faab915c4fa20aa018229ecc1f74b5558175c18e71c5cc38a2bde847bad20",
         "c41131baeee1842ef69059c3f2bc4e67a805cdaf8fa63dcb08348a6300477249",
+        "8e81aa05a9c3e19169c427f294e0a304f8d3e5f10e038a83e37220215e421614",
     ),
     # far windows: the blocks run on Python ints, and ord_alpha passes 2**63
     "delta5-far-1e12": (
@@ -343,31 +350,38 @@ PINNED_SCANS = {
          "prime_max": 10**12 + 20000},
         "39db861680d6fbec4c81d69dc46bfc5ee25aab253c2f8c22b86d120e9bd8388d",
         "21cf5ffc01c158e852f688785e84732cb23758f35f9fe9b93559791f03a0ef21",
+        None,
     ),
     "delta13-far-2^63": (
         {"delta": 13, "members": [[3, 1], [4, 0], [0, 1], [7, 7]], "prime_min": 2**63 - 30000,
          "prime_max": 2**63 - 1},
         "fa78408b351180f31157998abee82e270711f43a75acf85635cc85f7a27b44de",
         "59fbce192af7b7f08c9cc1ed39fcb27eda1729d006e4e7f706daded8de7892c6",
+        None,
     ),
 }
-
-
-@pytest.mark.parametrize(
-    "cfg, csv_sha, summary_sha", PINNED_SCANS.values(), ids=list(PINNED_SCANS)
+PINNED = pytest.mark.parametrize(
+    "cfg, shas", [(cfg, shas) for cfg, *shas in PINNED_SCANS.values()], ids=list(PINNED_SCANS)
 )
-def test_scan_artifacts_pinned(tmp_path, cfg, csv_sha, summary_sha):
+
+
+def scan_digests(out):
+    """The sha256 of scan.csv, scan_summary.json and pigeonhole.json in out,
+    None for a file not written."""
+    return [hashlib.sha256((out / name).read_bytes()).hexdigest()
+            if (out / name).exists() else None
+            for name in ("scan.csv", "scan_summary.json", "pigeonhole.json")]
+
+
+@PINNED
+def test_scan_artifacts_pinned(tmp_path, cfg, shas):
     code, out = run(tmp_path, "scan", cfg)
     assert code == 0
-    assert hashlib.sha256((out / "scan.csv").read_bytes()).hexdigest() == csv_sha
-    assert hashlib.sha256((out / "scan_summary.json").read_bytes()).hexdigest() == summary_sha
+    assert scan_digests(out) == shas
 
 
-@pytest.mark.parametrize(
-    "cfg, csv_sha, summary_sha", PINNED_SCANS.values(), ids=list(PINNED_SCANS)
-)
-def test_scan_artifacts_pinned_with_two_workers(tmp_path, monkeypatch, cfg, csv_sha,
-                                                summary_sha):
+@PINNED
+def test_scan_artifacts_pinned_with_two_workers(tmp_path, monkeypatch, cfg, shas):
     # 64-prime blocks, cut in the parent and run two processes wide with
     # more blocks than the pool takes ahead, give the same bytes
     monkeypatch.setattr(experiments, "PRIME_BLOCK", 64)
@@ -377,8 +391,47 @@ def test_scan_artifacts_pinned_with_two_workers(tmp_path, monkeypatch, cfg, csv_
     code, out = run(tmp_path, "scan", cfg, extra=("--workers", "2"))
     assert code == 0
     assert len(written) > 4
-    assert hashlib.sha256((out / "scan.csv").read_bytes()).hexdigest() == csv_sha
-    assert hashlib.sha256((out / "scan_summary.json").read_bytes()).hexdigest() == summary_sha
+    assert scan_digests(out) == shas
+
+
+# a class scan small enough to check against the scalar oracles
+CLASS_CFG = dict(SCAN_CFG, use_congruence=True, a=-4, prime_max=10**5)
+
+
+def test_class_scan_sieves_the_rows_of_each_block_once(tmp_path, monkeypatch):
+    # the scan.csv writer, ScanTally and PigeonholeTally all run on the
+    # rows the kernel sieved: two sieve_rows calls per block, on exactly its
+    # int64 p - 1 and p + 1
+    monkeypatch.setattr(experiments, "PRIME_BLOCK", 8)
+    calls, blocks = [], []
+    sieve_rows, scan_rows = experiments.sieve_rows, cli._scan_rows
+    monkeypatch.setattr(experiments, "sieve_rows", lambda n: calls.append(n) or sieve_rows(n))
+    monkeypatch.setattr(cli, "_scan_rows", lambda fh, labels, b: (
+        blocks.append(b.p.tolist()), scan_rows(fh, labels, b)))
+    code, out = run(tmp_path, "scan", CLASS_CFG)
+    assert code == 0 and (out / "pigeonhole.json").exists()
+    assert len(blocks) > 4
+    assert [n.dtype for n in calls] == [np.int64] * (2 * len(blocks))
+    assert [n.tolist() for n in calls] == [[p + s for p in ps] for ps in blocks for s in (-1, 1)]
+
+
+def test_pigeonhole_json_is_the_oracles_and_reruns_alike(tmp_path):
+    code, out = run(tmp_path, "scan", CLASS_CFG)
+    assert code == 0
+    got = json.loads((out / "pigeonhole.json").read_text())
+    family = AlphaFamily.from_coords(5, CLASS_CFG["members"])
+    threshold, by_factors, attained = pigeonhole_counts(
+        family, primes_in_class(547, 720, 3, 10**5).tolist(), 10**5)
+    cut = got["max_side_factors"] + 1
+    assert got["threshold"] == threshold == 4
+    assert [got["by_factors"]["minus"], got["by_factors"]["plus"]] == [r[:cut] for r in by_factors]
+    assert not any(n for r in by_factors for n in r[cut:])
+    assert got["survivors"] == sum(by_factors[0]) == 50
+    assert got["members_needed"] == 6 * got["max_side_factors"] + 1
+    assert [got["attained"]["minus"], got["attained"]["plus"]] == [
+        dict(zip(family.labels, row)) for row in attained]
+    _, again = run(tmp_path, "scan", CLASS_CFG, outdir="again")
+    assert scan_digests(again) == scan_digests(out)
 
 
 def test_kernel_scan_builds_no_order_record(tmp_path):
@@ -389,11 +442,10 @@ def test_kernel_scan_builds_no_order_record(tmp_path):
         mod = importlib.import_module(f"quadartin.{info.name}")
         assert not {"OrderRecord", "order_record"} & set(vars(mod)), info.name
     assert not {"OrderRecord", "order_record"} & set(vars(quadartin))
-    for name, (cfg, csv_sha, summary_sha) in PINNED_SCANS.items():
+    for name, (cfg, *shas) in PINNED_SCANS.items():
         code, out = run(tmp_path, "scan", cfg, outdir=name)
         assert code == 0, name
-        assert hashlib.sha256((out / "scan.csv").read_bytes()).hexdigest() == csv_sha
-        assert hashlib.sha256((out / "scan_summary.json").read_bytes()).hexdigest() == summary_sha
+        assert scan_digests(out) == shas, name
 
 
 def test_scan_bad_configs(tmp_path):
@@ -675,6 +727,40 @@ def test_lemma42_growth_pinned(tmp_path, y_grid, sha, workers):
     code, out = run(tmp_path, "lemma42", cfg, extra=("--workers", workers))
     assert code == 0
     assert hashlib.sha256((out / "growth.json").read_bytes()).hexdigest() == sha
+
+
+# ---------------------------------------------------------------------------
+# ladder work
+
+def ladder_work(monkeypatch):
+    """Element-bits of fp2's powmod and lucas_v ladders, counted as the
+    calls run: per call, the output size times the bit length of the
+    largest exponent."""
+    work = {"powmod": 0, "lucas_v": 0}
+    for name in work:
+        def spy(base, k, mod, name=name, real=getattr(fp2, name)):
+            out = real(base, k, mod)
+            k = np.asarray(k)
+            work[name] += out.size * (int(k.max()).bit_length() if k.size else 0)
+            return out
+        monkeypatch.setattr(fp2, name, spy)
+    return work
+
+
+@pytest.mark.parametrize("command, cfg, bounds", [
+    pytest.param("scan", {"delta": 5, "members": [[1, 1], [3, 2], [4, 1]], "prime_min": 2,
+                          "prime_max": 2 * 10**5},
+                 {"powmod": 2_429_124, "lucas_v": 1_834_313}, id="scan"),
+    pytest.param("lemma42", {"gens": [2, 3], "prime_max": 2 * 10**5, "y_grid": [10, 100, 1000]},
+                 {"powmod": 509_226, "lucas_v": 0}, id="lemma42"),
+])
+def test_ladder_work_is_bounded(tmp_path, monkeypatch, command, cfg, bounds):
+    # the ladders' work is deterministic, so a change that adds to it shows
+    # here exactly, where wall time would hide it in noise
+    work = ladder_work(monkeypatch)
+    code, _ = run(tmp_path, command, cfg)
+    assert code == 0
+    assert work["powmod"] > 0 and all(work[k] <= b for k, b in bounds.items()), work
 
 
 # ---------------------------------------------------------------------------

@@ -987,7 +987,8 @@ def test_pigeonhole_frozen_counts(fam3):
     assert summary.prime_count == tally.survivors == 50
     assert tally.threshold == 4
     assert tally.max_side_factors == 4
-    assert tally.attained.tolist() == [[0, 46, 49], [46, 46, 38], [0, 47, 49]]
+    assert tally.attained.tolist() == [[0, 46, 49], [46, 46, 38]]
+    assert summary.attained_per_member.tolist() == [0, 47, 49]
 
 
 def test_pigeonhole_survivors_are_the_sieves(fam3):
@@ -1045,7 +1046,7 @@ def test_pigeonhole_tally_memory_is_bounded():
             tracemalloc.stop()
     assert peaks[1] <= peaks[0] + 2**19, peaks
     assert scan_counts(scans[0]) == scan_counts(scans[1])
-    assert tally.attained[2].tolist() == scans[1].attained_per_member.tolist()
+    assert tally.survivors == scans[1].prime_count
 
 
 def test_pigeonhole_counts_eight_large_factors_below_the_asymptotic_range():

@@ -99,8 +99,10 @@ def test_omega_values():
 def test_sieving_limit():
     assert sieving_limit(10**6) == 6
     assert sieving_limit(10**6, 0.1) == math.floor(10 ** (6 * 0.225))
-    for x in (100, 10**4, 10**8):
+    for x in (10**4, 10**8):
         assert sieving_limit(x) == math.floor(x ** 0.135)
+    # x^0.135 is below 2 up to x = 169, and the limit is at least 2
+    assert sieving_limit(100) == sieving_limit(169) == 2 > math.floor(169 ** 0.135)
 
 
 def test_config_validation():
@@ -309,7 +311,7 @@ def test_survivor_mask_matches_trial_division(x, u, v):
     cfg = SieveConfig(x, u, v, 2)
     ps = cfg.class_primes
     # z = 2 sieves nothing; then the default z, a middle z and z near x
-    for z in (2, max(2, sieving_limit(x)), 1000, x - 1):
+    for z in (2, sieving_limit(x), 1000, x - 1):
         got = survivor_mask(ps, z, v)
         assert got.tolist() == survivors_by_trial_division(ps.tolist(), z, v), (z, v)
         assert survivor_count(SieveConfig(x, u, v, z)) == int(got.sum())

@@ -39,11 +39,8 @@ def test_no_bare_asserts():
 # name, method and property has a caller, every optional parameter and
 # defaulted record field is passed by some call, and every record field is
 # read.  Reference routes live in tests/oracles.py.  Kept with no caller:
-# the CLI entry points, the argparse hook, and the pigeonhole tally and its
-# members, which ROADMAP item 2 wires into scan.
-NO_CALLER_NEEDED = {"main", "entrypoint", "_Parser.error", "PigeonholeTally",
-                    "PigeonholeTally.update", "PigeonholeTally.survivors",
-                    "PigeonholeTally.max_side_factors", "PigeonholeTally.members_needed"}
+# the CLI entry points and the argparse hook.
+NO_CALLER_NEEDED = {"main", "entrypoint", "_Parser.error"}
 # Inputs kept with no src/ caller: main's argv, which the console script
 # leaves to sys.argv, and _Key's fields, which validate_config unpacks.
 NO_CALLER_NEEDED_INPUTS = {"main.argv", "_Key.what", "_Key.convert", "_Key.default"}
